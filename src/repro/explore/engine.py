@@ -6,6 +6,7 @@ strings (run a prefix, read back how many alternatives existed at each
 step, queue every first-deviation sibling) exactly like the naive DFS it
 replaces — but with **equivalence pruning**: a :class:`RecordingPolicy`
 captures the scheduler's canonical state fingerprint before every decision
+the search can branch on
 (:meth:`~repro.runtime.scheduler.Scheduler.fingerprint`), and a work item
 that would re-enter an already-claimed ``(state, chosen process)`` subtree
 is dropped.  Interleavings that are permutations of independent steps
@@ -36,18 +37,39 @@ PruneKey = Tuple[int, int]
 
 
 class RecordingPolicy(ScriptedPolicy):
-    """A :class:`ScriptedPolicy` that additionally records, per decision,
-    the canonical state fingerprint and the pid of every ready process —
-    the raw material of equivalence pruning.  The scheduler invokes
-    :meth:`observe_state` right before each ``choose`` (duck-typed hook)."""
+    """A :class:`ScriptedPolicy` that additionally records the canonical
+    state fingerprint and the pid of every ready process at the decisions
+    a search reads — the raw material of equivalence pruning.  The
+    scheduler invokes :meth:`observe_state` right before each ``choose``
+    (duck-typed hook).
 
-    def __init__(self, decisions: Optional[Sequence[int]] = None) -> None:
+    With a branching ``horizon`` (a search's ``max_depth``) the policy
+    snapshots only decisions ``len(decisions) <= i < horizon``: the ones
+    :func:`expand_record` can branch on.  The replayed prefix and the
+    decisions past the horizon are never read, so they are never hashed.
+    Without a horizon it snapshots every decision.  :attr:`first` is the
+    index of the first decision snapshotted.
+    """
+
+    def __init__(
+        self,
+        decisions: Optional[Sequence[int]] = None,
+        horizon: Optional[int] = None,
+    ) -> None:
         super().__init__(decisions)
+        self.horizon = horizon
+        self.first = 0 if horizon is None else len(self.decisions)
         self.fingerprints: List[int] = []
         self.ready_pids: List[Tuple[int, ...]] = []
 
     def observe_state(self, sched) -> None:
+        # Enabled at the first decision whether or not it is snapshotted,
+        # so the event digest always covers the whole run.
         sched.enable_fingerprinting()
+        index = self._cursor
+        if index < self.first or (self.horizon is not None
+                                  and index >= self.horizon):
+            return
         self.fingerprints.append(sched.fingerprint())
         self.ready_pids.append(tuple(p.pid for p in sched._ready))
 
@@ -65,8 +87,12 @@ class TimedRecordingPolicy(RecordingPolicy):
     the untimed policy (timing is passive), which is what keeps
     telemetry-on results byte-identical to telemetry-off ones."""
 
-    def __init__(self, decisions: Optional[Sequence[int]] = None) -> None:
-        super().__init__(decisions)
+    def __init__(
+        self,
+        decisions: Optional[Sequence[int]] = None,
+        horizon: Optional[int] = None,
+    ) -> None:
+        super().__init__(decisions, horizon)
         self.fp_seconds = 0.0
 
     def observe_state(self, sched) -> None:
@@ -85,6 +111,7 @@ def run_one_timed(
     check: Checker,
     prune: bool,
     telemetry,
+    max_depth: int,
 ) -> RunRecord:
     """Execute one schedule with phase-attributed wall-clock accounting.
 
@@ -93,7 +120,8 @@ def run_one_timed(
     fingerprint time subtracted), ``fingerprint``, ``check`` (oracle
     battery), ``record`` (RunRecord reduction).
     """
-    policy = TimedRecordingPolicy(prefix) if prune else ScriptedPolicy(prefix)
+    policy = (TimedRecordingPolicy(prefix, max_depth) if prune
+              else ScriptedPolicy(prefix))
     start = perf_counter()
     run = build_and_run(policy)
     ran = perf_counter()
@@ -113,7 +141,11 @@ def run_one_timed(
 class RunRecord:
     """Everything the frontier logic needs from one executed schedule —
     a picklable reduction of the run, so parallel workers can ship it back
-    to the master without shipping the trace."""
+    to the master without shipping the trace.
+
+    ``fingerprints[i]`` and ``ready_pids[i]`` describe decision
+    ``len(prefix) + i``; they run up to the branching horizon at most (and
+    are empty when pruning is off)."""
 
     prefix: Tuple[int, ...]
     taken: Tuple[int, ...]
@@ -129,12 +161,15 @@ class RunRecord:
         policy: ScriptedPolicy,
         messages: Sequence[str],
     ) -> "RunRecord":
+        # Drop any snapshots of the replayed prefix (a policy without a
+        # horizon takes them) so the tuples start at decision len(prefix).
+        skip = len(prefix) - getattr(policy, "first", 0)
         return cls(
             prefix=tuple(prefix),
             taken=tuple(policy.taken),
             branch_log=tuple(policy.branch_log),
-            fingerprints=tuple(getattr(policy, "fingerprints", ())),
-            ready_pids=tuple(getattr(policy, "ready_pids", ())),
+            fingerprints=tuple(getattr(policy, "fingerprints", ())[skip:]),
+            ready_pids=tuple(getattr(policy, "ready_pids", ())[skip:]),
             messages=tuple(messages),
         )
 
@@ -192,26 +227,24 @@ def expand_record(
     """
     children: List[Tuple[int, ...]] = []
     pruned = 0
+    start = len(record.prefix)
     horizon = min(len(record.branch_log), max_depth)
-    for position in range(len(record.prefix), horizon):
+    for position in range(start, horizon):
         alternatives = record.branch_log[position]
         base = record.taken[:position]
+        if seen is not None:
+            fingerprint = record.fingerprints[position - start]
+            ready = record.ready_pids[position - start]
         for choice in range(1, alternatives):
             if seen is not None:
-                key = (
-                    record.fingerprints[position],
-                    record.ready_pids[position][choice],
-                )
+                key = (fingerprint, ready[choice])
                 if key in seen:
                     pruned += 1
                     continue
                 seen.add(key)
             children.append(base + (choice,))
         if seen is not None:
-            default_key = (
-                record.fingerprints[position],
-                record.ready_pids[position][record.taken[position]],
-            )
+            default_key = (fingerprint, ready[record.taken[position]])
             if default_key in seen:
                 # The run's own continuation from here on retraces a subtree
                 # an earlier item claimed; deeper deviations live inside it.
@@ -264,7 +297,8 @@ class ExplorationEngine:
 
     def run_one(self, prefix: Sequence[int], check: Checker) -> RunRecord:
         """Execute a single schedule and reduce it to a :class:`RunRecord`."""
-        policy = RecordingPolicy(prefix) if self.prune else ScriptedPolicy(prefix)
+        policy = (RecordingPolicy(prefix, self.max_depth) if self.prune
+                  else ScriptedPolicy(prefix))
         run = self._build_and_run(policy)
         return RunRecord.from_run(prefix, policy, check(run))
 
@@ -307,7 +341,7 @@ class ExplorationEngine:
                 record = self.run_one(prefix, check)
             else:
                 record = run_one_timed(self._build_and_run, prefix, check,
-                                       self.prune, telemetry)
+                                       self.prune, telemetry, self.max_depth)
             result.runs += 1
             if record.messages:
                 result.violations.append((record.taken, list(record.messages)))

@@ -55,24 +55,33 @@ from .targets import ExplorationTarget, get_target
 _WORKER: dict = {}
 
 
-def _init_worker(problem: str, mechanism: str, prune: bool) -> None:
+def _init_worker(problem: str, mechanism: str, prune: bool,
+                 max_depth: int) -> None:
     """Pool initializer: rebuild the target (and import its problem modules)
     inside the worker."""
     _WORKER["target"] = get_target(problem, mechanism)
     _WORKER["prune"] = prune
+    _WORKER["max_depth"] = max_depth
 
 
 def _execute(
-    target: ExplorationTarget, prefix: Tuple[int, ...], prune: bool
+    target: ExplorationTarget,
+    prefix: Tuple[int, ...],
+    prune: bool,
+    max_depth: int,
+    check,
 ) -> RunRecord:
     """Run one schedule of ``target`` and reduce it to a record."""
-    policy = RecordingPolicy(prefix) if prune else ScriptedPolicy(prefix)
+    policy = (RecordingPolicy(prefix, max_depth) if prune
+              else ScriptedPolicy(prefix))
     run = target.build_and_run(policy)
-    return RunRecord.from_run(prefix, policy, target.checker(run))
+    return RunRecord.from_run(prefix, policy, check(run))
 
 
 def _execute_in_worker(prefix: Tuple[int, ...]) -> RunRecord:
-    return _execute(_WORKER["target"], prefix, _WORKER["prune"])
+    target = _WORKER["target"]
+    return _execute(target, prefix, _WORKER["prune"], _WORKER["max_depth"],
+                    target.checker)
 
 
 def _execute_in_worker_timed(
@@ -85,7 +94,7 @@ def _execute_in_worker_timed(
     :func:`_execute_in_worker`'s (timing is passive), preserving
     worker-count- and telemetry-independence of results."""
     start = perf_counter()
-    record = _execute(_WORKER["target"], prefix, _WORKER["prune"])
+    record = _execute_in_worker(prefix)
     end = perf_counter()
     result_bytes = len(pickle.dumps(record, pickle.HIGHEST_PROTOCOL))
     return record, (os.getpid(), start, end, result_bytes)
@@ -173,7 +182,7 @@ def explore_parallel(
         pool = context.Pool(
             processes=workers,
             initializer=_init_worker,
-            initargs=(target.problem, target.mechanism, prune),
+            initargs=(target.problem, target.mechanism, prune, max_depth),
         )
     if telemetry is not None:
         telemetry.begin(max_runs=max_runs, workers=workers)
@@ -220,19 +229,13 @@ def explore_parallel(
                 telemetry.add("dispatch", perf_counter() - mark)
                 records = [
                     run_one_timed(target.build_and_run, prefix, checker,
-                                  prune, telemetry)
+                                  prune, telemetry, max_depth)
                     for prefix in wave
                 ]
-            elif check is None:
-                records = [_execute(target, prefix, prune) for prefix in wave]
             else:
-                records = []
-                for prefix in wave:
-                    policy = (RecordingPolicy(prefix) if prune
-                              else ScriptedPolicy(prefix))
-                    run = target.build_and_run(policy)
-                    records.append(RunRecord.from_run(prefix, policy,
-                                                      check(run)))
+                records = [_execute(target, prefix, prune, max_depth,
+                                    checker)
+                           for prefix in wave]
             mark = perf_counter() if telemetry is not None else 0.0
             stopped_at = None
             children: List[Tuple[int, ...]] = []

@@ -316,7 +316,9 @@ class FingerprintCache:
     are portable across machines like every other run-store artifact —
     but **not** across code changes that alter scheduler state layout;
     ``repro explore --fp-cache`` rebuilds stale caches for free because an
-    unmatched fingerprint simply never prunes.
+    unmatched fingerprint simply never prunes.  A change to the
+    fingerprint function must bump :data:`FP_CACHE_SCHEMA`: a file of any
+    other schema loads cold and is overwritten, never merged.
     """
 
     def __init__(self, root: str = FP_CACHE_ROOT) -> None:
@@ -333,14 +335,15 @@ class FingerprintCache:
              variant: Optional[str] = None,
              max_depth: Optional[int] = None) -> Set[Tuple[int, int]]:
         """The stored prune-key set, or an empty (cold) set when there is
-        no usable cache: missing file, newer schema, or a stored depth
-        shallower than ``max_depth``."""
+        no usable cache: missing file, a schema other than
+        :data:`FP_CACHE_SCHEMA`, or a stored depth shallower than
+        ``max_depth``."""
         path = self._path(problem, mechanism, variant)
         if not os.path.exists(path):
             return set()
         with open(path) as fh:
             data = json.load(fh)
-        if int(data.get("schema", 1)) > FP_CACHE_SCHEMA:
+        if int(data.get("schema", 1)) != FP_CACHE_SCHEMA:
             return set()
         stored_depth = data.get("max_depth")
         if (max_depth is not None and stored_depth is not None
@@ -358,7 +361,9 @@ class FingerprintCache:
 
         Refuses (returns ``None``) unless ``exhausted`` — see the class
         docstring.  A merge keeps the *shallower* of the two depths so the
-        stored depth never overstates coverage.
+        stored depth never overstates coverage.  A stored file with a
+        schema other than :data:`FP_CACHE_SCHEMA` is overwritten, not
+        merged: its keys were computed by other code.
         """
         if not exhausted:
             return None
@@ -368,7 +373,7 @@ class FingerprintCache:
         if os.path.exists(path):
             with open(path) as fh:
                 data = json.load(fh)
-            if int(data.get("schema", 1)) <= FP_CACHE_SCHEMA:
+            if int(data.get("schema", 1)) == FP_CACHE_SCHEMA:
                 merged |= {(int(fp), int(pid))
                            for fp, pid in data.get("keys", [])}
                 stored_depth = data.get("max_depth")

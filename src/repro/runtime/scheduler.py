@@ -51,6 +51,45 @@ from .trace import Event, RunResult, Trace
 #: Trace events carried by :class:`StepLimitExceeded` for diagnosis.
 DIAGNOSTIC_TAIL = 20
 
+_BLOCKED = ProcessState.BLOCKED
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+#: Memo of per-event digest terms.  Only events whose ``obj`` is a ``str``
+#: and whose ``detail`` is exactly a ``str``, an ``int`` or ``None`` are
+#: memoized: their ``repr`` is a function of the key, and ``type(detail)``
+#: in the key keeps equal-but-distinct values (``1``/``True``) apart.  The
+#: memo only saves work — a term is the same BLAKE2b value either way, so
+#: digests never depend on ``PYTHONHASHSEED``.
+_EVENT_TERMS: Dict[tuple, int] = {}
+#: The memo is cleared when it reaches this size (a full pass over the
+#: exploration catalog produces about a thousand distinct terms).
+_EVENT_TERMS_MAX = 8192
+
+
+def _event_term(pid: int, kind: str, obj: Any, detail: Any) -> int:
+    """BLAKE2b-64 of ``repr((pid, kind, obj, detail))``: one event's
+    summand in the commutative event digest."""
+    detail_type = type(detail)
+    if (type(kind) is str and type(obj) is str
+            and (detail is None or detail_type is str or detail_type is int)):
+        key = (pid, kind, obj, detail, detail_type)
+        term = _EVENT_TERMS.get(key)
+        if term is not None:
+            return term
+    else:
+        key = None
+    term = int.from_bytes(
+        hashlib.blake2b(
+            repr((pid, kind, obj, detail)).encode(), digest_size=8
+        ).digest(),
+        "big",
+    )
+    if key is not None:
+        if len(_EVENT_TERMS) >= _EVENT_TERMS_MAX:
+            _EVENT_TERMS.clear()
+        _EVENT_TERMS[key] = term
+    return term
+
 
 class _TimerEntry:
     """One timer-heap entry.  ``kind`` selects the firing behaviour:
@@ -212,36 +251,36 @@ class Scheduler:
         interleavings once.  Uses BLAKE2b, not ``hash()``, so digests agree
         across worker processes regardless of ``PYTHONHASHSEED``.
         """
-        procs = tuple(
-            (p.pid, p.state.value, p.steps, p.blocked_on or "",
-             str(p.wait_obj or ""), p.daemon)
-            for p in self._processes
-        )
+        # One pass builds the per-process tuples and the park order; the
+        # payload is byte-identical to building each component separately.
+        procs = []
+        parked = []
+        for p in self._processes:
+            state = p.state
+            procs.append((p.pid, state._value_, p.steps, p.blocked_on or "",
+                          str(p.wait_obj or ""), p.daemon))
+            if state is _BLOCKED:
+                parked.append((p.park_seq, p.pid))
+        parked.sort()
         ready = tuple(p.pid for p in self._ready)
-        park_order = tuple(
-            p.pid for p in sorted(
-                (p for p in self._processes
-                 if p.state is ProcessState.BLOCKED),
-                key=lambda p: p.park_seq,
-            )
-        )
+        park_order = tuple(pid for __, pid in parked)
         holds = tuple(sorted(
             (resource, tuple(sorted(p.pid for p in holders)))
             for resource, holders in self._holds.items()
             if holders
-        ))
+        )) if self._holds else ()
         timers = tuple(sorted(
             (deadline - self._time, entry.proc.pid, entry.kind)
             for deadline, __, entry in self._timers
             if not entry.cancelled
-            and entry.proc.state is ProcessState.BLOCKED
-        ))
+            and entry.proc.state is _BLOCKED
+        )) if self._timers else ()
         extra = tuple(repr(fn()) for fn in self._fp_providers)
         # Absolute virtual time is state for timed problems (alarm clock
         # deadlines are clock-relative); untimed problems stay at t=0, so
         # including it never costs them a merge.
-        payload = repr((self._time, ready, procs, park_order, holds, timers,
-                        self._fp_digest, extra)).encode()
+        payload = repr((self._time, ready, tuple(procs), park_order, holds,
+                        timers, self._fp_digest, extra)).encode()
         return int.from_bytes(
             hashlib.blake2b(payload, digest_size=8).digest(), "big"
         )
@@ -571,14 +610,8 @@ class Scheduler:
             # produce the same digest.  seq/time are deliberately excluded:
             # they are positional, not state.
             self._fp_digest = (
-                self._fp_digest + int.from_bytes(
-                    hashlib.blake2b(
-                        repr((pid, kind, obj, detail)).encode(),
-                        digest_size=8,
-                    ).digest(),
-                    "big",
-                )
-            ) & 0xFFFFFFFFFFFFFFFF
+                self._fp_digest + _event_term(pid, kind, obj, detail)
+            ) & _MASK64
         if self._sink is not None:
             self._sink.on_event(event)
         if self.fault_plan is not None and actor is not None:

@@ -276,6 +276,25 @@ def test_fp_cache_variants_are_isolated(tmp_path):
     assert cache.load("p", "m", variant="a", max_depth=60) == set()
 
 
+def test_fp_cache_other_schema_is_cold_and_overwritten(tmp_path):
+    from repro.obs.runstore import FP_CACHE_SCHEMA, FingerprintCache
+
+    cache = FingerprintCache(str(tmp_path / "fp"))
+    path = cache.save("p", "m", {(1, 0)}, max_depth=60, exhausted=True)
+    with open(path) as fh:
+        stale = json.load(fh)
+    stale["schema"] = FP_CACHE_SCHEMA - 1
+    with open(path, "w") as fh:
+        json.dump(stale, fh)
+    # Keys from another schema were computed by other fingerprint code:
+    # never warm a search with them, never merge them into a new file.
+    assert cache.load("p", "m", max_depth=60) == set()
+    cache.save("p", "m", {(2, 1)}, max_depth=60, exhausted=True)
+    assert cache.load("p", "m", max_depth=60) == {(2, 1)}
+    with open(path) as fh:
+        assert json.load(fh)["schema"] == FP_CACHE_SCHEMA
+
+
 def test_explore_cli_fp_cache_warm_start(tmp_path, capsys, monkeypatch):
     """Second --fp-cache exploration of the same target claims (nearly)
     nothing new: the persisted keys prune every revisited subtree."""
