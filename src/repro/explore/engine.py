@@ -65,7 +65,8 @@ class RecordingPolicy(ScriptedPolicy):
     def observe_state(self, sched) -> None:
         # Enabled at the first decision whether or not it is snapshotted,
         # so the event digest always covers the whole run.
-        sched.enable_fingerprinting()
+        if sched._fp_digest is None:
+            sched.enable_fingerprinting()
         index = self._cursor
         if index < self.first or (self.horizon is not None
                                   and index >= self.horizon):

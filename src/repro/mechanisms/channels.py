@@ -105,6 +105,8 @@ class Channel:
         self.capacity = capacity
         self.peer_fault = peer_fault
         self._label = "channel {}".format(name)
+        self._senders_label = self._label + ".senders"
+        self._receivers_label = self._label + ".receivers"
         self._buffer: List[Any] = []
         self._senders: List[_Offer] = []
         self._receivers: List[_Offer] = []
@@ -128,7 +130,7 @@ class Channel:
         will break the channel (``peer_fault="break"`` only)."""
         if self.peer_fault != "break":
             return
-        me = self._sched.current
+        me = self._sched._current
         if me is None or me.pid in self._users:
             return
         self._users.add(me.pid)
@@ -213,14 +215,15 @@ class Channel:
         return None
 
     def _probe_offers(self) -> None:
-        self._sched.probe("channel", "{}.senders".format(self._label),
-                          len(self._senders))
-        self._sched.probe("channel", "{}.receivers".format(self._label),
+        self._sched.probe("channel", self._senders_label, len(self._senders))
+        self._sched.probe("channel", self._receivers_label,
                           len(self._receivers))
 
     def _discard_dead(self) -> None:
-        self._senders = [o for o in self._senders if o.claimable()]
-        self._receivers = [o for o in self._receivers if o.claimable()]
+        if self._senders:
+            self._senders = [o for o in self._senders if o.claimable()]
+        if self._receivers:
+            self._receivers = [o for o in self._receivers if o.claimable()]
 
     def _withdraw(self, offer: _Offer) -> None:
         """Remove a timed-out offer so no later match targets a quitter."""

@@ -53,6 +53,9 @@ DIAGNOSTIC_TAIL = 20
 
 _BLOCKED = ProcessState.BLOCKED
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+#: ``Event`` is a named tuple: building it with ``tuple.__new__`` skips the
+#: generated wrapper that only fills in keyword defaults.
+_new_tuple = tuple.__new__
 
 #: Memo of per-event digest terms.  Only events whose ``obj`` is a ``str``
 #: and whose ``detail`` is exactly a ``str``, an ``int`` or ``None`` are
@@ -68,7 +71,9 @@ _EVENT_TERMS_MAX = 8192
 
 def _event_term(pid: int, kind: str, obj: Any, detail: Any) -> int:
     """BLAKE2b-64 of ``repr((pid, kind, obj, detail))``: one event's
-    summand in the commutative event digest."""
+    summand in the commutative event digest.  :meth:`Scheduler.log` looks
+    the memo up inline and calls this only on a miss or for an event the
+    memo cannot hold, so this stays the single definition of a term."""
     detail_type = type(detail)
     if (type(kind) is str and type(obj) is str
             and (detail is None or detail_type is str or detail_type is int)):
@@ -165,6 +170,7 @@ class Scheduler:
             sink = None
         self._sink = sink
         self.trace = Trace()
+        self._append_event = self.trace._events.append
         self._ready: List[SimProcess] = []
         self._processes: List[SimProcess] = []
         self._timers: list = []  # heap of (deadline, seq, _TimerEntry)
@@ -600,18 +606,34 @@ class Scheduler:
         """Append an event to the trace, attributed to ``proc`` (default:
         the current process)."""
         actor = proc if proc is not None else self._current
-        pid = actor.pid if actor is not None else -1
-        pname = actor.name if actor is not None else "<sched>"
-        event = Event(self._next_seq(), self._time, pid, pname, kind, obj, detail)
-        self.trace.append(event)
-        if self._fp_digest is not None:
+        if actor is not None:
+            pid = actor.pid
+            pname = actor.name
+        else:
+            pid = -1
+            pname = "<sched>"
+        seq = self._seq
+        self._seq = seq + 1
+        event = _new_tuple(
+            Event, (seq, self._time, pid, pname, kind, obj, detail)
+        )
+        self._append_event(event)
+        digest = self._fp_digest
+        if digest is not None:
             # Commutative (addition mod 2^64) so permutations of the same
             # event multiset — i.e. reorderings of independent steps —
             # produce the same digest.  seq/time are deliberately excluded:
-            # they are positional, not state.
-            self._fp_digest = (
-                self._fp_digest + _event_term(pid, kind, obj, detail)
-            ) & _MASK64
+            # they are positional, not state.  The memo test mirrors the
+            # one in _event_term, which handles every other case.
+            detail_type = type(detail)
+            term = None
+            if (type(kind) is str and type(obj) is str
+                    and (detail is None or detail_type is str
+                         or detail_type is int)):
+                term = _EVENT_TERMS.get((pid, kind, obj, detail, detail_type))
+            if term is None:
+                term = _event_term(pid, kind, obj, detail)
+            self._fp_digest = (digest + term) & _MASK64
         if self._sink is not None:
             self._sink.on_event(event)
         if self.fault_plan is not None and actor is not None:
@@ -663,8 +685,18 @@ class Scheduler:
         if self._running:
             raise SchedulerStateError("run() is not reentrant")
         self._running = True
-        if self.fault_plan is not None:
-            self.fault_plan.begin()
+        # Loop invariants, read once: none of these is rebound mid-run.
+        fault_plan = self.fault_plan
+        sink = self._sink
+        ready = self._ready
+        choose = self.policy.choose
+        max_steps = self.max_steps
+        BLOCKED = ProcessState.BLOCKED
+        RUNNING = ProcessState.RUNNING
+        READY = ProcessState.READY
+        DONE = ProcessState.DONE
+        if fault_plan is not None:
+            fault_plan.begin()
         steps = 0
         deadlocked = False
         step_limited = False
@@ -676,27 +708,26 @@ class Scheduler:
         observe_state = getattr(self.policy, "observe_state", None)
         try:
             while True:
-                if steps >= self.max_steps:
+                if steps >= max_steps:
                     if on_steplimit == "return":
                         step_limited = True
-                        ready_names = [p.name for p in self._ready]
+                        ready_names = [p.name for p in ready]
                         break
                     raise StepLimitExceeded(
-                        "exceeded {} scheduling steps".format(self.max_steps),
+                        "exceeded {} scheduling steps".format(max_steps),
                         recent_events=self.trace[-DIAGNOSTIC_TAIL:],
-                        ready=[p.name for p in self._ready],
+                        ready=[p.name for p in ready],
                     )
-                if self.fault_plan is not None:
+                if fault_plan is not None:
                     self._fire_pending_faults()
                 if self._live_nondaemons == 0:
                     break  # only daemons remain; the run is over
-                if not self._ready:
+                if not ready:
                     if self._timers:
                         self._advance_clock()
                         continue
                     blocked = [
-                        p for p in self._processes
-                        if p.state is ProcessState.BLOCKED
+                        p for p in self._processes if p.state is BLOCKED
                     ]
                     if blocked:
                         graph = self.wait_graph()
@@ -707,20 +738,19 @@ class Scheduler:
                     break  # everything finished
                 if observe_state is not None:
                     observe_state(self)
-                index = self.policy.choose(self._ready)
-                proc = self._ready.pop(index)
-                if self.fault_plan is not None:
-                    fault = self.fault_plan.kill_due(
+                proc = ready.pop(choose(ready))
+                if fault_plan is not None:
+                    fault = fault_plan.kill_due(
                         proc.name, proc.steps, self._time
                     )
                     if fault is not None:
                         self.kill(proc, why=fault.describe())
                         steps += 1
                         continue
-                proc.state = ProcessState.RUNNING
+                proc.state = RUNNING
                 self._current = proc
-                if self._sink is not None:
-                    self._sink.on_step(proc, self._seq, self._time)
+                if sink is not None:
+                    sink.on_step(proc, self._seq, self._time)
                 try:
                     alive = proc.step()
                 except Exception as exc:  # noqa: BLE001 - process body failure
@@ -736,10 +766,10 @@ class Scheduler:
                 finally:
                     self._current = None
                 proc.steps += 1
-                if alive and proc.state is ProcessState.RUNNING:
-                    proc.state = ProcessState.READY
-                    self._ready.append(proc)
-                elif not alive and proc.state is ProcessState.DONE:
+                if alive and proc.state is RUNNING:
+                    proc.state = READY
+                    ready.append(proc)
+                elif not alive and proc.state is DONE:
                     if not proc.daemon:
                         self._live_nondaemons -= 1
                     self.log("exit", proc.name, proc=proc)
@@ -748,14 +778,12 @@ class Scheduler:
             self._running = False
             self._finished = True
         results = {
-            p.name: p.result
-            for p in self._processes
-            if p.state is ProcessState.DONE
+            p.name: p.result for p in self._processes if p.state is DONE
         }
         blocked_names = [
             p.name
             for p in self._processes
-            if p.state is ProcessState.BLOCKED and not p.daemon
+            if p.state is BLOCKED and not p.daemon
         ]
         result = RunResult(
             trace=self.trace,
@@ -769,8 +797,8 @@ class Scheduler:
             step_limited=step_limited,
             ready=ready_names,
         )
-        if self._sink is not None:
-            self._sink.on_run_end(result)
+        if sink is not None:
+            sink.on_run_end(result)
         return result
 
     def _advance_clock(self) -> None:

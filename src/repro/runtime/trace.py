@@ -26,12 +26,16 @@ kind                      meaning
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, List, Optional
+from typing import Any, Callable, Iterator, List, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One observable step in an execution.
+
+    A named tuple: immutable, hashable, and equal by fields.  Being a
+    tuple, an ``Event`` also compares equal to a plain tuple holding the
+    same seven fields in order.  Every run keeps every event, so the
+    record carries no per-instance ``__dict__``.
 
     Attributes:
         seq: global sequence number; totally orders all events in a run.

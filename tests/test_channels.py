@@ -369,3 +369,55 @@ def test_wakeup_one_tick_before_timeout_rendezvouses(receiver_first):
     the timeout exists on the heap — the rendezvous completes."""
     assert _timeout_race(receiver_first, sender_sleep=4) == \
         (("got", "x"), "sent")
+
+
+def test_rendezvous_and_select_probe_sequence():
+    """The offer-queue probes a rendezvous pair and a two-arm select emit,
+    label by label.  The late send on ``b`` finds the select's resolved
+    arm still queued there and discards it before parking."""
+    from repro.obs import RecordingSink
+
+    sink = RecordingSink()
+    sched = Scheduler(sink=sink)
+    a, b, c = Channel(sched, "a"), Channel(sched, "b"), Channel(sched, "c")
+    got = []
+
+    def sender():
+        yield from a.send(1)
+
+    def receiver():
+        got.append((yield from a.receive()))
+
+    def chooser():
+        got.append((yield from select(sched, [ReceiveOp(b), ReceiveOp(c)])))
+
+    def late_sender_c():
+        yield from c.send(2)
+
+    def late_sender_b():
+        yield from b.send(3)
+
+    def late_receiver_b():
+        got.append((yield from b.receive()))
+
+    for body in (sender, receiver, chooser, late_sender_c, late_sender_b,
+                 late_receiver_b):
+        sched.spawn(body, name=body.__name__)
+    sched.run()
+    assert got == [1, 3, (1, 2)]
+    assert [(cat, obj, value) for __, __, cat, obj, value in sink.samples] == [
+        ("channel", "channel a.senders", 1),
+        ("channel", "channel a.receivers", 0),
+        ("channel", "channel a.senders", 0),
+        ("channel", "channel a.receivers", 0),
+        ("channel", "channel b.senders", 0),
+        ("channel", "channel b.receivers", 1),
+        ("channel", "channel c.senders", 0),
+        ("channel", "channel c.receivers", 1),
+        ("channel", "channel c.senders", 0),
+        ("channel", "channel c.receivers", 0),
+        ("channel", "channel b.senders", 1),
+        ("channel", "channel b.receivers", 0),
+        ("channel", "channel b.senders", 0),
+        ("channel", "channel b.receivers", 0),
+    ]
