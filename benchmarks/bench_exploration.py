@@ -24,6 +24,7 @@ import time
 from conftest import emit, persist
 
 from repro.core import ascii_table
+from repro.explore import ExplorationEngine
 from repro.problems.readers_writers import (
     CcrReadersPriority,
     MonitorReadersPriority,
@@ -33,11 +34,7 @@ from repro.problems.readers_writers import (
 )
 from repro.problems.readers_writers.anomaly import footnote3_workload
 from repro.runtime import Scheduler
-from repro.verify import (
-    ScheduleExplorer,
-    check_mutual_exclusion,
-    check_readers_priority_strict,
-)
+from repro.verify import check_mutual_exclusion, check_readers_priority_strict
 
 MECHANISMS = [
     ("semaphore", SemaphoreReadersPriority),
@@ -75,13 +72,13 @@ def exclusion_check(run):
 def compute():
     spaces = {}
     for name, cls in MECHANISMS:
-        explorer = ScheduleExplorer(
+        explorer = ExplorationEngine(
             build_for(cls), max_runs=20000, max_depth=150
         )
         outcome = explorer.explore(exclusion_check)
         spaces[name] = (outcome.runs, outcome.exhausted, outcome.ok)
     # Anomaly-space audit of the Figure-1 program.
-    explorer = ScheduleExplorer(
+    explorer = ExplorationEngine(
         lambda policy: footnote3_workload(
             lambda sched: PathReadersPriority(sched), policy=policy
         ),

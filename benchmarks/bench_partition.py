@@ -27,6 +27,7 @@ from repro.obs.recovery import compute_partition_mttr
 from repro.runtime.policies import ScriptedPolicy
 from repro.verify.partition import (
     SPLIT_BRAIN,
+    TOLERANT,
     WEDGED,
     check_at_most_one_leader,
     check_lease_exclusion,
@@ -50,7 +51,7 @@ def test_bench_partition_table() -> None:
         assert res.violations == [], res.name
         assert res.surprises == [], res.name
         for o in res.outcomes:
-            assert o.split_brain == 0, (res.name, o.plan_name)
+            assert o.count(SPLIT_BRAIN) == 0, (res.name, o.plan_name)
             assert o.classification != SPLIT_BRAIN
 
     expected = expected_partition_classifications()
@@ -77,9 +78,9 @@ def test_bench_partition_table() -> None:
             res.name: {
                 o.plan_name: {
                     "runs": o.runs,
-                    "split_brain": o.split_brain,
-                    "wedged": o.wedged,
-                    "tolerant": o.tolerant,
+                    "split_brain": o.count(SPLIT_BRAIN),
+                    "wedged": o.count(WEDGED),
+                    "tolerant": o.count(TOLERANT),
                     "classification": o.classification,
                     "mttr_failover": o.mttr_failover,
                     "mttr_post_heal": o.mttr_post_heal,

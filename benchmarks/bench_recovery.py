@@ -26,6 +26,8 @@ from conftest import emit, persist
 from repro.verify.recovery import (
     DEGRADED,
     RECOVERED,
+    VIOLATED,
+    WEDGED,
     expected_recovery,
     minimal_defeat_witness,
     mttr_fingerprints,
@@ -46,24 +48,24 @@ def test_bench_recovery_table() -> None:
     # The headline claim: the one mechanism that *wedges* unsupervised
     # (E12's raw semaphore) fully recovers under supervision ...
     assert by_name["semaphore"].classification == RECOVERED
-    assert by_name["semaphore"].recovered > 0
+    assert by_name["semaphore"].count(RECOVERED) > 0
     # ... and nothing wedges or violates exclusion across restarts.
     for res in results:
-        assert res.wedged == 0, res.name
-        assert res.violated == 0, res.name
+        assert res.count(WEDGED) == 0, res.name
+        assert res.count(VIOLATED) == 0, res.name
         assert res.violations == [], res.name
     # Degradation is real where declared: the degrade variant relaxes
     # priority (LIFO -> FIFO) but still never wedges.
-    assert by_name["semaphore+degrade"].degraded > 0
+    assert by_name["semaphore+degrade"].count(DEGRADED) > 0
 
     persist("recovery", {
         "scenarios": {
             r.name: {
                 "runs": r.runs,
-                "recovered": r.recovered,
-                "degraded": r.degraded,
-                "wedged": r.wedged,
-                "violated": r.violated,
+                "recovered": r.count(RECOVERED),
+                "degraded": r.count(DEGRADED),
+                "wedged": r.count(WEDGED),
+                "violated": r.count(VIOLATED),
                 "classification": r.classification,
             }
             for r in results
@@ -107,7 +109,8 @@ def test_bench_recovery_mttr_fingerprints() -> None:
 def test_bench_recovery_minimal_defeat() -> None:
     """ddmin a multi-kill plan down to the minimal set defeating recovery."""
     result = minimal_defeat_witness()
-    emit("E17: minimal crash set defeating recovery", result.describe())
+    emit("E17: minimal crash set defeating recovery",
+         result.describe("crash set"))
 
     assert result.witness is not None, "no defeating fault plan found"
     assert len(result.witness) <= 2

@@ -90,9 +90,9 @@ def test_bench_resilience_table() -> None:
                 o.cell_name: {
                     "faults": o.faults,
                     "runs": o.runs,
-                    "split_brain": o.split_brain,
-                    "wedged": o.wedged,
-                    "tolerant": o.tolerant,
+                    "split_brain": o.count(SPLIT_BRAIN),
+                    "wedged": o.count(WEDGED),
+                    "tolerant": o.count(TOLERANT),
                     "violations": len(o.violations),
                     "restarts": o.restarts,
                     "classification": o.classification,
@@ -131,5 +131,6 @@ def test_bench_resilience_witness_search() -> None:
     payload = found.to_dict()
     payload["fenced_replay"] = fenced_label
     emit("E22: minimal combined witness",
-         "{}\nfenced replay: {}".format(found.describe(), fenced_label))
+         "{}\nfenced replay: {}".format(found.describe("combined witness"),
+                                        fenced_label))
     persist("resilience", {"search": payload})

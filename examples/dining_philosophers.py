@@ -18,7 +18,7 @@ Run:  python examples/dining_philosophers.py
 
 from repro.mechanisms import Monitor
 from repro.runtime import Mutex, Scheduler, ScriptedPolicy
-from repro.verify import ScheduleExplorer
+from repro.explore import ExplorationEngine
 
 N = 3  # philosophers (3 keeps the exhaustive space small)
 MEALS = 1
@@ -108,7 +108,7 @@ def deadlock_check(run):
 
 def main() -> None:
     print("Naive (left fork first): hunting for the circular wait...")
-    explorer = ScheduleExplorer(naive_system, max_runs=20000, max_depth=100)
+    explorer = ExplorationEngine(naive_system, max_runs=20000, max_depth=100)
     outcome = explorer.explore(deadlock_check, stop_at_first=True)
     assert outcome.witness is not None
     print("  deadlock witness found after {} schedules: {}".format(
@@ -120,7 +120,8 @@ def main() -> None:
     ))
 
     print("\nOrdered acquisition: verifying the whole schedule space...")
-    explorer = ScheduleExplorer(ordered_system, max_runs=200000, max_depth=200)
+    explorer = ExplorationEngine(ordered_system, max_runs=200000,
+                                 max_depth=200)
     outcome = explorer.explore(deadlock_check)
     print("  schedules: {}, exhausted: {}, deadlocks: {}".format(
         outcome.runs, outcome.exhausted, len(outcome.violations)
@@ -128,7 +129,8 @@ def main() -> None:
     assert outcome.ok and outcome.exhausted
 
     print("\nTable monitor: verifying the whole schedule space...")
-    explorer = ScheduleExplorer(monitor_system, max_runs=200000, max_depth=200)
+    explorer = ExplorationEngine(monitor_system, max_runs=200000,
+                                 max_depth=200)
     outcome = explorer.explore(deadlock_check)
     print("  schedules: {}, exhausted: {}, deadlocks: {}".format(
         outcome.runs, outcome.exhausted, len(outcome.violations)

@@ -168,17 +168,13 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_robustness(args: argparse.Namespace) -> int:
-    from .verify.chaos import expected_classifications, robustness_report
+    from .verify.chaos import (CONTAINING, DEADLOCKING, PROPAGATING,
+                               STEP_LIMITED, expected_classifications,
+                               robustness_report)
 
     results, table = robustness_report(fast=args.fast)
     expected = expected_classifications()
-    surprises = [
-        "{}: got {}, fault model predicts {}".format(
-            r.name, r.classification, expected[r.name]
-        )
-        for r in results
-        if r.classification != expected[r.name]
-    ]
+    surprises = [s for r in results for s in r.surprises]
     if args.json:
         print(json.dumps({
             "scenarios": [
@@ -186,10 +182,10 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
                     "name": r.name,
                     "victim": r.victim,
                     "runs": r.runs,
-                    "contained": r.contained,
-                    "propagated": r.propagated,
-                    "deadlocked": r.deadlocked,
-                    "step_limited": r.step_limited,
+                    "contained": r.count(CONTAINING),
+                    "propagated": r.count(PROPAGATING),
+                    "deadlocked": r.count(DEADLOCKING),
+                    "step_limited": r.count(STEP_LIMITED),
                     "violations": r.violations,
                     "classification": r.classification,
                     "expected": expected[r.name],
@@ -208,7 +204,8 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
-    from .verify.partition import partition_report
+    from .verify.partition import (SPLIT_BRAIN, TOLERANT, WEDGED,
+                                   partition_report)
 
     results, table = partition_report(fast=args.fast)
     surprises = [s for r in results for s in r.surprises]
@@ -224,12 +221,12 @@ def _cmd_partition(args: argparse.Namespace) -> int:
                     "plans": [
                         {
                             "plan": o.plan_name,
-                            "faults": o.plan.describe(),
+                            "faults": o.faults,
                             "expected": o.expected,
                             "runs": o.runs,
-                            "split_brain": o.split_brain,
-                            "wedged": o.wedged,
-                            "tolerant": o.tolerant,
+                            "split_brain": o.count(SPLIT_BRAIN),
+                            "wedged": o.count(WEDGED),
+                            "tolerant": o.count(TOLERANT),
                             "violations": o.violations,
                             "mttr_failover": o.mttr_failover,
                             "mttr_post_heal": o.mttr_post_heal,
@@ -258,7 +255,8 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 
 def _cmd_resilience(args: argparse.Namespace) -> int:
-    from .resilience import (resilience_report, search_restart_witness)
+    from .resilience import resilience_report, search_restart_witness
+    from .verify.partition import SPLIT_BRAIN, TOLERANT, WEDGED
 
     results, table = resilience_report(fast=args.fast)
     surprises = [s for r in results for s in r.surprises]
@@ -285,9 +283,9 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
                             "expected": o.expected,
                             "runs": o.runs,
                             "restarts": o.restarts,
-                            "split_brain": o.split_brain,
-                            "wedged": o.wedged,
-                            "tolerant": o.tolerant,
+                            "split_brain": o.count(SPLIT_BRAIN),
+                            "wedged": o.count(WEDGED),
+                            "tolerant": o.count(TOLERANT),
                             "violations": o.violations,
                             "mttr_failover": o.mttr_failover,
                             "mttr_post_heal": o.mttr_post_heal,
@@ -311,7 +309,7 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
     if witness is not None:
         print("\nJoint fault-plan search ({} plan(s) tried, {} ddmin "
               "test(s)):".format(witness.tried, witness.minimize_tests))
-        print("  " + witness.describe())
+        print("  " + witness.describe("combined witness"))
         if fenced_label:
             print("  same faults with fencing on: " + fenced_label)
     if surprises:
@@ -369,6 +367,10 @@ def _cmd_load(args: argparse.Namespace) -> int:
 
 def _cmd_recover(args: argparse.Namespace) -> int:
     from .verify.recovery import (
+        DEGRADED,
+        RECOVERED,
+        VIOLATED,
+        WEDGED,
         expected_recovery,
         minimal_defeat_witness,
         mttr_fingerprints,
@@ -377,13 +379,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
     results, table = recovery_report(fast=args.fast)
     expected = expected_recovery()
-    surprises = [
-        "{}: got {}, acceptable: {}".format(
-            r.name, r.classification, "/".join(expected[r.name])
-        )
-        for r in results
-        if r.classification not in expected[r.name]
-    ]
+    surprises = [s for r in results for s in r.surprises]
     fingerprints = mttr_fingerprints()
     witness = minimal_defeat_witness() if args.search else None
     if args.json:
@@ -393,10 +389,10 @@ def _cmd_recover(args: argparse.Namespace) -> int:
                     "name": r.name,
                     "victim": r.victim,
                     "runs": r.runs,
-                    "recovered": r.recovered,
-                    "degraded": r.degraded,
-                    "wedged": r.wedged,
-                    "violated": r.violated,
+                    "recovered": r.count(RECOVERED),
+                    "degraded": r.count(DEGRADED),
+                    "wedged": r.count(WEDGED),
+                    "violated": r.count(VIOLATED),
                     "violations": r.violations,
                     "classification": r.classification,
                     "expected": list(expected[r.name]),
@@ -426,7 +422,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         ))
     if witness is not None:
         print("\nFault-plan search ({} plans tried):".format(witness.tried))
-        print("  " + witness.describe())
+        print("  " + witness.describe("crash set"))
     if surprises:
         print("\nUNEXPECTED:", *surprises, sep="\n  ")
         return 1

@@ -1,11 +1,9 @@
 """The exploration engine: pruned, parallel, minimizing schedule-space
 search (DESIGN.md §9).
 
-This package supersedes the naive DFS that used to live in
-``repro.verify.explorer`` (still available there as a compatibility shim):
-
 * :mod:`repro.explore.engine` — serial depth-first search with canonical
-  state-fingerprint equivalence pruning.
+  state-fingerprint equivalence pruning (off by default: the naive
+  first-deviation DFS).
 * :mod:`repro.explore.parallel` — wave-synchronized multi-process frontier
   with worker-count-independent results.
 * :mod:`repro.explore.minimize` — ddmin witness shrinking to local
@@ -14,6 +12,9 @@ This package supersedes the naive DFS that used to live in
   conflicting-access (race) checkers.
 * :mod:`repro.explore.targets` — named (problem, mechanism) workloads the
   CLI and worker processes resolve by string.
+* :mod:`repro.explore.campaign` — the fault-campaign engine behind
+  ``repro robustness|recover|partition|resilience``: fault cells explored
+  and classified, fault-set search, and ddmin.
 
 Entry point: ``python -m repro explore <problem> <mechanism>``.
 """

@@ -5,7 +5,7 @@ A ``Checker`` is anything callable as ``check(run) -> List[str]`` (empty =
 ok), the same contract the trace oracles satisfy — so detectors, oracles,
 and ad-hoc lambdas compose freely via :func:`compose_checkers` and plug
 into :class:`~repro.explore.engine.ExplorationEngine`, the parallel
-frontier, and :func:`~repro.verify.chaos.chaos_explore` alike.
+frontier, and the fault campaigns' classifiers alike.
 
 Unlike the problem oracles (which check a discipline: FCFS, alternation,
 priority), these two detect *mechanism-level* pathologies that any problem
@@ -94,7 +94,7 @@ class SplitBrainChecker:
     A thin composition of the partition oracles
     (:mod:`repro.verify.partition`) into the checker protocol, so split
     brain plugs into :class:`~repro.explore.engine.ExplorationEngine` and
-    :func:`~repro.verify.chaos.chaos_explore` like any other detector.
+    the fault campaigns' classifiers like any other detector.
     Runs without dist-layer events trivially pass.
     """
 

@@ -21,13 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
+from ...explore.engine import ExplorationEngine
 from ...runtime.scheduler import Scheduler
 from ...runtime.trace import RunResult
-from ...verify import (
-    ScheduleExplorer,
-    check_mutual_exclusion,
-    check_readers_priority_strict,
-)
+from ...verify import check_mutual_exclusion, check_readers_priority_strict
 from .monitor_impl import MonitorReadersPriority
 from .pathexpr_impl import PathReadersPriority
 
@@ -112,7 +109,7 @@ def run_footnote3_comparison(explore: bool = True,
         path_result.trace, "db", ["write"], ["read"]
     ) == []
     if explore:
-        explorer = ScheduleExplorer(
+        explorer = ExplorationEngine(
             lambda policy: footnote3_workload(
                 lambda sched: PathReadersPriority(sched), policy=policy
             ),

@@ -8,12 +8,11 @@ Turns the fault layer's crash *tolerance* into crash *recovery*:
 * :class:`LeaseManager` — per-mechanism ``crash_reclaim`` hooks revoke a
   corpse's holds so waiters unwedge (all six mechanisms);
 * :class:`BackoffPolicy` family and :func:`retry_with_backoff` — bounded
-  retry around timed blocking calls (canonical home of the old
-  ``repro.runtime.retrying``);
+  retry around timed blocking calls;
 * :class:`Degrader` — graceful degradation: relax priority constraints
   under repeated failure, never exclusion (the paper's §3–4 split);
-* :func:`search_fault_plans` / :func:`minimize_fault_set` — search kill
-  sets that defeat recovery and ddmin them to a minimal crash witness.
+* :func:`search_fault_plans` — search kill sets that defeat recovery and
+  ddmin them to a minimal crash witness.
 """
 
 from .backoff import (
@@ -25,13 +24,7 @@ from .backoff import (
 )
 from .degrade import Degrader
 from .leases import LeaseManager, ReclaimAction
-from .search import (
-    FaultSearchResult,
-    KillSpec,
-    minimize_fault_set,
-    plan_for,
-    search_fault_plans,
-)
+from .search import search_fault_plans
 from .supervisor import ESCALATE, ONE_FOR_ONE, RestartPolicy, Supervisor
 
 __all__ = [
@@ -39,17 +32,13 @@ __all__ = [
     "Degrader",
     "ESCALATE",
     "ExponentialBackoff",
-    "FaultSearchResult",
     "FixedBackoff",
-    "KillSpec",
     "LeaseManager",
     "NoBackoff",
     "ONE_FOR_ONE",
     "ReclaimAction",
     "RestartPolicy",
     "Supervisor",
-    "minimize_fault_set",
-    "plan_for",
     "retry_with_backoff",
     "search_fault_plans",
 ]

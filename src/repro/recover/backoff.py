@@ -7,10 +7,6 @@ so far) to a delay in *virtual-time ticks*; the supervisor uses it to space
 restarts, and :func:`retry_with_backoff` uses it to space retries of timed
 blocking calls (``WaitTimeout`` → sleep → try again, within a bounded
 budget).
-
-This module is the canonical home of the retry helper that used to live in
-:mod:`repro.runtime.faults`; ``repro.runtime.retrying`` remains as a
-deprecated shim delegating here.
 """
 
 from __future__ import annotations

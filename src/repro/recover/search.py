@@ -4,199 +4,53 @@ The chaos layer (:mod:`repro.verify.chaos`) explores schedules around *one*
 injected kill.  This module searches the other axis: *which set of kills* —
 up to ``max_kills`` of them, aimed at workers **and** the supervisor itself
 — drives a supervised system into a wedge or an exclusion violation that
-recovery cannot repair.  Found plans are then ddmin-minimized (same
-chunk-halving algorithm as :mod:`repro.explore.minimize`, applied to the
-kill set instead of the decision string), yielding the minimal crash set
-that defeats recovery — e.g. ``{kill sup, kill P0 inside the region}``:
-neither kill alone wedges a supervised semaphore, both together do.
-
-Each candidate plan can optionally be explored over several schedules via
-the exploration engine (``schedules_per_plan > 1``): a plan counts as
-defeating recovery if *any* explored schedule ends badly.
+recovery cannot repair.  It is the kill-set configuration of the shared
+fault-set search (:func:`repro.explore.campaign.search_fault_sets`), whose
+ddmin then yields the minimal crash set that defeats recovery — e.g.
+``{kill sup, kill P0 inside the region}``: neither kill alone wedges a
+supervised semaphore, both together do.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
-from ..explore.engine import ExplorationEngine
+from ..explore.campaign import FaultSetSearch, KillSpec, search_fault_sets
+# Campaign modules expose the engine class by this name; instrumented
+# runs rebind it per module.
+from ..explore.engine import ExplorationEngine  # noqa: F401
 from ..runtime.faults import FaultPlan
 from ..runtime.policies import ScriptedPolicy
 from ..runtime.trace import RunResult
 
 #: Same shape as the chaos builders: (policy, fault plan) -> RunResult.
 Builder = Callable[[ScriptedPolicy, Optional[FaultPlan]], RunResult]
-#: Maps a finished run to a classification label (e.g. "wedged").
-Classifier = Callable[[RunResult], str]
-
-
-@dataclass(frozen=True)
-class KillSpec:
-    """One kill coordinate: ``process`` at its ``step``-th step."""
-
-    process: str
-    step: int
-
-    def describe(self) -> str:
-        return "kill {} at step {}".format(self.process, self.step)
-
-
-def plan_for(kills: Sequence[KillSpec]) -> FaultPlan:
-    """Build a :class:`FaultPlan` scripting every kill in ``kills``."""
-    plan = FaultPlan()
-    for kill in kills:
-        plan.kill(kill.process, at_step=kill.step)
-    return plan
-
-
-@dataclass
-class FaultSearchResult:
-    """Outcome of :func:`search_fault_plans`."""
-
-    tried: int = 0
-    #: Every defeating plan found: (kill set, classification label).
-    defeating: List[Tuple[Tuple[KillSpec, ...], str]] = field(
-        default_factory=list
-    )
-    #: ddmin-minimized kill set of the first defeating plan (None when
-    #: recovery survived everything tried).
-    witness: Optional[Tuple[KillSpec, ...]] = None
-    witness_label: Optional[str] = None
-    minimize_tests: int = 0
-
-    def describe(self) -> str:
-        if self.witness is None:
-            return "no fault plan defeated recovery ({} tried)".format(
-                self.tried
-            )
-        return "minimal crash set ({}): {}".format(
-            self.witness_label,
-            "; ".join(k.describe() for k in self.witness),
-        )
-
-
-def _plan_defeats(
-    build: Builder,
-    classify: Classifier,
-    kills: Sequence[KillSpec],
-    bad_labels: Sequence[str],
-    schedules_per_plan: int,
-) -> Optional[str]:
-    """The classification a plan earns, or ``None`` if it never ends badly."""
-    plan = plan_for(kills)
-    if schedules_per_plan <= 1:
-        label = classify(build(ScriptedPolicy([]), plan))
-        return label if label in bad_labels else None
-    found: List[str] = []
-
-    def run_one(policy: ScriptedPolicy) -> RunResult:
-        return build(policy, plan)
-
-    def check(run: RunResult) -> List[str]:
-        label = classify(run)
-        if label in bad_labels and not found:
-            found.append(label)
-        return []
-
-    ExplorationEngine(
-        run_one, max_runs=schedules_per_plan, max_depth=60,
-    ).explore(check)
-    return found[0] if found else None
 
 
 def search_fault_plans(
     build: Builder,
-    classify: Classifier,
+    classify: Callable[[RunResult], str],
     victims: Sequence[str],
     bad_labels: Sequence[str] = ("wedged", "violated"),
     max_kills: int = 2,
     budget: int = 200,
-    schedules_per_plan: int = 1,
-    minimize: bool = True,
-) -> FaultSearchResult:
+) -> FaultSetSearch:
     """Search kill sets over ``victims``' fault points; minimize the first
     one that defeats recovery.
 
     Fault points come from a fault-free baseline run (one per step each
     victim takes, as in :func:`repro.verify.chaos.enumerate_fault_points`).
-    Candidate plans are every combination of 1..``max_kills`` points aimed
-    at *distinct* processes, enumerated deterministically (singletons
-    first), up to ``budget`` plans.
+    Candidate plans combine 1..``max_kills`` points aimed at *distinct*
+    processes — re-killing a restarted incarnation only pays off past the
+    restart budget, which needs more kills than that — singletons first,
+    up to ``budget`` plans, each run once under the FIFO schedule.
     """
     baseline = build(ScriptedPolicy([]), None)
     points: List[KillSpec] = []
     for victim in victims:
         steps = baseline.proc_steps.get(victim, 0)
         points.extend(KillSpec(victim, s) for s in range(steps))
-    result = FaultSearchResult()
-    for size in range(1, max_kills + 1):
-        for combo in itertools.combinations(points, size):
-            if len({k.process for k in combo}) != len(combo):
-                # One kill per process: re-killing restarted incarnations
-                # only pays off past the restart budget, which needs more
-                # kills than max_kills allows here.
-                continue
-            if result.tried >= budget:
-                break
-            result.tried += 1
-            label = _plan_defeats(
-                build, classify, combo, bad_labels, schedules_per_plan
-            )
-            if label is not None:
-                result.defeating.append((combo, label))
-        if result.tried >= budget:
-            break
-    if result.defeating and minimize:
-        kills, label = result.defeating[0]
-        witness, tests = minimize_fault_set(
-            build, classify, kills, bad_labels,
-            schedules_per_plan=schedules_per_plan,
-        )
-        result.witness = witness
-        result.witness_label = label
-        result.minimize_tests = tests
-    return result
-
-
-def minimize_fault_set(
-    build: Builder,
-    classify: Classifier,
-    kills: Sequence[KillSpec],
-    bad_labels: Sequence[str] = ("wedged", "violated"),
-    schedules_per_plan: int = 1,
-) -> Tuple[Tuple[KillSpec, ...], int]:
-    """ddmin over the kill set: returns (1-minimal kill set, tests run).
-
-    1-minimal: removing any single remaining kill makes the bad outcome
-    disappear — every kill in the witness is load-bearing.
-    """
-    tests = 0
-
-    def still_bad(subset: Sequence[KillSpec]) -> bool:
-        nonlocal tests
-        if not subset:
-            return False
-        tests += 1
-        return _plan_defeats(
-            build, classify, subset, bad_labels, schedules_per_plan
-        ) is not None
-
-    current = list(kills)
-    chunks = 2
-    while len(current) >= 2:
-        size = max(1, len(current) // chunks)
-        reduced = False
-        for start in range(0, len(current), size):
-            candidate = current[:start] + current[start + size:]
-            if still_bad(candidate):
-                current = candidate
-                chunks = max(chunks - 1, 2)
-                reduced = True
-                break
-        if not reduced:
-            if size == 1:
-                break
-            chunks = min(chunks * 2, len(current))
-    return tuple(current), tests
+    return search_fault_sets(
+        lambda policy, netplan, plan: build(policy, plan), classify, points,
+        bad_labels, max_faults=max_kills, budget=budget,
+        victim_of=lambda kill: kill.process)

@@ -15,33 +15,24 @@ and the mechanism that makes the composition safe:
 * :mod:`~repro.resilience.supervisor` — :class:`NodeSupervisor`,
   adapting process supervision to network nodes with inbox quarantine
   on rejoin;
-* :mod:`~repro.resilience.search` — joint fault-plan search over the
-  crash × partition product space with ddmin-minimized mixed witnesses;
 * :mod:`~repro.resilience.report` — the scenario × combined-fault table
-  at 5-node clusters, with MTTR and availability.
+  at 5-node clusters, with MTTR and availability, and the joint
+  crash × partition witness search (ddmin-minimized mixed witnesses over
+  :class:`~repro.explore.campaign.CrashSpec` and
+  :class:`~repro.explore.campaign.CutSpec` atoms).
 """
 
 from .durable import DurableNamespace, DurableStore
 from .fencing import FencedResource
 from .supervisor import NodeSupervisor, QUARANTINE, REPLAY
-from .search import (CrashSpec, CutSpec, JointFault, JointSearchResult,
-                     describe_joint, joint_plan, minimize_joint_set,
-                     search_joint_plans)
-from .report import (CombinedOutcome, ResilienceScenarioResult,
-                     RESILIENCE_CLUSTER, classify_run,
-                     expected_resilience_classifications,
-                     explore_resilience_scenario, resilience_report,
+from .report import (RESILIENCE_CLUSTER,
+                     expected_resilience_classifications, resilience_report,
                      resilience_scenarios, search_restart_witness)
 
 __all__ = [
     "DurableNamespace", "DurableStore",
     "FencedResource",
     "NodeSupervisor", "QUARANTINE", "REPLAY",
-    "CrashSpec", "CutSpec", "JointFault", "JointSearchResult",
-    "describe_joint", "joint_plan", "minimize_joint_set",
-    "search_joint_plans",
-    "CombinedOutcome", "ResilienceScenarioResult", "RESILIENCE_CLUSTER",
-    "classify_run", "expected_resilience_classifications",
-    "explore_resilience_scenario", "resilience_report",
-    "resilience_scenarios", "search_restart_witness",
+    "RESILIENCE_CLUSTER", "expected_resilience_classifications",
+    "resilience_report", "resilience_scenarios", "search_restart_witness",
 ]

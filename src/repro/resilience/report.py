@@ -13,9 +13,9 @@ fenced and unfenced variants:
   under the combined fault: the resource rejects the amnesiac restarted
   holder's stale token, the holder fences out and re-acquires post-heal;
 * ``restart_lock_unfenced`` must classify **split-brain** under exactly
-  the same faults — the witness the joint search
-  (:mod:`repro.resilience.search`) finds and ddmin-minimizes to a
-  2-fault {kill, partition} set.
+  the same faults — the witness the joint crash × partition search
+  (:func:`search_restart_witness`, on the shared fault-set search)
+  finds and ddmin-minimizes to a 2-fault {kill, partition} set.
 
 Beside MTTR, every cell reports **availability**: the fraction of
 virtual time a valid leader/holder existed
@@ -26,184 +26,31 @@ tolerant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..core import ascii_table
 from ..dist import NetPlan
-from ..obs.recovery import compute_availability, compute_partition_mttr
-from ..runtime.errors import StepLimitExceeded
+from ..explore.campaign import (Cell, CrashSpec, CutSpec, FaultSetSearch,
+                                ScenarioResult, compile_faults,
+                                search_fault_sets)
+from ..explore.engine import ExplorationEngine
 from ..runtime.faults import FaultPlan
 from ..runtime.policies import ScriptedPolicy
-from ..runtime.trace import RunResult, Trace
-from ..explore.engine import ExplorationEngine
-from ..verify.partition import (SPLIT_BRAIN, TOLERANT, WEDGED, Checker,
-                                check_at_most_one_leader, check_fencing,
-                                check_lease_exclusion,
-                                check_mutex_intervals,
+from ..runtime.trace import RunResult
+from ..verify.partition import (SPLIT_BRAIN, TOLERANT, WEDGED,
+                                Checker, check_at_most_one_leader,
+                                check_fencing, check_lease_exclusion,
+                                check_mutex_intervals, classify_net_run,
+                                explore_net_cells, fmt_optional,
                                 make_progress_after_heal)
-from .search import (CrashSpec, CutSpec, JointSearchResult, joint_plan,
-                     search_joint_plans)
 
 __all__ = [
-    "CombinedOutcome", "ResilienceScenarioResult", "RESILIENCE_CLUSTER",
-    "resilience_scenarios", "explore_resilience_scenario",
-    "resilience_report", "search_restart_witness",
-    "expected_resilience_classifications", "classify_run",
+    "RESILIENCE_CLUSTER", "resilience_scenarios", "resilience_report",
+    "search_restart_witness", "expected_resilience_classifications",
 ]
 
 #: Default cluster size for every scenario (≥ 5 per the acceptance bar).
 RESILIENCE_CLUSTER = 5
-
-#: A combined-fault cell: (label, netplan, fault plan, expected
-#: classification, post-heal evidence kinds).
-CombinedCell = Tuple[str, Optional[NetPlan], Optional[FaultPlan], str,
-                     Tuple[str, ...]]
-#: A dist builder under both plans.
-CombinedBuilder = Callable[
-    [ScriptedPolicy, Optional[NetPlan], Optional[FaultPlan]], RunResult]
-
-
-# ----------------------------------------------------------------------
-# Outcome containers
-# ----------------------------------------------------------------------
-@dataclass
-class CombinedOutcome:
-    """Aggregate over explored schedules for one (scenario, cell)."""
-
-    cell_name: str
-    netplan: Optional[NetPlan]
-    fault_plan: Optional[FaultPlan]
-    expected: str
-    runs: int = 0
-    split_brain: int = 0
-    wedged: int = 0
-    tolerant: int = 0
-    violations: List[str] = field(default_factory=list)
-    failover_samples: List[int] = field(default_factory=list)
-    post_heal_samples: List[int] = field(default_factory=list)
-    availability_samples: List[float] = field(default_factory=list)
-    restarts: int = 0
-    message_stats: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def classification(self) -> str:
-        if self.split_brain:
-            return SPLIT_BRAIN
-        if self.wedged:
-            return WEDGED
-        return TOLERANT
-
-    @property
-    def faults(self) -> List[str]:
-        out: List[str] = []
-        if self.fault_plan is not None:
-            out.extend(self.fault_plan.describe())
-        if self.netplan is not None:
-            out.extend(self.netplan.describe())
-        return out
-
-    def _mean(self, samples: List) -> Optional[float]:
-        if not samples:
-            return None
-        return sum(samples) / float(len(samples))
-
-    @property
-    def mttr_failover(self) -> Optional[float]:
-        return self._mean(self.failover_samples)
-
-    @property
-    def mttr_post_heal(self) -> Optional[float]:
-        return self._mean(self.post_heal_samples)
-
-    @property
-    def availability(self) -> Optional[float]:
-        return self._mean(self.availability_samples)
-
-
-@dataclass
-class ResilienceScenarioResult:
-    """Every combined-fault cell of one scenario."""
-
-    name: str
-    cluster: int
-    outcomes: List[CombinedOutcome] = field(default_factory=list)
-
-    @property
-    def runs(self) -> int:
-        return sum(o.runs for o in self.outcomes)
-
-    @property
-    def violations(self) -> List[str]:
-        out: List[str] = []
-        for o in self.outcomes:
-            out.extend(o.violations)
-        return out
-
-    @property
-    def surprises(self) -> List[str]:
-        return [
-            "{} under {}: expected {}, observed {}".format(
-                self.name, o.cell_name, o.expected, o.classification)
-            for o in self.outcomes if o.classification != o.expected
-        ]
-
-    @property
-    def mttr_failover(self) -> Optional[float]:
-        samples = [s for o in self.outcomes for s in o.failover_samples]
-        if not samples:
-            return None
-        return sum(samples) / float(len(samples))
-
-    @property
-    def mttr_post_heal(self) -> Optional[float]:
-        samples = [s for o in self.outcomes for s in o.post_heal_samples]
-        if not samples:
-            return None
-        return sum(samples) / float(len(samples))
-
-    @property
-    def availability(self) -> Optional[float]:
-        samples = [s for o in self.outcomes
-                   for s in o.availability_samples]
-        if not samples:
-            return None
-        return sum(samples) / float(len(samples))
-
-
-# ----------------------------------------------------------------------
-# Classification
-# ----------------------------------------------------------------------
-def classify_run(
-    run: RunResult,
-    safety: Checker,
-    success: Callable[[RunResult], bool],
-    progress: Optional[Checker] = None,
-) -> Tuple[str, List[str]]:
-    """One run's label and any safety-violation messages — the same
-    precedence the partition report uses (split-brain > wedged >
-    tolerant), factored out so the joint search classifies identically."""
-    unsafe = safety(run)
-    if unsafe:
-        return SPLIT_BRAIN, unsafe
-    if (run.deadlocked or run.step_limited or not success(run)
-            or (progress is not None and progress(run))):
-        return WEDGED, []
-    return TOLERANT, []
-
-
-def make_classifier(
-    safety: Checker,
-    success: Callable[[RunResult], bool],
-) -> Callable[[RunResult], str]:
-    """A run → label function for :func:`search_joint_plans` (no
-    progress oracle: the search's candidate plans carry their own heal
-    schedules, and wedging *before* the heal already defeats)."""
-    def classify(run: RunResult) -> str:
-        return classify_run(run, safety, success)[0]
-
-    return classify
-
 
 # ----------------------------------------------------------------------
 # Scenario table (5-node clusters, combined-fault cells)
@@ -299,10 +146,10 @@ def resilience_scenarios(cluster: int = RESILIENCE_CLUSTER) -> List[Tuple]:
         CrashSpec("c0", at_time=14),
         CutSpec("c0", at=12, heal_at=70),
     )
-    combo_fp, combo_np = joint_plan(restart_combo)
-    combo_fp2, combo_np2 = joint_plan(restart_combo)
-    crash_only, _ = joint_plan(restart_combo[:1])
-    _, cut_only = joint_plan(restart_combo[1:])
+    combo_fp, combo_np = compile_faults(restart_combo)
+    combo_fp2, combo_np2 = compile_faults(restart_combo)
+    crash_only, _ = compile_faults(restart_combo[:1])
+    _, cut_only = compile_faults(restart_combo[1:])
 
     return [
         ("lamport_mutex", lamport, check_mutex_intervals, lamport_ok, [
@@ -356,99 +203,20 @@ def resilience_scenarios(cluster: int = RESILIENCE_CLUSTER) -> List[Tuple]:
     ]
 
 
-def _majority_note(cluster: int) -> int:
-    return cluster // 2 + 1
-
-
-# ----------------------------------------------------------------------
-# Exploration
-# ----------------------------------------------------------------------
-def explore_resilience_scenario(
-    name: str,
-    build: CombinedBuilder,
-    safety: Checker,
-    success: Callable[[RunResult], bool],
-    cells: List[CombinedCell],
-    cluster: int,
-    max_runs_per_cell: int = 3,
-    max_depth: int = 40,
-) -> ResilienceScenarioResult:
-    """Explore one scenario under every combined-fault cell."""
-    result = ResilienceScenarioResult(name=name, cluster=cluster)
-    for cell_name, netplan, fault_plan, expected, heal_kinds in cells:
-        outcome = CombinedOutcome(
-            cell_name=cell_name, netplan=netplan, fault_plan=fault_plan,
-            expected=expected)
-        progress = make_progress_after_heal(
-            netplan or NetPlan(), progress_kinds=heal_kinds)
-
-        def run_one(policy: ScriptedPolicy) -> RunResult:
-            try:
-                return build(policy, netplan, fault_plan)
-            except StepLimitExceeded as exc:
-                trace = Trace()
-                for ev in exc.recent_events or []:
-                    trace.append(ev)
-                return RunResult(trace=trace, step_limited=True,
-                                 ready=list(exc.ready or []))
-
-        def tally(run: RunResult) -> List[str]:
-            outcome.runs += 1
-            label, unsafe = classify_run(run, safety, success, progress)
-            if label == SPLIT_BRAIN:
-                outcome.split_brain += 1
-                outcome.violations.extend(unsafe)
-            elif label == WEDGED:
-                outcome.wedged += 1
-            else:
-                outcome.tolerant += 1
-            mttr = compute_partition_mttr(run)
-            for span in mttr.spans:
-                if span.ticks_to_failover is not None:
-                    outcome.failover_samples.append(span.ticks_to_failover)
-                if span.ticks_to_post_heal is not None:
-                    outcome.post_heal_samples.append(
-                        span.ticks_to_post_heal)
-            avail = compute_availability(run)
-            if avail.intervals:
-                # Scenarios with no lease/leader service notion (lamport)
-                # contribute no sample rather than a meaningless 0%.
-                outcome.availability_samples.append(avail.fraction)
-            outcome.restarts = max(
-                outcome.restarts,
-                len(run.trace.filter(kind="restart")))
-            net = getattr(run, "network_stats", None)
-            if net:
-                for key, val in net.items():
-                    if isinstance(val, dict):
-                        gauges = outcome.message_stats.setdefault(key, {})
-                        for node, peak in val.items():
-                            if peak > gauges.get(node, 0):
-                                gauges[node] = peak
-                    else:
-                        outcome.message_stats[key] = (
-                            outcome.message_stats.get(key, 0) + val)
-            return []
-
-        ExplorationEngine(
-            run_one, max_runs=max_runs_per_cell, max_depth=max_depth,
-        ).explore(tally)
-        result.outcomes.append(outcome)
-    return result
-
-
 # ----------------------------------------------------------------------
 # The joint-search acceptance story
 # ----------------------------------------------------------------------
 def search_restart_witness(
     cluster: int = RESILIENCE_CLUSTER,
     budget: int = 40,
-) -> Tuple[JointSearchResult, str]:
+) -> Tuple[FaultSetSearch, str]:
     """Search the crash × partition product space against the *unfenced*
     restart lock; then replay the minimized witness against the fenced
     variant.  Returns ``(search result, fenced label)`` — the acceptance
     pair: a ≤2-fault split-brain witness unfenced, ``partition-tolerant``
-    with fencing on under the very same faults."""
+    with fencing on under the very same faults.  Wedging before the heal
+    already defeats, so the search classifies without a progress oracle.
+    """
     from ..problems.distributed import build_restart_lock
     safety = _compose(check_fencing, check_lease_exclusion)
 
@@ -465,12 +233,14 @@ def search_restart_witness(
         return build_restart_lock(policy, netplan, fault_plan,
                                   servers=cluster, fencing=True)
 
-    classify = make_classifier(safety, success)
+    def classify(run: RunResult) -> str:
+        return classify_net_run(run, safety, success)[0]
+
     crashes = [CrashSpec("c0", at_time=t) for t in (12, 14, 16)]
     cuts = [CutSpec("c0", at=a, heal_at=70) for a in (10, 12)]
-    found = search_joint_plans(
-        unfenced, classify, crashes, cuts,
-        bad_labels=(SPLIT_BRAIN,), max_faults=2, budget=budget)
+    found = search_fault_sets(unfenced, classify, crashes + cuts,
+                              bad_labels=(SPLIT_BRAIN,), max_faults=2,
+                              budget=budget)
     fenced_label = ""
     if found.witness is not None:
         fp, np = found.witness_plans()
@@ -484,39 +254,29 @@ def search_restart_witness(
 def resilience_report(
     fast: bool = False,
     cluster: int = RESILIENCE_CLUSTER,
-) -> Tuple[List[ResilienceScenarioResult], str]:
+) -> Tuple[List[ScenarioResult], str]:
     """Run every scenario × combined-fault cell; return (results, table)."""
-    budget = 1 if fast else 3
-    results = []
-    for name, build, safety, success, cells in resilience_scenarios(
-            cluster):
-        results.append(explore_resilience_scenario(
-            name, build, safety, success, cells, cluster,
-            max_runs_per_cell=budget,
-        ))
-    rows = []
-    for res in results:
-        for o in res.outcomes:
-            rows.append([
-                res.name,
-                o.cell_name,
-                str(o.runs),
-                str(o.restarts),
-                ("-" if o.mttr_failover is None
-                 else "{:.1f}".format(o.mttr_failover)),
-                ("-" if o.mttr_post_heal is None
-                 else "{:.1f}".format(o.mttr_post_heal)),
-                ("-" if o.availability is None
-                 else "{:.0%}".format(o.availability)),
-                o.classification,
-            ])
+    results = [
+        explore_net_cells(
+            name, build,
+            [Cell(cell_name, fault_plan, netplan, expected,
+                  make_progress_after_heal(netplan or NetPlan(), heal_kinds))
+             for cell_name, netplan, fault_plan, expected, heal_kinds
+             in cells],
+            safety, success, engine=ExplorationEngine,
+            max_runs=1 if fast else 3, cluster=cluster)
+        for name, build, safety, success, cells
+        in resilience_scenarios(cluster)]
     table = ascii_table(
         ["scenario", "faults", "runs", "restarts", "failover mttr",
          "post-heal mttr", "availability", "classification"],
-        rows,
+        [[res.name, o.cell_name, str(o.runs), str(o.restarts),
+          fmt_optional(o.mttr_failover, "{:.1f}"),
+          fmt_optional(o.mttr_post_heal, "{:.1f}"),
+          fmt_optional(o.availability, "{:.0%}"), o.classification]
+         for res in results for o in res.outcomes],
         title="Combined-fault resilience at {} nodes (majority {}; "
-              "mttr in virtual ticks)".format(
-                  cluster, _majority_note(cluster)),
+              "mttr in virtual ticks)".format(cluster, cluster // 2 + 1),
     )
     return results, table
 

@@ -23,7 +23,7 @@ from .errors import (
     StepLimitExceeded,
     WaitTimeout,
 )
-from .faults import Fault, FaultPlan, WaitForGraph, deliver, retrying
+from .faults import Fault, FaultPlan, WaitForGraph, deliver
 from .policies import (
     FIFOPolicy,
     NamedOrderPolicy,
@@ -68,6 +68,5 @@ __all__ = [
     "WaitTimeout",
     "deliver",
     "render_timeline",
-    "retrying",
     "run_processes",
 ]

@@ -23,10 +23,6 @@ evaluation cares about instead of waiting for scheduling to produce them:
   as ``P1 -> mutex m -> P2 -> condition c -> P1``, and every dead process
   with the resources it took to its grave.
 
-* :func:`retrying` — deprecated shim for
-  :func:`repro.recover.retry_with_backoff` (the bounded-retry helper now
-  lives with the recovery subsystem's backoff policies).
-
 Plans are deterministic and replayable: a (policy, plan) pair fully
 determines a run, which is what lets :mod:`repro.verify.chaos` enumerate
 schedules *and* fault points together.
@@ -35,7 +31,7 @@ schedules *and* fault points together.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 #: Event kinds that mean "the acting process just entered the named object".
 #: ``kill(P, on_entry=obj)`` triggers on any of these; the kill lands before
@@ -379,38 +375,6 @@ class WaitForGraph:
         if not lines:
             return ""
         return "wait-for graph:\n" + "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Bounded retry (deprecated shim)
-# ----------------------------------------------------------------------
-def retrying(
-    attempt: Callable[[int], Generator],
-    attempts: int = 3,
-    backoff: Optional[Callable[[int], int]] = None,
-    sched=None,
-) -> Generator:
-    """Deprecated alias of :func:`repro.recover.retry_with_backoff`.
-
-    The retry helper moved into the recovery subsystem, which unifies it
-    with the deterministic :class:`~repro.recover.backoff.BackoffPolicy`
-    family the supervisor uses.  This shim keeps the old signature working
-    (``backoff`` may be a plain ``i -> ticks`` callable) and forwards.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.runtime.retrying is deprecated; use "
-        "repro.recover.retry_with_backoff",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..recover.backoff import retry_with_backoff
-
-    result = yield from retry_with_backoff(
-        attempt, attempts=attempts, backoff=backoff, sched=sched
-    )
-    return result
 
 
 class _Failure:

@@ -2,7 +2,7 @@
 
 A policy answers one question: *given the runnable processes, which runs
 next?*  All nondeterminism in a run flows through this single choice point,
-which is what lets the schedule explorer (:mod:`repro.verify.explorer`)
+which is what lets the exploration engine (:mod:`repro.explore.engine`)
 enumerate interleavings and lets experiments script the exact schedules the
 paper describes (e.g. the footnote-3 anomaly, experiment E5).
 """

@@ -1,9 +1,9 @@
-"""Verification layer (S9): trace oracles, the schedule explorer, and
-chaos (fault-injection) exploration.
+"""Verification layer (S9): trace oracles and the fault campaigns.
 
-The schedule-space search engine itself lives in :mod:`repro.explore`
-(pruning, parallel frontier, minimization, detectors);
-:class:`ScheduleExplorer` here is its naive-DFS compatibility face."""
+The schedule-space search engine lives in :mod:`repro.explore` (pruning,
+parallel frontier, minimization, detectors), as does the fault-campaign
+loop the chaos, recovery and partition campaigns here configure
+(:mod:`repro.explore.campaign`)."""
 
 from ..explore.detectors import (
     ConflictingAccessChecker,
@@ -11,24 +11,17 @@ from ..explore.detectors import (
     compose_checkers,
 )
 from .chaos import (
-    ChaosResult,
-    FaultPoint,
-    PointOutcome,
-    chaos_explore,
     classify_run,
     enumerate_fault_points,
+    explore_kills,
     robustness_report,
 )
-from .explorer import ExplorationResult, ScheduleExplorer
 from .recovery import (
-    RecoveryOutcome,
-    RecoveryResult,
     classify_recovery_run,
     exclusion_oracle,
     expected_recovery,
     minimal_defeat_witness,
     mttr_fingerprints,
-    recovery_explore,
     recovery_report,
 )
 from .liveness import (
@@ -73,22 +66,15 @@ __all__ = [
     "ConflictingAccessChecker",
     "LostWakeupChecker",
     "compose_checkers",
-    "ChaosResult",
-    "ExplorationResult",
-    "FaultPoint",
-    "PointOutcome",
-    "chaos_explore",
     "classify_run",
     "enumerate_fault_points",
+    "explore_kills",
     "robustness_report",
-    "RecoveryOutcome",
-    "RecoveryResult",
     "classify_recovery_run",
     "exclusion_oracle",
     "expected_recovery",
     "minimal_defeat_witness",
     "mttr_fingerprints",
-    "recovery_explore",
     "recovery_report",
     "Wait",
     "WaitSummary",
@@ -97,7 +83,6 @@ __all__ = [
     "starvation_report",
     "unserved_requests",
     "waiting_times",
-    "ScheduleExplorer",
     "check_alarm_wakeups",
     "check_alternation",
     "check_class_priority_two_stage",

@@ -1,11 +1,12 @@
 """Chaos exploration: fault injection composed with schedule exploration.
 
-The explorer (:mod:`repro.verify.explorer`) enumerates *schedules*; a
-:class:`~repro.runtime.faults.FaultPlan` injects *crashes*.  This module
-composes the two: for every reachable fault point — each (victim, step)
-coordinate observed in a fault-free baseline run — it re-explores the
-schedule space with a kill injected there, and classifies what the
-mechanism under test did about it:
+The exploration engine (:mod:`repro.explore.engine`) enumerates
+*schedules*; a :class:`~repro.runtime.faults.FaultPlan` injects *crashes*.
+This campaign composes the two on the shared campaign loop
+(:func:`repro.explore.campaign.explore_cells`): for every reachable fault
+point — each (victim, step) coordinate observed in a fault-free baseline
+run — it re-explores the schedule space with a kill injected there, and
+classifies what the mechanism under test did about it:
 
 * **fault-containing** — every run completes; the only casualty is the
   injected victim; no safety oracle fires.  The mechanism's crash cleanup
@@ -27,28 +28,35 @@ mechanism under test did about it:
 :func:`robustness_report` runs one representative scenario per mechanism
 (all six of the paper's evaluation subjects plus the robust-semaphore
 variant) and renders the containment table shown by
-``python -m repro robustness``.  The *recovery* layer
-(:mod:`repro.verify.recovery`) reuses this machinery with supervised
-scenarios and its own outcome labels (``recovered``/``degraded``/…).
+``python -m repro robustness``.  The lock-shaped scenarios come from one
+per-mechanism table (:data:`LOCKS`) that the *recovery* campaign
+(:mod:`repro.verify.recovery`) shares with its own labels
+(``recovered``/``degraded``/…).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from ..core import ascii_table
-from ..runtime.errors import StepLimitExceeded
+from ..explore.campaign import (Cell, KillSpec, ScenarioResult,
+                                compile_faults, explore_cells)
+from ..explore.engine import ExplorationEngine
+from ..mechanisms.ccr import SharedRegion
+from ..mechanisms.channels import Channel
+from ..mechanisms.monitor import Monitor
+from ..mechanisms.pathexpr import PathResource
+from ..mechanisms.serializer import Serializer
 from ..runtime.faults import FaultPlan
 from ..runtime.policies import ScriptedPolicy
+from ..runtime.primitives import Mutex, Semaphore
 from ..runtime.scheduler import Scheduler
-from ..runtime.trace import RunResult, Trace
-from ..explore.engine import ExplorationEngine
+from ..runtime.trace import RunResult
 
 #: A builder runs one *fresh* system under (policy, fault plan) and returns
 #: the result; it must use ``on_deadlock="return"`` / ``on_error="record"``
-#: (and ideally ``on_steplimit="return"`` — the explorer tolerates a raised
-#: :class:`StepLimitExceeded`, but the synthetic result it reconstructs
+#: (and ideally ``on_steplimit="return"`` — the campaign loop tolerates a
+#: raised :class:`StepLimitExceeded`, but the synthetic result it rebuilds
 #: carries only the diagnostic tail of the trace).
 ChaosBuilder = Callable[[ScriptedPolicy, Optional[FaultPlan]], RunResult]
 Checker = Callable[[RunResult], List[str]]
@@ -57,80 +65,8 @@ CONTAINING = "fault-containing"
 PROPAGATING = "fault-propagating"
 DEADLOCKING = "fault-deadlocking"
 STEP_LIMITED = "step-limited"
-
-
-@dataclass(frozen=True)
-class FaultPoint:
-    """One kill coordinate: victim ``process`` at its ``step``-th step."""
-
-    process: str
-    step: int
-
-    def describe(self) -> str:
-        return "kill {} at step {}".format(self.process, self.step)
-
-
-@dataclass
-class PointOutcome:
-    """Aggregate over every explored schedule with one fault injected."""
-
-    point: FaultPoint
-    runs: int = 0
-    missed: int = 0  # schedules where the victim finished before the kill
-    contained: int = 0
-    propagated: int = 0
-    deadlocked: int = 0
-    step_limited: int = 0  # budget cutoffs while still runnable (livelock)
-    violations: List[str] = field(default_factory=list)
-
-
-@dataclass
-class ChaosResult:
-    """Outcome of :func:`chaos_explore` for one system under test."""
-
-    name: str
-    victim: str
-    outcomes: List[PointOutcome] = field(default_factory=list)
-
-    @property
-    def runs(self) -> int:
-        return sum(o.runs for o in self.outcomes)
-
-    @property
-    def contained(self) -> int:
-        return sum(o.contained for o in self.outcomes)
-
-    @property
-    def propagated(self) -> int:
-        return sum(o.propagated for o in self.outcomes)
-
-    @property
-    def deadlocked(self) -> int:
-        return sum(o.deadlocked for o in self.outcomes)
-
-    @property
-    def step_limited(self) -> int:
-        return sum(o.step_limited for o in self.outcomes)
-
-    @property
-    def violations(self) -> List[str]:
-        out: List[str] = []
-        for o in self.outcomes:
-            out.extend(o.violations)
-        return out
-
-    @property
-    def classification(self) -> str:
-        """Worst observed behaviour, precedence deadlocking > propagating >
-        step-limited > containing — one bad schedule is enough to earn the
-        worse label."""
-        if self.deadlocked:
-            return DEADLOCKING
-        if self.propagated or self.violations:
-            return PROPAGATING
-        if self.step_limited:
-            return STEP_LIMITED
-        return CONTAINING
+#: Verdict labels, worst first: one bad schedule earns the worse label.
+LABELS = (DEADLOCKING, PROPAGATING, STEP_LIMITED, CONTAINING)
 
 
 def classify_run(
@@ -168,219 +104,145 @@ def classify_run(
 
 def enumerate_fault_points(
     build: ChaosBuilder, victim: str
-) -> List[FaultPoint]:
+) -> List[KillSpec]:
     """Fault points for ``victim``: one per step it takes in a fault-free
     baseline run (the coordinate space ``RunResult.proc_steps`` records)."""
     baseline = build(ScriptedPolicy([]), None)
     steps = baseline.proc_steps.get(victim, 0)
-    return [FaultPoint(victim, s) for s in range(steps)]
+    return [KillSpec(victim, s) for s in range(steps)]
 
 
-def chaos_explore(
+def explore_kills(
     name: str,
     build: ChaosBuilder,
     victim: str,
-    check: Optional[Checker] = None,
-    max_runs_per_point: int = 25,
-    max_depth: int = 40,
+    classify: Callable,
+    labels: Tuple[str, ...],
+    engine: Callable,
+    max_runs: int,
+    max_depth: int,
     max_points: Optional[int] = None,
-    prune: bool = False,
-) -> ChaosResult:
-    """Inject a kill at every reachable fault point; explore schedules.
-
-    For each :class:`FaultPoint` a fresh :class:`FaultPlan` kills ``victim``
-    at that step, and the exploration engine (budget
-    ``max_runs_per_point``) varies the interleaving around the crash.  Every
-    run is classified via :func:`classify_run` and aggregated.  ``prune``
-    enables canonical-fingerprint equivalence pruning
-    (:mod:`repro.explore`): per-point coverage goes further on the same
-    budget, at the cost of per-run classification counts no longer being
-    comparable with unpruned runs (equivalent schedules collapse).
-    """
-    points = enumerate_fault_points(build, victim)
-    if max_points is not None:
-        points = points[:max_points]
-    result = ChaosResult(name=name, victim=victim)
-    for point in points:
-        plan = FaultPlan().kill(point.process, at_step=point.step)
-        outcome = PointOutcome(point=point)
-
-        def run_one(policy: ScriptedPolicy) -> RunResult:
-            try:
-                return build(policy, plan)
-            except StepLimitExceeded as exc:
-                # Builder used on_steplimit="raise": reconstruct a result
-                # from the exception's diagnostics so the run still counts.
-                trace = Trace()
-                for ev in exc.recent_events or []:
-                    trace.append(ev)
-                return RunResult(
-                    trace=trace, step_limited=True,
-                    ready=list(exc.ready or []),
-                )
-
-        def tally(run: RunResult) -> List[str]:
-            outcome.runs += 1
-            label, messages = classify_run(run, victim, check)
-            if label == "missed":
-                outcome.missed += 1
-            elif label == DEADLOCKING:
-                outcome.deadlocked += 1
-            elif label == PROPAGATING:
-                outcome.propagated += 1
-                outcome.violations.extend(messages)
-            elif label == STEP_LIMITED:
-                outcome.step_limited += 1
-            else:
-                outcome.contained += 1
-            return []  # classification is aggregated, not a "violation"
-
-        ExplorationEngine(
-            run_one, max_runs=max_runs_per_point, max_depth=max_depth,
-            prune=prune,
-        ).explore(tally)
-        result.outcomes.append(outcome)
-    return result
+    expected: Tuple[str, ...] = (),
+) -> ScenarioResult:
+    """One cell per fault point of ``victim`` (the first ``max_points``),
+    each a single kill with ``max_runs`` schedules explored around it."""
+    cells = [Cell(point.describe(), compile_faults([point])[0])
+             for point in enumerate_fault_points(build, victim)[:max_points]]
+    return explore_cells(
+        name, lambda policy, netplan, plan: build(policy, plan), cells,
+        classify, labels, engine=engine, max_runs=max_runs,
+        max_depth=max_depth, expected=expected, victim=victim)
 
 
 # ----------------------------------------------------------------------
-# Representative per-mechanism scenarios (the robustness report)
+# Lock-shaped scenarios, one table for every campaign
 # ----------------------------------------------------------------------
-def _sem_scenario(crash_release: bool) -> ChaosBuilder:
-    """N processes use Semaphore(1) as a lock around a critical region."""
-    from ..runtime.primitives import Semaphore
+# Each entry makes the mechanism inside a scheduler and returns it with
+# one guarded pass: acquire, run ``critical()``, release.
+def _semaphore(sched, critical, **options):
+    sem = Semaphore(sched, initial=1, name="s", **options)
+
+    def one_pass():
+        yield from sem.p()
+        yield from critical()
+        sem.v()
+
+    return sem, one_pass
+
+
+def _mutex(sched, critical):
+    lock = Mutex(sched, name="m")
+
+    def one_pass():
+        yield from lock.acquire()
+        yield from critical()
+        lock.release()
+
+    return lock, one_pass
+
+
+def _monitor(sched, critical):
+    mon = Monitor(sched, name="mon")
+
+    def one_pass():
+        yield from mon.enter()
+        yield from critical()
+        mon.exit()
+
+    return mon, one_pass
+
+
+def _serializer(sched, critical):
+    ser = Serializer(sched, name="ser")
+    q = ser.queue("q")
+    crowd = ser.crowd("c")
+
+    def one_pass():
+        yield from ser.enter()
+        yield from ser.enqueue(q, guarantee=lambda: crowd.empty)
+        yield from ser.join_crowd(crowd)
+        yield from critical()
+        yield from ser.leave_crowd(crowd)
+        ser.exit()
+
+    return ser, one_pass
+
+
+def _ccr(sched, critical):
+    cell = SharedRegion(sched, {"entries": 0}, name="v")
+
+    def one_pass():
+        # Unconditional region (guard None): pure mutual exclusion.  A
+        # guard over crash-corrupted shared state would re-introduce an
+        # application-level wedge no mechanism can contain.
+        yield from cell.enter()
+        cell.vars["entries"] += 1
+        yield from critical()
+        cell.leave()
+
+    return cell, one_pass
+
+
+def _pathexpr(sched, critical):
+    res = PathResource(sched, "path work end", name="r")
+
+    def work(r):
+        yield from critical()
+
+    res.define("work", work)
+
+    def one_pass():
+        yield from res.invoke("work")
+
+    return res, one_pass
+
+
+#: mechanism -> (object its ``cs`` events name, make(sched, critical,
+#: **options) -> (mechanism, one guarded pass)).
+LOCKS = {
+    "semaphore": ("s", _semaphore),
+    "mutex": ("m", _mutex),
+    "monitor": ("mon", _monitor),
+    "serializer": ("ser", _serializer),
+    "ccr": ("v", _ccr),
+    "pathexpr": ("r.work", _pathexpr),
+}
+
+
+def lock_scenario(mechanism: str, **options) -> ChaosBuilder:
+    """Three processes make one guarded pass each around a ``cs`` event."""
+    obj, make = LOCKS[mechanism]
 
     def build(policy, plan):
         sched = Scheduler(policy=policy, preemptive=True, fault_plan=plan)
-        sem = Semaphore(
-            sched, initial=1, name="s", crash_release=crash_release
-        )
 
-        def worker():
-            yield from sem.p()
-            sched.log("cs", "s")
-            yield from sched.checkpoint()
-            sem.v()
-
-        for i in range(3):
-            sched.spawn(worker, name="P{}".format(i))
-        return sched.run(on_deadlock="return", on_error="record",
-                         on_steplimit="return")
-
-    return build
-
-
-def _mutex_scenario() -> ChaosBuilder:
-    from ..runtime.primitives import Mutex
-
-    def build(policy, plan):
-        sched = Scheduler(policy=policy, preemptive=True, fault_plan=plan)
-        lock = Mutex(sched, name="m")
-
-        def worker():
-            yield from lock.acquire()
-            sched.log("cs", "m")
-            yield from sched.checkpoint()
-            lock.release()
-
-        for i in range(3):
-            sched.spawn(worker, name="P{}".format(i))
-        return sched.run(on_deadlock="return", on_error="record",
-                         on_steplimit="return")
-
-    return build
-
-
-def _monitor_scenario() -> ChaosBuilder:
-    from ..mechanisms.monitor import Monitor
-
-    def build(policy, plan):
-        sched = Scheduler(policy=policy, preemptive=True, fault_plan=plan)
-        mon = Monitor(sched, name="mon")
-
-        def worker():
-            yield from mon.enter()
-            sched.log("cs", "mon")
-            yield from sched.checkpoint()
-            mon.exit()
-
-        for i in range(3):
-            sched.spawn(worker, name="P{}".format(i))
-        return sched.run(on_deadlock="return", on_error="record",
-                         on_steplimit="return")
-
-    return build
-
-
-def _serializer_scenario() -> ChaosBuilder:
-    from ..mechanisms.serializer import Serializer
-
-    def build(policy, plan):
-        sched = Scheduler(policy=policy, preemptive=True, fault_plan=plan)
-        ser = Serializer(sched, name="ser")
-        q = ser.queue("q")
-        crowd = ser.crowd("c")
-
-        def worker():
-            yield from ser.enter()
-            yield from ser.enqueue(q, guarantee=lambda: crowd.empty)
-            yield from ser.join_crowd(crowd)
-            sched.log("cs", "ser")
-            yield from sched.checkpoint()
-            yield from ser.leave_crowd(crowd)
-            ser.exit()
-
-        for i in range(3):
-            sched.spawn(worker, name="P{}".format(i))
-        return sched.run(on_deadlock="return", on_error="record",
-                         on_steplimit="return")
-
-    return build
-
-
-def _pathexpr_scenario() -> ChaosBuilder:
-    from ..mechanisms.pathexpr import PathResource
-
-    def build(policy, plan):
-        sched = Scheduler(policy=policy, preemptive=True, fault_plan=plan)
-        res = PathResource(sched, "path work end", name="r")
-
-        def body(r):
-            sched.log("cs", "r.work")
+        def critical():
+            sched.log("cs", obj)
             yield from sched.checkpoint()
 
-        res.define("work", body)
-
-        def worker():
-            yield from res.invoke("work")
-
+        __, one_pass = make(sched, critical, **options)
         for i in range(3):
-            sched.spawn(worker, name="P{}".format(i))
-        return sched.run(on_deadlock="return", on_error="record",
-                         on_steplimit="return")
-
-    return build
-
-
-def _ccr_scenario() -> ChaosBuilder:
-    from ..mechanisms.ccr import SharedRegion
-
-    def build(policy, plan):
-        sched = Scheduler(policy=policy, preemptive=True, fault_plan=plan)
-        cell = SharedRegion(sched, {"entries": 0}, name="v")
-
-        def worker():
-            # Unconditional region (guard None): pure mutual exclusion.  A
-            # guard over crash-corrupted shared state would re-introduce an
-            # application-level wedge no mechanism can contain.
-            yield from cell.enter()
-            cell.vars["entries"] += 1
-            sched.log("cs", "v")
-            yield from sched.checkpoint()
-            cell.leave()
-
-        for i in range(3):
-            sched.spawn(worker, name="P{}".format(i))
+            sched.spawn(one_pass, name="P{}".format(i))
         return sched.run(on_deadlock="return", on_error="record",
                          on_steplimit="return")
 
@@ -390,7 +252,6 @@ def _ccr_scenario() -> ChaosBuilder:
 def _channel_scenario() -> ChaosBuilder:
     """Two rendezvous pairs; killing one peer must not wedge its partner —
     the partner is *told* (PeerFailed) instead, i.e. the fault propagates."""
-    from ..mechanisms.channels import Channel
 
     def build(policy, plan):
         sched = Scheduler(policy=policy, preemptive=True, fault_plan=plan)
@@ -435,56 +296,44 @@ def _cs_exclusion_check(run: RunResult) -> List[str]:
 
 #: (row name, builder factory, victim, oracle, expected classification)
 SCENARIOS = [
-    ("semaphore", lambda: _sem_scenario(False), "P0",
-     _cs_exclusion_check, DEADLOCKING),
-    ("semaphore+crash_release", lambda: _sem_scenario(True), "P0",
+    ("semaphore", lambda: lock_scenario("semaphore", crash_release=False),
+     "P0", _cs_exclusion_check, DEADLOCKING),
+    ("semaphore+crash_release",
+     lambda: lock_scenario("semaphore", crash_release=True), "P0",
      _cs_exclusion_check, CONTAINING),
-    ("mutex", _mutex_scenario, "P0", _cs_exclusion_check, CONTAINING),
-    ("monitor", _monitor_scenario, "P0", _cs_exclusion_check, CONTAINING),
-    ("serializer", _serializer_scenario, "P0", _cs_exclusion_check,
-     CONTAINING),
-    ("ccr", _ccr_scenario, "P0", _cs_exclusion_check, CONTAINING),
-    ("pathexpr", _pathexpr_scenario, "P0", _cs_exclusion_check, CONTAINING),
+] + [
+    (mechanism, lambda m=mechanism: lock_scenario(m), "P0",
+     _cs_exclusion_check, CONTAINING)
+    for mechanism in ("mutex", "monitor", "serializer", "ccr", "pathexpr")
+] + [
     ("channel", _channel_scenario, "P0", None, PROPAGATING),
 ]
 
 
 def robustness_report(
     fast: bool = False,
-) -> Tuple[List[ChaosResult], str]:
+) -> Tuple[List[ScenarioResult], str]:
     """Run every per-mechanism chaos scenario; return (results, table).
 
     ``fast`` trims the schedule budget per fault point (for CI tier-1);
     the full sweep is what ``python -m repro robustness`` shows.
     """
-    budget = 6 if fast else 25
-    max_points = 4 if fast else None
     results = []
-    for name, factory, victim, check, __ in SCENARIOS:
-        results.append(chaos_explore(
-            name,
-            factory(),
-            victim,
-            check=check,
-            max_runs_per_point=budget,
-            max_points=max_points,
-        ))
-    rows = []
-    for res in results:
-        rows.append([
-            res.name,
-            str(len(res.outcomes)),
-            str(res.runs),
-            str(res.contained),
-            str(res.propagated),
-            str(res.deadlocked),
-            str(res.step_limited),
-            res.classification,
-        ])
+    for name, factory, victim, check, expected in SCENARIOS:
+        results.append(explore_kills(
+            name, factory(), victim,
+            lambda run, cell, victim=victim, check=check: classify_run(
+                run, victim, check),
+            LABELS, engine=ExplorationEngine, max_runs=6 if fast else 25,
+            max_depth=40, max_points=4 if fast else None,
+            expected=(expected,)))
+    counted = (CONTAINING, PROPAGATING, DEADLOCKING, STEP_LIMITED)
     table = ascii_table(
         ["mechanism", "fault points", "runs", "contained", "propagated",
          "deadlocked", "step-limited", "classification"],
-        rows,
+        [[r.name, str(len(r.outcomes)), str(r.runs)]
+         + [str(r.count(label)) for label in counted] + [r.classification]
+         for r in results],
         title="Fault containment by mechanism (one kill per point, "
               "schedules explored per point)",
     )

@@ -11,11 +11,12 @@ Safety oracles over the dist layer's trace vocabulary:
 * :func:`check_mutex_intervals` — classic mutual exclusion over
   ``cs_enter``/``cs_exit`` pairs in trace order (for scenarios without a
   fencing horizon, e.g. Lamport mutex).
-* :func:`check_progress_after_heal` — the liveness half: once every
+* :func:`make_progress_after_heal` — the liveness half: once every
   scripted partition healed, some resumption event must follow.
 
-:func:`partition_report` composes them with the exploration engine: every
-scenario × :class:`~repro.dist.netplan.NetPlan` schedule is explored over
+:func:`partition_report` composes them on the campaign loop
+(:func:`explore_net_cells`, shared with :mod:`repro.resilience.report`):
+every scenario × :class:`~repro.dist.netplan.NetPlan` cell is explored over
 interleavings, each run classified as **split-brain** (safety violated),
 **wedged** (safe but stuck: deadlocked, step-limited, or no post-heal
 progress), or **partition-tolerant** — precedence in that order, one bad
@@ -27,29 +28,26 @@ scenarios stay tolerant because a majority side keeps the service up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core import ascii_table
 from ..dist import NetPlan
-from ..runtime.errors import StepLimitExceeded
-from ..runtime.faults import FaultPlan
-from ..runtime.policies import ScriptedPolicy
-from ..runtime.trace import RunResult, Trace
+from ..explore.campaign import (Builder, Cell, ScenarioResult, explore_cells,
+                                fold_net_run)
 from ..explore.engine import ExplorationEngine
+from ..runtime.trace import RunResult, Trace
 
 # The scenario builders are imported lazily (inside the predicates and
 # the scenario table): problems.distributed reaches back here through
 # the resilience layer, and a module-level import would cycle.
 
-#: A dist builder: fresh system under (policy, netplan, fault plan).
-DistBuilder = Callable[
-    [ScriptedPolicy, Optional[NetPlan], Optional[FaultPlan]], RunResult]
 Checker = Callable[[RunResult], List[str]]
 
 SPLIT_BRAIN = "split-brain"
 WEDGED = "wedged"
 TOLERANT = "partition-tolerant"
+#: Verdict labels, worst first: one bad schedule earns the worse label.
+LABELS = (SPLIT_BRAIN, WEDGED, TOLERANT)
 
 
 # ----------------------------------------------------------------------
@@ -225,164 +223,49 @@ def election_succeeded(run: RunResult) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Scenario × plan exploration
+# Classification (shared with the resilience campaign)
 # ----------------------------------------------------------------------
-@dataclass
-class PlanOutcome:
-    """Aggregate over explored schedules for one (scenario, plan) cell."""
-
-    plan_name: str
-    plan: NetPlan
-    expected: str
-    runs: int = 0
-    split_brain: int = 0
-    wedged: int = 0
-    tolerant: int = 0
-    violations: List[str] = field(default_factory=list)
-    failover_samples: List[int] = field(default_factory=list)
-    post_heal_samples: List[int] = field(default_factory=list)
-    message_stats: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def classification(self) -> str:
-        if self.split_brain:
-            return SPLIT_BRAIN
-        if self.wedged:
-            return WEDGED
-        return TOLERANT
-
-    @property
-    def mttr_failover(self) -> Optional[float]:
-        if not self.failover_samples:
-            return None
-        return sum(self.failover_samples) / float(
-            len(self.failover_samples))
-
-    @property
-    def mttr_post_heal(self) -> Optional[float]:
-        if not self.post_heal_samples:
-            return None
-        return sum(self.post_heal_samples) / float(
-            len(self.post_heal_samples))
-
-
-@dataclass
-class PartitionScenarioResult:
-    """Every plan cell of one scenario."""
-
-    name: str
-    outcomes: List[PlanOutcome] = field(default_factory=list)
-
-    @property
-    def runs(self) -> int:
-        return sum(o.runs for o in self.outcomes)
-
-    @property
-    def violations(self) -> List[str]:
-        out: List[str] = []
-        for o in self.outcomes:
-            out.extend(o.violations)
-        return out
-
-    @property
-    def surprises(self) -> List[str]:
-        """Cells whose classification differs from the predicted one."""
-        return [
-            "{} under {}: expected {}, observed {}".format(
-                self.name, o.plan_name, o.expected, o.classification)
-            for o in self.outcomes if o.classification != o.expected
-        ]
-
-    @property
-    def mttr_failover(self) -> Optional[float]:
-        """Scenario-level failover MTTR: mean over every plan cell's
-        samples (not a mean of means — cells contribute their weight)."""
-        samples = [s for o in self.outcomes for s in o.failover_samples]
-        if not samples:
-            return None
-        return sum(samples) / float(len(samples))
-
-    @property
-    def mttr_post_heal(self) -> Optional[float]:
-        """Scenario-level post-heal MTTR over every plan cell's samples."""
-        samples = [s for o in self.outcomes for s in o.post_heal_samples]
-        if not samples:
-            return None
-        return sum(samples) / float(len(samples))
-
-
-def explore_partition_scenario(
-    name: str,
-    build: DistBuilder,
-    plans: List["PlanCell"],
+def classify_net_run(
+    run: RunResult,
     safety: Checker,
     success: Callable[[RunResult], bool],
-    max_runs_per_plan: int = 6,
-    max_depth: int = 40,
-) -> PartitionScenarioResult:
-    """Explore one scenario under every plan; classify every run.
+    progress: Optional[Checker] = None,
+) -> Tuple[str, List[str]]:
+    """One distributed run's label and any safety-violation messages:
+    split-brain (safety violated) > wedged (deadlocked, step-limited, the
+    job not done, or no post-heal ``progress``) > partition-tolerant."""
+    unsafe = safety(run)
+    if unsafe:
+        return SPLIT_BRAIN, unsafe
+    if (run.deadlocked or run.step_limited or not success(run)
+            or (progress is not None and progress(run))):
+        return WEDGED, []
+    return TOLERANT, []
 
-    One :class:`NetPlan` instance is reused across explored runs — the
-    network's ``begin()`` resets its fired/announced state each run, the
-    same replay contract :class:`~repro.runtime.faults.FaultPlan` has.
-    """
-    from ..obs.recovery import compute_partition_mttr
 
-    result = PartitionScenarioResult(name=name)
-    for plan_name, plan, expected, heal_kinds in plans:
-        outcome = PlanOutcome(plan_name=plan_name, plan=plan,
-                              expected=expected)
-        progress = make_progress_after_heal(plan,
-                                            progress_kinds=heal_kinds)
+def explore_net_cells(
+    name: str,
+    build: Builder,
+    cells: List[Cell],
+    safety: Checker,
+    success: Callable[[RunResult], bool],
+    engine: Callable,
+    max_runs: int,
+    **fields,
+) -> ScenarioResult:
+    """Explore one distributed scenario under every cell, classifying each
+    run with :func:`classify_net_run` (the cell's ``check`` is its
+    post-heal progress oracle) and folding MTTR, availability, restarts
+    and message counts into it."""
+    return explore_cells(
+        name, build, cells,
+        lambda run, cell: classify_net_run(run, safety, success, cell.check),
+        LABELS, engine=engine, max_runs=max_runs, max_depth=40,
+        fold=fold_net_run, **fields)
 
-        def run_one(policy: ScriptedPolicy) -> RunResult:
-            try:
-                return build(policy, plan, None)
-            except StepLimitExceeded as exc:
-                trace = Trace()
-                for ev in exc.recent_events or []:
-                    trace.append(ev)
-                return RunResult(trace=trace, step_limited=True,
-                                 ready=list(exc.ready or []))
 
-        def tally(run: RunResult) -> List[str]:
-            outcome.runs += 1
-            unsafe = safety(run)
-            if unsafe:
-                outcome.split_brain += 1
-                outcome.violations.extend(unsafe)
-            elif (run.deadlocked or run.step_limited
-                  or not success(run) or progress(run)):
-                outcome.wedged += 1
-            else:
-                outcome.tolerant += 1
-            mttr = compute_partition_mttr(run)
-            for span in mttr.spans:
-                if span.ticks_to_failover is not None:
-                    outcome.failover_samples.append(span.ticks_to_failover)
-                if span.ticks_to_post_heal is not None:
-                    outcome.post_heal_samples.append(
-                        span.ticks_to_post_heal)
-            net = getattr(run, "network_stats", None)
-            if net:
-                for key, val in net.items():
-                    if isinstance(val, dict):
-                        # Gauge dicts (per-node inbox_peak): max-merge so
-                        # the plan reports the worst backlog any run saw.
-                        gauges = outcome.message_stats.setdefault(key, {})
-                        for node, peak in val.items():
-                            if peak > gauges.get(node, 0):
-                                gauges[node] = peak
-                    else:
-                        outcome.message_stats[key] = (
-                            outcome.message_stats.get(key, 0) + val)
-            return []
-
-        ExplorationEngine(
-            run_one, max_runs=max_runs_per_plan, max_depth=max_depth,
-        ).explore(tally)
-        result.outcomes.append(outcome)
-    return result
+def fmt_optional(value: Optional[float], spec: str) -> str:
+    return "-" if value is None else spec.format(value)
 
 
 # ----------------------------------------------------------------------
@@ -460,35 +343,31 @@ def partition_scenarios() -> List[Tuple]:
 
 def partition_report(
     fast: bool = False,
-) -> Tuple[List[PartitionScenarioResult], str]:
-    """Run every scenario × plan cell; return (results, rendered table)."""
-    budget = 2 if fast else 6
-    results = []
-    for name, build, safety, success, plan_factory in partition_scenarios():
-        results.append(explore_partition_scenario(
-            name, build, plan_factory(), safety, success,
-            max_runs_per_plan=budget,
-        ))
-    rows = []
-    for res in results:
-        for o in res.outcomes:
-            rows.append([
-                res.name,
-                o.plan_name,
-                str(o.runs),
-                str(o.split_brain),
-                str(o.wedged),
-                str(o.tolerant),
-                ("-" if o.mttr_failover is None
-                 else "{:.1f}".format(o.mttr_failover)),
-                ("-" if o.mttr_post_heal is None
-                 else "{:.1f}".format(o.mttr_post_heal)),
-                o.classification,
-            ])
+) -> Tuple[List[ScenarioResult], str]:
+    """Run every scenario × plan cell; return (results, rendered table).
+
+    One :class:`NetPlan` instance serves every explored run of its cell —
+    the network's ``begin()`` resets its fired/announced state each run,
+    the same replay contract :class:`~repro.runtime.faults.FaultPlan` has.
+    """
+    results = [
+        explore_net_cells(
+            name, build,
+            [Cell(plan_name, None, plan, expected,
+                  make_progress_after_heal(plan, heal_kinds))
+             for plan_name, plan, expected, heal_kinds in plan_factory()],
+            safety, success, engine=ExplorationEngine,
+            max_runs=2 if fast else 6)
+        for name, build, safety, success, plan_factory
+        in partition_scenarios()]
     table = ascii_table(
         ["scenario", "net plan", "runs", "split-brain", "wedged",
          "tolerant", "failover mttr", "post-heal mttr", "classification"],
-        rows,
+        [[res.name, o.plan_name, str(o.runs)]
+         + [str(o.count(label)) for label in LABELS]
+         + [fmt_optional(o.mttr_failover, "{:.1f}"),
+            fmt_optional(o.mttr_post_heal, "{:.1f}"), o.classification]
+         for res in results for o in res.outcomes],
         title="Partition tolerance by scenario (schedules explored per "
               "plan; mttr in virtual ticks)",
     )

@@ -6,8 +6,8 @@ the follow-up question the recovery runtime (:mod:`repro.recover`) exists
 to answer: *can the system get back to a good state afterwards?*  Each
 scenario wraps one mechanism's workers in a :class:`~repro.recover.Supervisor`
 with a :class:`~repro.recover.LeaseManager` guarding the mechanism, then
-explores kill schedules exactly like the chaos explorer and classifies
-every run:
+explores the same kill cells as the chaos campaign
+(:func:`~repro.verify.chaos.explore_kills`) and classifies every run:
 
 * **recovered** — every process that died was restarted and its incarnation
   ran to completion; no restart budget was exhausted and no degradation
@@ -34,23 +34,28 @@ restarted incarnation legitimately re-enters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import ascii_table
-from ..recover import FixedBackoff, LeaseManager, RestartPolicy, Supervisor
-from ..runtime.faults import FaultPlan
+from ..explore.campaign import FaultSetSearch, ScenarioResult, compile_faults
+from ..explore.engine import ExplorationEngine
+from ..mechanisms.channels import Channel
+from ..recover import (FixedBackoff, LeaseManager, RestartPolicy, Supervisor,
+                       retry_with_backoff)
+from ..runtime.errors import WaitTimeout
 from ..runtime.policies import ScriptedPolicy
 from ..runtime.scheduler import Scheduler
 from ..runtime.trace import RunResult
-from .chaos import ChaosBuilder, Checker, FaultPoint, enumerate_fault_points
-from ..explore.engine import ExplorationEngine
+from .chaos import (LOCKS, ChaosBuilder, Checker, enumerate_fault_points,
+                    explore_kills)
 
 RECOVERED = "recovered"
 DEGRADED = "degraded"
 WEDGED = "wedged"
 VIOLATED = "violated"
 MISSED = "missed"
+#: Verdict labels, worst first: one bad schedule earns the worse label.
+LABELS = (VIOLATED, WEDGED, DEGRADED, RECOVERED)
 
 #: Events whose presence means recovery was at best partial.
 _PARTIAL_KINDS = ("restart_giveup", "escalate", "degrade")
@@ -142,121 +147,6 @@ def classify_recovery_run(
 
 
 # ----------------------------------------------------------------------
-# Exploration (chaos machinery, recovery classification)
-# ----------------------------------------------------------------------
-@dataclass
-class RecoveryOutcome:
-    """Aggregate over every explored schedule with one fault injected."""
-
-    point: FaultPoint
-    runs: int = 0
-    missed: int = 0
-    recovered: int = 0
-    degraded: int = 0
-    wedged: int = 0
-    violated: int = 0
-    violations: List[str] = field(default_factory=list)
-
-
-@dataclass
-class RecoveryResult:
-    """Outcome of :func:`recovery_explore` for one supervised system."""
-
-    name: str
-    victim: str
-    outcomes: List[RecoveryOutcome] = field(default_factory=list)
-
-    def _total(self, attr: str) -> int:
-        return sum(getattr(o, attr) for o in self.outcomes)
-
-    @property
-    def runs(self) -> int:
-        return self._total("runs")
-
-    @property
-    def recovered(self) -> int:
-        return self._total("recovered")
-
-    @property
-    def degraded(self) -> int:
-        return self._total("degraded")
-
-    @property
-    def wedged(self) -> int:
-        return self._total("wedged")
-
-    @property
-    def violated(self) -> int:
-        return self._total("violated")
-
-    @property
-    def violations(self) -> List[str]:
-        out: List[str] = []
-        for o in self.outcomes:
-            out.extend(o.violations)
-        return out
-
-    @property
-    def classification(self) -> str:
-        """Worst observed behaviour (violated > wedged > degraded >
-        recovered) — one bad schedule is enough to earn the worse label."""
-        if self.violated:
-            return VIOLATED
-        if self.wedged:
-            return WEDGED
-        if self.degraded:
-            return DEGRADED
-        return RECOVERED
-
-
-def recovery_explore(
-    name: str,
-    build: ChaosBuilder,
-    victim: str,
-    check: Optional[Checker] = None,
-    max_runs_per_point: int = 25,
-    max_depth: int = 60,
-    max_points: Optional[int] = None,
-) -> RecoveryResult:
-    """Inject a kill at every reachable fault point of ``victim`` and
-    explore schedules, classifying each run with
-    :func:`classify_recovery_run` (the supervised analogue of
-    :func:`~repro.verify.chaos.chaos_explore`)."""
-    points = enumerate_fault_points(build, victim)
-    if max_points is not None:
-        points = points[:max_points]
-    result = RecoveryResult(name=name, victim=victim)
-    for point in points:
-        plan = FaultPlan().kill(point.process, at_step=point.step)
-        outcome = RecoveryOutcome(point=point)
-
-        def run_one(policy: ScriptedPolicy) -> RunResult:
-            return build(policy, plan)
-
-        def tally(run: RunResult) -> List[str]:
-            outcome.runs += 1
-            label, messages = classify_recovery_run(run, (victim,), check)
-            if label == MISSED:
-                outcome.missed += 1
-            elif label == RECOVERED:
-                outcome.recovered += 1
-            elif label == DEGRADED:
-                outcome.degraded += 1
-            elif label == WEDGED:
-                outcome.wedged += 1
-            else:
-                outcome.violated += 1
-                outcome.violations.extend(messages)
-            return []
-
-        ExplorationEngine(
-            run_one, max_runs=max_runs_per_point, max_depth=max_depth,
-        ).explore(tally)
-        result.outcomes.append(outcome)
-    return result
-
-
-# ----------------------------------------------------------------------
 # Supervised per-mechanism scenarios
 # ----------------------------------------------------------------------
 def _supervised(setup, degrade_after: Optional[int] = None,
@@ -281,154 +171,34 @@ def _supervised(setup, degrade_after: Optional[int] = None,
     return build
 
 
-def _cs_worker(sched, obj, acquire, release):
-    """The standard supervised worker: acquire, bracket the critical
-    region with cs-enter/exit events, release."""
-
-    def worker():
-        yield from acquire()
-        sched.log("cs", obj, "enter")
-        yield from sched.checkpoint()
-        sched.log("cs", obj, "exit")
-        release_gen = release()
-        if release_gen is not None:
-            yield from release_gen
-
-    return worker
-
-
-def _sem_recovery(degrade_after: Optional[int] = None) -> ChaosBuilder:
-    """Raw semaphore (no crash_release): the mechanism that *needs* the
-    recovery runtime — lease reclamation revokes the corpse's permit."""
-    from ..runtime.primitives import Semaphore
+def lock_recovery(mechanism: str, degrade_after: Optional[int] = None,
+                  **options) -> ChaosBuilder:
+    """Three supervised workers make one guarded pass each (the shared
+    :data:`~repro.verify.chaos.LOCKS` table), bracketing the critical
+    region with ``cs`` enter/exit events; the mechanism is lease-guarded."""
+    obj, make = LOCKS[mechanism]
 
     def setup(sched, leases, sup):
-        # LIFO wake policy so degradation has a priority constraint to
-        # relax (the default is already the degraded target, FIFO).
-        sem = Semaphore(sched, initial=1, name="s", crash_release=False,
-                        wake_policy="lifo")
-        leases.guard(sem)
-
-        def worker():
-            yield from sem.p()
-            sched.log("cs", "s", "enter")
+        def critical():
+            sched.log("cs", obj, "enter")
             yield from sched.checkpoint()
-            sched.log("cs", "s", "exit")
-            sem.v()
+            sched.log("cs", obj, "exit")
 
+        mech, one_pass = make(sched, critical, **options)
+        leases.guard(mech)
         for i in range(3):
-            sup.child("P{}".format(i), worker)
+            sup.child("P{}".format(i), one_pass)
 
     return _supervised(setup, degrade_after=degrade_after)
 
 
-def _mutex_recovery() -> ChaosBuilder:
-    from ..runtime.primitives import Mutex
-
-    def setup(sched, leases, sup):
-        lock = Mutex(sched, name="m")
-        leases.guard(lock)
-
-        def worker():
-            yield from lock.acquire()
-            sched.log("cs", "m", "enter")
-            yield from sched.checkpoint()
-            sched.log("cs", "m", "exit")
-            lock.release()
-
-        for i in range(3):
-            sup.child("P{}".format(i), worker)
-
-    return _supervised(setup)
-
-
-def _monitor_recovery() -> ChaosBuilder:
-    from ..mechanisms.monitor import Monitor
-
-    def setup(sched, leases, sup):
-        mon = Monitor(sched, name="mon")
-        leases.guard(mon)
-
-        def worker():
-            yield from mon.enter()
-            sched.log("cs", "mon", "enter")
-            yield from sched.checkpoint()
-            sched.log("cs", "mon", "exit")
-            mon.exit()
-
-        for i in range(3):
-            sup.child("P{}".format(i), worker)
-
-    return _supervised(setup)
-
-
-def _serializer_recovery() -> ChaosBuilder:
-    from ..mechanisms.serializer import Serializer
-
-    def setup(sched, leases, sup):
-        ser = Serializer(sched, name="ser")
-        leases.guard(ser)
-        q = ser.queue("q")
-        crowd = ser.crowd("c")
-
-        def worker():
-            yield from ser.enter()
-            yield from ser.enqueue(q, guarantee=lambda: crowd.empty)
-            yield from ser.join_crowd(crowd)
-            sched.log("cs", "ser", "enter")
-            yield from sched.checkpoint()
-            sched.log("cs", "ser", "exit")
-            yield from ser.leave_crowd(crowd)
-            ser.exit()
-
-        for i in range(3):
-            sup.child("P{}".format(i), worker)
-
-    return _supervised(setup)
-
-
-def _ccr_recovery() -> ChaosBuilder:
-    from ..mechanisms.ccr import SharedRegion
-
-    def setup(sched, leases, sup):
-        cell = SharedRegion(sched, {"entries": 0}, name="v")
-        leases.guard(cell)
-
-        def worker():
-            yield from cell.enter()
-            cell.vars["entries"] += 1
-            sched.log("cs", "v", "enter")
-            yield from sched.checkpoint()
-            sched.log("cs", "v", "exit")
-            cell.leave()
-
-        for i in range(3):
-            sup.child("P{}".format(i), worker)
-
-    return _supervised(setup)
-
-
-def _pathexpr_recovery() -> ChaosBuilder:
-    from ..mechanisms.pathexpr import PathResource
-
-    def setup(sched, leases, sup):
-        res = PathResource(sched, "path work end", name="r")
-        leases.guard(res)
-
-        def body(r):
-            sched.log("cs", "r.work", "enter")
-            yield from sched.checkpoint()
-            sched.log("cs", "r.work", "exit")
-
-        res.define("work", body)
-
-        def worker():
-            yield from res.invoke("work")
-
-        for i in range(3):
-            sup.child("P{}".format(i), worker)
-
-    return _supervised(setup)
+def _sem_recovery(degrade_after: Optional[int] = None) -> ChaosBuilder:
+    """Raw semaphore (no crash_release): the mechanism that *needs* the
+    recovery runtime — lease reclamation revokes the corpse's permit.  LIFO
+    wakes give degradation a priority constraint to relax (the default,
+    FIFO, is already the degraded target)."""
+    return lock_recovery("semaphore", degrade_after, crash_release=False,
+                         wake_policy="lifo")
 
 
 def _channel_recovery() -> ChaosBuilder:
@@ -440,9 +210,6 @@ def _channel_recovery() -> ChaosBuilder:
     the exchange after the retry budget — logged as a ``degrade`` event so
     the run classifies *degraded*, the honest verdict for a dropped
     message."""
-    from ..mechanisms.channels import Channel
-    from ..recover import retry_with_backoff
-    from ..runtime.errors import WaitTimeout
 
     def setup(sched, leases, sup):
         chan = Channel(sched, name="a")
@@ -475,15 +242,14 @@ def _channel_recovery() -> ChaosBuilder:
 
 #: (row name, builder factory, victim, oracle key, acceptable labels)
 RECOVERY_SCENARIOS = [
-    ("semaphore", lambda: _sem_recovery(), "P0", "s",
-     (RECOVERED,)),
+    ("semaphore", lambda: _sem_recovery(), "P0", "s", (RECOVERED,)),
     ("semaphore+degrade", lambda: _sem_recovery(degrade_after=1), "P0", "s",
      (DEGRADED,)),
-    ("mutex", _mutex_recovery, "P0", "m", (RECOVERED,)),
-    ("monitor", _monitor_recovery, "P0", "mon", (RECOVERED,)),
-    ("serializer", _serializer_recovery, "P0", "ser", (RECOVERED,)),
-    ("ccr", _ccr_recovery, "P0", "v", (RECOVERED,)),
-    ("pathexpr", _pathexpr_recovery, "P0", "r.work", (RECOVERED,)),
+] + [
+    (mechanism, lambda m=mechanism: lock_recovery(m), "P0",
+     LOCKS[mechanism][0], (RECOVERED,))
+    for mechanism in ("mutex", "monitor", "serializer", "ccr", "pathexpr")
+] + [
     ("channel", _channel_recovery, "P0", "a", (RECOVERED, DEGRADED)),
 ]
 
@@ -510,10 +276,8 @@ def mttr_fingerprints() -> Dict[str, dict]:
     out: Dict[str, dict] = {}
     for name, factory, victim, obj, __ in RECOVERY_SCENARIOS:
         build = factory()
-        points = enumerate_fault_points(build, victim)
-        point = points[-1]
-        plan = FaultPlan().kill(point.process, at_step=point.step)
-        run = build(ScriptedPolicy([]), plan)
+        point = enumerate_fault_points(build, victim)[-1]
+        run = build(ScriptedPolicy([]), compile_faults([point])[0])
         metrics = compute_recovery_metrics(run)
         label, __ = classify_recovery_run(
             run, (victim,), exclusion_oracle(obj)
@@ -535,7 +299,7 @@ def mttr_fingerprints() -> Dict[str, dict]:
     return out
 
 
-def minimal_defeat_witness(budget: int = 200, schedules_per_plan: int = 1):
+def minimal_defeat_witness(budget: int = 200) -> FaultSetSearch:
     """Search for a minimal crash set that defeats supervised-semaphore
     recovery, ddmin-minimized (:func:`repro.recover.search_fault_plans`).
 
@@ -549,60 +313,41 @@ def minimal_defeat_witness(budget: int = 200, schedules_per_plan: int = 1):
     """
     from ..recover import search_fault_plans
 
-    build = _sem_recovery()
     workers = ("P0", "P1", "P2")
-
-    def classify(run: RunResult) -> str:
-        label, __ = classify_recovery_run(
-            run, workers, exclusion_oracle("s")
-        )
-        return label
-
+    check = exclusion_oracle("s")
     return search_fault_plans(
-        build,
-        classify,
+        _sem_recovery(),
+        lambda run: classify_recovery_run(run, workers, check)[0],
         victims=("sup",) + workers,
         bad_labels=(WEDGED, VIOLATED),
         max_kills=2,
         budget=budget,
-        schedules_per_plan=schedules_per_plan,
     )
 
 
-def recovery_report(fast: bool = False) -> Tuple[List[RecoveryResult], str]:
+def recovery_report(fast: bool = False) -> Tuple[List[ScenarioResult], str]:
     """Run every supervised recovery scenario; return (results, table).
 
     ``fast`` trims the schedule budget per fault point (CI smoke tier);
     the full sweep is what ``python -m repro recover`` shows.
     """
-    budget = 6 if fast else 25
-    max_points = 4 if fast else None
     results = []
-    for name, factory, victim, obj, __ in RECOVERY_SCENARIOS:
-        results.append(recovery_explore(
-            name,
-            factory(),
-            victim,
-            check=exclusion_oracle(obj),
-            max_runs_per_point=budget,
-            max_points=max_points,
-        ))
-    rows = []
-    for res in results:
-        rows.append([
-            res.name,
-            str(len(res.outcomes)),
-            str(res.runs),
-            str(res.recovered),
-            str(res.degraded),
-            str(res.wedged),
-            str(res.violated),
-            res.classification,
-        ])
+    for name, factory, victim, obj, expected in RECOVERY_SCENARIOS:
+        check = exclusion_oracle(obj)
+        results.append(explore_kills(
+            name, factory(), victim,
+            lambda run, cell, victim=victim, check=check:
+                classify_recovery_run(run, (victim,), check),
+            LABELS, engine=ExplorationEngine, max_runs=6 if fast else 25,
+            max_depth=60, max_points=4 if fast else None,
+            expected=expected))
+    counted = (RECOVERED, DEGRADED, WEDGED, VIOLATED)
     table = ascii_table(
         ["scenario", "fault points", "runs", "recovered", "degraded",
          "wedged", "violated", "classification"],
-        rows,
+        [[r.name, str(len(r.outcomes)), str(r.runs)]
+         + [str(r.count(label)) for label in counted] + [r.classification]
+         for r in results],
         title="Recovery under supervision (one kill per point, schedules "
               "explored per point)",
     )

@@ -13,23 +13,22 @@ from repro.problems.one_slot_buffer.impls import (
     SemaphoreOneSlotBuffer,
     SerializerOneSlotBuffer,
 )
+from repro.explore import ExplorationEngine
+from repro.explore.campaign import Cell, Outcome, ScenarioResult
 from repro.runtime import FaultPlan, Scheduler
-from repro.verify import ScheduleExplorer, check_alternation
+from repro.verify import check_alternation
 from repro.verify.chaos import (
     CONTAINING,
     DEADLOCKING,
+    LABELS,
     PROPAGATING,
     STEP_LIMITED,
-    ChaosResult,
-    PointOutcome,
-    FaultPoint,
-    chaos_explore,
     classify_run,
     enumerate_fault_points,
     expected_classifications,
+    explore_kills,
+    lock_scenario,
     robustness_report,
-    _mutex_scenario,
-    _sem_scenario,
 )
 
 
@@ -117,45 +116,53 @@ class TestClassifyRun:
 # ----------------------------------------------------------------------
 # Fault-point enumeration and aggregation
 # ----------------------------------------------------------------------
+def _outcome(name, *labels):
+    outcome = Outcome(cell=Cell(name), labels=LABELS)
+    for label in labels:
+        outcome.add(label)
+    return outcome
+
+
+def _explore(name, build, max_runs, max_points):
+    return explore_kills(
+        name, build, "P0", lambda run, cell: classify_run(run, "P0"),
+        LABELS, engine=ExplorationEngine, max_runs=max_runs, max_depth=40,
+        max_points=max_points)
+
+
 class TestFaultPoints:
     def test_enumerate_covers_every_victim_step(self):
-        points = enumerate_fault_points(_mutex_scenario(), "P0")
+        points = enumerate_fault_points(lock_scenario("mutex"), "P0")
         assert points  # the victim takes at least one step
         assert [p.step for p in points] == list(range(len(points)))
         assert all(p.process == "P0" for p in points)
 
     def test_chaos_result_classification_precedence(self):
-        result = ChaosResult(name="x", victim="P0")
-        result.outcomes.append(PointOutcome(
-            point=FaultPoint("P0", 0), runs=3, contained=2, propagated=1,
-        ))
+        result = ScenarioResult(name="x", labels=LABELS, victim="P0")
+        result.outcomes.append(_outcome(
+            "kill P0 at step 0", CONTAINING, CONTAINING, PROPAGATING))
         assert result.classification == PROPAGATING
-        result.outcomes.append(PointOutcome(
-            point=FaultPoint("P0", 1), runs=1, deadlocked=1,
-        ))
+        result.outcomes.append(_outcome("kill P0 at step 1", DEADLOCKING))
         assert result.classification == DEADLOCKING  # worst outcome wins
 
 
 # ----------------------------------------------------------------------
-# chaos_explore on single scenarios (fast, deterministic)
+# Single-scenario kill campaigns (fast, deterministic)
 # ----------------------------------------------------------------------
 class TestChaosExplore:
     def test_mutex_scenario_contains_faults(self):
-        result = chaos_explore(
-            "mutex", _mutex_scenario(), "P0",
-            max_runs_per_point=6, max_points=3,
-        )
+        result = _explore("mutex", lock_scenario("mutex"), 6, 3)
         assert result.classification == CONTAINING
-        assert result.contained > 0
-        assert result.propagated == 0 and result.deadlocked == 0
+        assert result.count(CONTAINING) > 0
+        assert result.count(PROPAGATING) == 0
+        assert result.count(DEADLOCKING) == 0
 
     def test_raw_semaphore_scenario_deadlocks(self):
-        result = chaos_explore(
-            "semaphore", _sem_scenario(crash_release=False), "P0",
-            max_runs_per_point=6, max_points=4,
-        )
+        result = _explore(
+            "semaphore", lock_scenario("semaphore", crash_release=False),
+            6, 4)
         assert result.classification == DEADLOCKING
-        assert result.deadlocked > 0
+        assert result.count(DEADLOCKING) > 0
 
     def test_fast_report_matches_fault_model(self):
         results, table = robustness_report(fast=True)
@@ -214,7 +221,7 @@ def _assert_alternation_under_kill(impl_cls, runs_per_point, max_points=None):
         def check(run):
             return check_alternation(run.trace, "slot")
 
-        outcome = ScheduleExplorer(
+        outcome = ExplorationEngine(
             lambda policy: build(policy, plan),
             max_runs=runs_per_point, max_depth=50,
         ).explore(check)
@@ -291,12 +298,13 @@ class TestStepLimitClassification:
         assert classify_run(run, "P0")[0] == STEP_LIMITED
 
     def test_outcome_counters_track_step_limited(self):
-        outcome = PointOutcome(point=FaultPoint("P0", 0))
-        assert outcome.step_limited == 0
-        result = ChaosResult(name="x", victim="P0", outcomes=[outcome])
-        outcome.step_limited += 1
-        assert result.step_limited == 1
+        outcome = _outcome("kill P0 at step 0")
+        assert outcome.count(STEP_LIMITED) == 0
+        result = ScenarioResult(name="x", labels=LABELS, victim="P0",
+                                outcomes=[outcome])
+        outcome.add(STEP_LIMITED)
+        assert result.count(STEP_LIMITED) == 1
         assert result.classification == STEP_LIMITED
         # Precedence: any deadlock outranks the step-limit label.
-        outcome.deadlocked += 1
+        outcome.add(DEADLOCKING)
         assert result.classification == DEADLOCKING

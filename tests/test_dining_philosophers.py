@@ -6,7 +6,7 @@ import importlib.util
 import pathlib
 
 from repro.runtime import ScriptedPolicy
-from repro.verify import ScheduleExplorer
+from repro.explore import ExplorationEngine
 
 _spec = importlib.util.spec_from_file_location(
     "dining_philosophers",
@@ -18,7 +18,7 @@ _spec.loader.exec_module(dining)
 
 
 def test_naive_deadlock_reachable_and_replayable():
-    explorer = ScheduleExplorer(
+    explorer = ExplorationEngine(
         dining.naive_system, max_runs=5000, max_depth=100
     )
     outcome = explorer.explore(dining.deadlock_check, stop_at_first=True)
@@ -29,7 +29,7 @@ def test_naive_deadlock_reachable_and_replayable():
 
 
 def test_ordered_acquisition_exhaustively_deadlock_free():
-    explorer = ScheduleExplorer(
+    explorer = ExplorationEngine(
         dining.ordered_system, max_runs=50000, max_depth=200
     )
     outcome = explorer.explore(dining.deadlock_check)
@@ -38,7 +38,7 @@ def test_ordered_acquisition_exhaustively_deadlock_free():
 
 
 def test_monitor_table_exhaustively_deadlock_free():
-    explorer = ScheduleExplorer(
+    explorer = ExplorationEngine(
         dining.monitor_system, max_runs=80000, max_depth=250
     )
     outcome = explorer.explore(dining.deadlock_check)
@@ -49,7 +49,7 @@ def test_monitor_table_exhaustively_deadlock_free():
 def test_naive_sometimes_succeeds():
     """The naive solution is not ALWAYS wrong — some schedules complete;
     that is exactly why testing alone misses it."""
-    explorer = ScheduleExplorer(
+    explorer = ExplorationEngine(
         dining.naive_system, max_runs=5000, max_depth=100
     )
     outcome = explorer.explore(dining.deadlock_check)

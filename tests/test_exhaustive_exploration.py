@@ -19,11 +19,12 @@ from repro.problems.readers_writers import (
     SerializerReadersPriority,
 )
 from repro.runtime import Mutex, Scheduler, Semaphore
-from repro.verify import ScheduleExplorer, check_mutual_exclusion
+from repro.explore import ExplorationEngine
+from repro.verify import check_mutual_exclusion
 
 
 def explore(build, check, max_runs=4000, max_depth=80):
-    explorer = ScheduleExplorer(build, max_runs=max_runs, max_depth=max_depth)
+    explorer = ExplorationEngine(build, max_runs=max_runs, max_depth=max_depth)
     outcome = explorer.explore(check)
     assert outcome.exhausted, (
         "schedule space not exhausted ({} runs)".format(outcome.runs)

@@ -76,19 +76,17 @@ def test_pruned_search_finds_footnote3_anomaly():
 
 
 def test_pruning_off_by_default_matches_legacy_explorer():
-    from repro.verify.explorer import ScheduleExplorer
-
     target = get_target("readers_priority", "semaphore")
-    legacy = ScheduleExplorer(target.runner(), max_runs=500).explore(
-        target.checker
-    )
+    naive = ExplorationEngine(
+        target.runner(), max_runs=500, prune=False
+    ).explore(target.checker)
     engine = ExplorationEngine(target.runner(), max_runs=500).explore(
         target.checker
     )
-    assert (legacy.runs, legacy.exhausted, legacy.violations) == (
+    assert (naive.runs, naive.exhausted, naive.violations) == (
         engine.runs, engine.exhausted, engine.violations
     )
-    assert legacy.pruned == 0 and legacy.states == 0
+    assert engine.pruned == 0 and engine.states == 0
 
 
 # ----------------------------------------------------------------------

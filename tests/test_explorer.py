@@ -2,7 +2,7 @@
 budgets, and witness replay."""
 
 from repro.runtime import Mutex, Scheduler, ScriptedPolicy
-from repro.verify import ScheduleExplorer
+from repro.explore import ExplorationEngine
 
 
 def two_increments_system(policy):
@@ -23,7 +23,7 @@ def two_increments_system(policy):
 
 
 def test_explorer_finds_lost_update():
-    explorer = ScheduleExplorer(two_increments_system, max_runs=100)
+    explorer = ExplorationEngine(two_increments_system, max_runs=100)
     outcome = explorer.explore(
         lambda run: ["lost update"] if run.results["final"] != 2 else []
     )
@@ -32,21 +32,21 @@ def test_explorer_finds_lost_update():
 
 
 def test_explorer_exhausts_small_space():
-    explorer = ScheduleExplorer(two_increments_system, max_runs=100)
+    explorer = ExplorationEngine(two_increments_system, max_runs=100)
     outcome = explorer.explore(lambda run: [])
     assert outcome.exhausted
     assert outcome.runs >= 2  # at least both orderings
 
 
 def test_explorer_respects_run_budget():
-    explorer = ScheduleExplorer(two_increments_system, max_runs=1)
+    explorer = ExplorationEngine(two_increments_system, max_runs=1)
     outcome = explorer.explore(lambda run: [])
     assert outcome.runs == 1
     assert not outcome.exhausted
 
 
 def test_witness_replays_deterministically():
-    explorer = ScheduleExplorer(two_increments_system, max_runs=100)
+    explorer = ExplorationEngine(two_increments_system, max_runs=100)
     witness = explorer.find_schedule(
         lambda run: ["x"] if run.results["final"] != 2 else []
     )
@@ -74,7 +74,7 @@ def test_explorer_ok_when_property_always_holds():
         result.results["final"] = state["n"]
         return result
 
-    explorer = ScheduleExplorer(safe_system, max_runs=500)
+    explorer = ExplorationEngine(safe_system, max_runs=500)
     outcome = explorer.explore(
         lambda run: ["lost"] if run.results["final"] != 2 else []
     )
@@ -83,7 +83,7 @@ def test_explorer_ok_when_property_always_holds():
 
 
 def test_stop_at_first_short_circuits():
-    explorer = ScheduleExplorer(two_increments_system, max_runs=100)
+    explorer = ExplorationEngine(two_increments_system, max_runs=100)
     outcome = explorer.explore(
         lambda run: ["bad"] if run.results["final"] != 2 else [],
         stop_at_first=True,
@@ -92,7 +92,8 @@ def test_stop_at_first_short_circuits():
 
 
 def test_max_depth_limits_branching():
-    explorer = ScheduleExplorer(two_increments_system, max_runs=1000, max_depth=1)
+    explorer = ExplorationEngine(two_increments_system, max_runs=1000,
+                                 max_depth=1)
     outcome = explorer.explore(lambda run: [])
     # With depth 1 only the first decision branches.
     assert outcome.runs <= 3

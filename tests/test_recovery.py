@@ -8,8 +8,6 @@ fault-plan search must find the minimal crash set that still defeats
 recovery (killing the healer itself).
 """
 
-import warnings
-
 import pytest
 
 from repro.obs.recovery import (
@@ -21,15 +19,13 @@ from repro.recover import (
     Degrader,
     ExponentialBackoff,
     FixedBackoff,
-    KillSpec,
     LeaseManager,
     NoBackoff,
     RestartPolicy,
     Supervisor,
-    minimize_fault_set,
-    plan_for,
     retry_with_backoff,
 )
+from repro.explore.campaign import KillSpec, compile_faults, ddmin
 from repro.runtime import (
     FaultPlan,
     Mutex,
@@ -38,7 +34,6 @@ from repro.runtime import (
     Semaphore,
     WaitTimeout,
 )
-from repro.runtime.faults import retrying
 from repro.verify.recovery import (
     DEGRADED,
     RECOVERED,
@@ -127,29 +122,6 @@ class TestBackoff:
         gen = retry_with_backoff(lambda i: iter(()), attempts=0)
         with pytest.raises(ValueError):
             next(gen)
-
-    def test_retrying_shim_warns_and_delegates(self):
-        sched = Scheduler()
-        sem = Semaphore(sched, initial=0, name="s")
-        done = {}
-
-        def consumer():
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                yield from retrying(
-                    lambda i: sem.p(timeout=2), attempts=2, sched=sched
-                )
-            done["warnings"] = [w for w in caught
-                                if w.category is DeprecationWarning]
-
-        def producer():
-            yield from sched.sleep(1)
-            sem.v()
-
-        sched.spawn(consumer, name="C")
-        sched.spawn(producer, name="P")
-        sched.run()
-        assert done["warnings"], "shim must emit DeprecationWarning"
 
 
 # ----------------------------------------------------------------------
@@ -497,8 +469,9 @@ def test_recovery_report_fast_matches_contract():
     expected = expected_recovery()
     for res in results:
         assert res.classification in expected[res.name], res.name
-        assert res.wedged == 0, res.name
-        assert res.violated == 0, res.name
+        assert res.count(WEDGED) == 0, res.name
+        assert res.count(VIOLATED) == 0, res.name
+        assert res.surprises == [], res.name
     assert "recovered" in table
 
 
@@ -544,7 +517,7 @@ class TestFaultSearch:
         result = minimal_defeat_witness()
         build = _sem_recovery()
         for kill in result.witness:
-            run = build(ScriptedPolicy([]), plan_for([kill]))
+            run = build(ScriptedPolicy([]), compile_faults([kill])[0])
             label, __ = classify_recovery_run(
                 run, ("P0", "P1", "P2"), exclusion_oracle("s")
             )
@@ -567,9 +540,14 @@ class TestFaultSearch:
         bloated = [
             KillSpec("sup", 0), KillSpec("P2", 0), KillSpec("P0", 2),
         ]
-        label = classify(build(ScriptedPolicy([]), plan_for(bloated)))
-        assert label == WEDGED  # bloated set is bad...
-        witness, tests = minimize_fault_set(build, classify, bloated)
+        def still_bad(kills):
+            plan = compile_faults(kills)[0]
+            return classify(build(ScriptedPolicy([]), plan)) in (WEDGED,
+                                                                 VIOLATED)
+
+        plan = compile_faults(bloated)[0]
+        assert classify(build(ScriptedPolicy([]), plan)) == WEDGED  # bad...
+        witness, tests = ddmin(bloated, still_bad)
         assert len(witness) == 2  # ...but two kills carry it
         assert {k.process for k in witness} == {"sup", "P0"}
         assert tests >= 2

@@ -14,20 +14,22 @@ import pytest
 from repro.dist import Network
 from repro.obs.recovery import compute_availability
 from repro.problems.distributed import build_restart_lock
+from repro.explore.campaign import (
+    CrashSpec,
+    CutSpec,
+    compile_faults,
+    ddmin,
+    describe_faults,
+    search_fault_sets,
+)
 from repro.resilience import (
     QUARANTINE,
     REPLAY,
-    CrashSpec,
-    CutSpec,
     DurableStore,
     FencedResource,
     NodeSupervisor,
-    describe_joint,
     expected_resilience_classifications,
-    joint_plan,
-    minimize_joint_set,
     resilience_scenarios,
-    search_joint_plans,
     search_restart_witness,
 )
 from repro.runtime.errors import WaitTimeout
@@ -43,7 +45,7 @@ COMBINED = (CrashSpec("c0", at_time=14), CutSpec("c0", at=12, heal_at=70))
 
 
 def _restart_run(faults=(), fencing=True):
-    fault_plan, netplan = joint_plan(list(faults))
+    fault_plan, netplan = compile_faults(list(faults))
     return build_restart_lock(ScriptedPolicy([]), netplan, fault_plan,
                               fencing=fencing)
 
@@ -289,22 +291,22 @@ def _product_classifier(bad_process, bad_node):
 
 class TestJointSearch:
     def test_joint_plan_compiles_both_sides(self):
-        fault_plan, netplan = joint_plan(list(COMBINED))
+        fault_plan, netplan = compile_faults(list(COMBINED))
         assert fault_plan.kill_due("c0", steps=0, now=14) is not None
         assert netplan.partitioned("c0", "s0", 12)
         assert not netplan.partitioned("c0", "s0", 70)
-        assert describe_joint(COMBINED) == (
+        assert describe_faults(COMBINED) == (
             "kill c0 at t=14; isolate c0 at t=12 (heals at t=70)")
         # Empty sides stay None so builders keep their defaults.
-        assert joint_plan([COMBINED[0]])[1] is None
-        assert joint_plan([COMBINED[1]])[0] is None
+        assert compile_faults([COMBINED[0]])[1] is None
+        assert compile_faults([COMBINED[1]])[0] is None
 
     def test_search_proves_singletons_insufficient_then_finds_pair(self):
         build, classify = _product_classifier("a", "n0")
         crashes = [CrashSpec("a", 1), CrashSpec("b", 1)]
         cuts = [CutSpec("n0", 0, 10)]
-        found = search_joint_plans(build, classify, crashes, cuts,
-                                   bad_labels=(SPLIT_BRAIN,), max_faults=2)
+        found = search_fault_sets(build, classify, crashes + cuts,
+                                  bad_labels=(SPLIT_BRAIN,), max_faults=2)
         # 3 singletons (all tolerant) then pairs until the witness.
         assert found.tried >= 4
         assert found.witness == (CrashSpec("a", 1), CutSpec("n0", 0, 10))
@@ -315,15 +317,19 @@ class TestJointSearch:
         build, classify = _product_classifier("a", "n0")
         bloated = [CrashSpec("a", 1), CrashSpec("b", 1),
                    CutSpec("n0", 0, 10)]
-        witness, tests = minimize_joint_set(build, classify, bloated,
-                                            bad_labels=(SPLIT_BRAIN,))
+        def still_bad(faults):
+            fault_plan, netplan = compile_faults(faults)
+            run = build(ScriptedPolicy([]), netplan, fault_plan)
+            return classify(run) == SPLIT_BRAIN
+
+        witness, tests = ddmin(bloated, still_bad)
         assert set(witness) == {CrashSpec("a", 1), CutSpec("n0", 0, 10)}
         assert tests >= 1
 
     def test_witness_dict_round_trips_to_replayable_plans(self):
         build, classify = _product_classifier("a", "n0")
-        found = search_joint_plans(
-            build, classify, [CrashSpec("a", 1)], [CutSpec("n0", 0, 10)],
+        found = search_fault_sets(
+            build, classify, [CrashSpec("a", 1), CutSpec("n0", 0, 10)],
             bad_labels=(SPLIT_BRAIN,))
         payload = found.to_dict()
         from repro.dist import NetPlan

@@ -1,6 +1,6 @@
 """Timed blocking calls: ``timeout=`` on every mechanism, the stale-timer
 guard in ``_advance_clock``, step-limit diagnostics, ``run_processes``
-plumbing, and the ``retrying`` helper.
+plumbing, and bounded retry (``retry_with_backoff``).
 
 The cross-cutting contract: a timed waiter that gives up is *dequeued*
 before :class:`WaitTimeout` is delivered, so a later signal can never
@@ -13,6 +13,7 @@ from repro.mechanisms.channels import Channel, ReceiveOp, SendOp, select
 from repro.mechanisms.monitor import Monitor
 from repro.mechanisms.pathexpr import PathResource
 from repro.mechanisms.serializer import Serializer
+from repro.recover import retry_with_backoff
 from repro.runtime import (
     BroadcastEvent,
     FaultPlan,
@@ -22,7 +23,6 @@ from repro.runtime import (
     Semaphore,
     StepLimitExceeded,
     WaitTimeout,
-    retrying,
     run_processes,
 )
 
@@ -531,7 +531,7 @@ class TestRetrying:
         got = []
 
         def waiter():
-            value = yield from retrying(
+            value = yield from retry_with_backoff(
                 lambda i: sem.p(timeout=4), attempts=5
             )
             got.append(("ok", value))
@@ -553,7 +553,8 @@ class TestRetrying:
 
         def waiter():
             try:
-                yield from retrying(lambda i: sem.p(timeout=3), attempts=2)
+                yield from retry_with_backoff(lambda i: sem.p(timeout=3),
+                                              attempts=2)
             except WaitTimeout as exc:
                 raised.append(exc.what)
 
@@ -572,7 +573,7 @@ class TestRetrying:
 
         def waiter():
             try:
-                yield from retrying(
+                yield from retry_with_backoff(
                     lambda i: sem.p(timeout=2),
                     attempts=3,
                     backoff=lambda i: 10 * (i + 1),
@@ -594,4 +595,4 @@ class TestRetrying:
 
     def test_attempts_must_be_positive(self):
         with pytest.raises(ValueError):
-            list(retrying(lambda i: iter(()), attempts=0))
+            list(retry_with_backoff(lambda i: iter(()), attempts=0))
