@@ -14,8 +14,9 @@ itself (the ROADMAP's "make exploration fast" prerequisite):
   (:class:`~repro.obs.harness.NullHarnessTelemetry`, normalized to
   ``None`` at the entry points) must stay within 5% of a plain run on the
   E14b exploration target, the same gate E15 holds the trace sink to.
-  Min-of-N timing: the workload is deterministic, so the minimum is the
-  noise-robust estimator.
+  The two sides run in interleaved pairs, alternating which goes first,
+  and the gate reads the median of the per-pair ratios
+  (:func:`conftest.paired_ratio`).
 * **Speedup attribution** — the parallel frontier's worker timeline must
   explain the observed speedup: utilization in (0, 1], oversubscription
   flagged exactly when workers exceed cpus, busy + idle tiling pool
@@ -30,7 +31,7 @@ Everything persists to ``BENCH_harness.json``.
 import os
 import time
 
-from conftest import emit, persist
+from conftest import emit, paired_ratio, persist
 
 from repro.explore import explore_parallel, get_target
 from repro.obs import HarnessTelemetry, NullHarnessTelemetry, self_profile
@@ -40,8 +41,8 @@ from repro.obs import HarnessTelemetry, NullHarnessTelemetry, self_profile
 TARGET = ("fcfs_resource", "monitor")
 BUDGET = dict(max_runs=20000, max_depth=80)
 
-#: E15/E14b standard: min-of-N wall-clock over a deterministic workload.
-TIMING_REPEATS = 7
+#: Interleaved (bare, null) pairs timed by the null-path overhead gate.
+TIMING_PAIRS = 31
 
 #: Phase accounting must cover at least this share of measured elapsed.
 TILING_FLOOR = 0.90
@@ -56,14 +57,10 @@ def _explore(telemetry=None, workers=1, prune=True):
                             telemetry=telemetry, **BUDGET)
 
 
-def _min_of(repeats, fn):
-    best = None
-    for __ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        seconds = time.perf_counter() - start
-        best = seconds if best is None else min(best, seconds)
-    return best
+def _timed_explore(telemetry) -> float:
+    start = time.perf_counter()
+    _explore(telemetry=telemetry)
+    return time.perf_counter() - start
 
 
 def test_e21_phase_tiling_serial():
@@ -119,20 +116,19 @@ def test_e21_phase_tiling_parallel_attribution():
 def test_e21_null_path_overhead():
     # Warm-up (imports, pyc, allocator) outside the timed region.
     _explore()
-    bare_s = _min_of(TIMING_REPEATS, lambda: _explore(telemetry=None))
-    null_s = _min_of(TIMING_REPEATS,
-                     lambda: _explore(telemetry=NullHarnessTelemetry()))
-    ratio = null_s / bare_s if bare_s else 1.0
+    ratio, bare_s, null_s = paired_ratio(
+        TIMING_PAIRS, lambda: _timed_explore(None),
+        lambda: _timed_explore(NullHarnessTelemetry()))
     persist("harness", {"null_overhead": {
         "bare_seconds": round(bare_s, 4),
         "null_sink_seconds": round(null_s, 4),
         "ratio": round(ratio, 4),
-        "repeats": TIMING_REPEATS,
+        "pairs": TIMING_PAIRS,
         "ceiling": NULL_OVERHEAD_CEILING,
     }})
     emit("E21: null telemetry path overhead",
-         "bare {:.4f}s vs null sink {:.4f}s -> ratio {:.3f} "
-         "(ceiling {})".format(bare_s, null_s, ratio,
+         "bare {:.4f}s vs null sink {:.4f}s (medians) -> median pair "
+         "ratio {:.3f} (ceiling {})".format(bare_s, null_s, ratio,
                                NULL_OVERHEAD_CEILING))
     assert ratio <= NULL_OVERHEAD_CEILING, (
         "null telemetry path costs {:.1%} over a plain run".format(

@@ -19,12 +19,14 @@ The load observatory's three measured claims, persisted to
 
 Plus the E15 gate re-check on the load workload: a swarm run with no sink
 versus ``NullSink`` stays within the same <5% bound, pinning down that the
-streaming subsystem added nothing to the uninstrumented hot path.
+streaming subsystem added nothing to the uninstrumented hot path.  The two
+sides run in interleaved pairs, alternating which goes first, and the gate
+reads the median of the per-pair ratios (:func:`conftest.paired_ratio`).
 """
 
 from time import perf_counter
 
-from conftest import emit, persist
+from conftest import emit, paired_ratio, persist
 
 from repro.load import LOAD_MECHANISMS, run_load, saturation_curve
 from repro.load.engine import ShardedResource
@@ -33,7 +35,8 @@ from repro.obs import NullSink, QuantileSketch, StreamingSink
 from repro.runtime.scheduler import Scheduler
 
 _SWEEP = (16, 64, 256)
-_REPEATS = 7
+#: Interleaved (bare, instrumented) pairs timed per overhead ratio.
+_PAIRS = 41
 
 
 def test_e19_saturation_curves():
@@ -181,13 +184,11 @@ def _swarm_once(sink) -> float:
 
 
 def test_e19_null_path_overhead_under_e15_gate():
-    bare = min(_swarm_once(None) for _ in range(_REPEATS))
-    null = min(_swarm_once(NullSink()) for _ in range(_REPEATS))
-    streaming = min(
-        _swarm_once(StreamingSink(shard_prefix=True)) for _ in range(_REPEATS)
-    )
-    null_ratio = null / bare
-    streaming_ratio = streaming / bare
+    null_ratio, bare, null = paired_ratio(
+        _PAIRS, lambda: _swarm_once(None), lambda: _swarm_once(NullSink()))
+    streaming_ratio, _, streaming = paired_ratio(
+        _PAIRS, lambda: _swarm_once(None),
+        lambda: _swarm_once(StreamingSink(shard_prefix=True)))
     persist("load", {"overhead": {
         "bare_seconds": round(bare, 6),
         "null_sink_seconds": round(null, 6),

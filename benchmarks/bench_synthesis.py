@@ -39,7 +39,6 @@ from repro.synth.grammar import Candidate
 def _config(root: str) -> SynthConfig:
     config = SynthConfig.fast()
     config.cache_root = os.path.join(root, "oracle")
-    config.use_fp_cache = False
     return config
 
 

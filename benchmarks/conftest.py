@@ -12,9 +12,11 @@ so runs are diffable across commits without scraping pytest output.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
-from typing import Any, Dict
+import statistics
+from typing import Any, Callable, Dict, Tuple
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -54,3 +56,39 @@ def persist(name: str, payload: Dict[str, Any],
                   default=str)
         handle.write("\n")
     return path
+
+
+def paired_ratio(pairs: int, base: Callable[[], float],
+                 other: Callable[[], float]) -> Tuple[float, float, float]:
+    """Time ``base`` and ``other`` in ``pairs`` interleaved pairs and return
+    ``(median of other/base per pair, median base s, median other s)``.
+
+    Each callable runs its workload once and returns the seconds it took.
+    The side that runs first alternates from pair to pair, so a drift in
+    host speed lands on both sides alike, and the median of the per-pair
+    ratios shrugs off the odd pair a noisy neighbour disturbed.  Minima
+    taken over two separate blocks of runs do neither.  The collector is
+    run before, and held off during, every timed call.
+    """
+    def timed(side: Callable[[], float]) -> float:
+        # As timeit does: no collector pass lands inside one side's timing.
+        gc.collect()
+        gc.disable()
+        try:
+            return side()
+        finally:
+            gc.enable()
+
+    ratios, base_s, other_s = [], [], []
+    for index in range(pairs):
+        if index % 2:
+            other_seconds = timed(other)
+            base_seconds = timed(base)
+        else:
+            base_seconds = timed(base)
+            other_seconds = timed(other)
+        ratios.append(other_seconds / base_seconds)
+        base_s.append(base_seconds)
+        other_s.append(other_seconds)
+    return (statistics.median(ratios), statistics.median(base_s),
+            statistics.median(other_s))

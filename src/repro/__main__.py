@@ -553,16 +553,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         return 2
     if args.fast:
         args.max_runs = min(args.max_runs, 200)
-    warm = None
-    fp_cache = None
-    preloaded = 0
-    if args.fp_cache:
-        from .obs.runstore import FingerprintCache
-
-        fp_cache = FingerprintCache()
-        warm = fp_cache.load(args.problem, args.mechanism,
-                             max_depth=args.max_depth)
-        preloaded = len(warm)
     telemetry = None
     if args.watch or args.export or args.record or args.self_profile:
         from .obs import HarnessTelemetry
@@ -579,7 +569,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             prune=args.prune,
             seed=args.seed,
             stop_at_first=args.stop_at_first,
-            warm_seen=warm,
             telemetry=telemetry,
         )
 
@@ -611,10 +600,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             write_jsonl(out, [], None, harness=telemetry)
         if not args.json:
             print("wrote {} harness trace to {}".format(args.export, out))
-    if fp_cache is not None and warm is not None:
-        fp_cache.save(args.problem, args.mechanism, warm,
-                      max_depth=args.max_depth,
-                      exhausted=result.exhausted)
     minimized = None
     if args.minimize and result.witness is not None:
         minimized = minimize_witness(
@@ -634,12 +619,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             "violations": len(result.violations),
             "witness": list(result.witness) if result.witness else None,
         }
-        if fp_cache is not None:
-            payload["fp_cache"] = {
-                "preloaded": preloaded,
-                "new_states": result.states,
-                "persisted": result.exhausted,
-            }
         if telemetry is not None:
             payload["telemetry"] = telemetry.to_dict()
         if hotspots is not None:
@@ -666,11 +645,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     if hotspots is not None:
         print()
         print(hotspots.render())
-    if fp_cache is not None:
-        print("fingerprint cache: {} key(s) preloaded, {} new, {}".format(
-            preloaded, result.states,
-            "persisted" if result.exhausted
-            else "not persisted (budget hit)"))
     if result.ok:
         print("no violations found")
         return 0
@@ -930,8 +904,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         config.use_cache = False
     if args.cache_root:
         config.cache_root = args.cache_root
-    if args.no_fp_cache:
-        config.use_fp_cache = False
 
     if args.repair != "footnote3":
         print("error: unknown repair target {!r} (only: footnote3)".format(
@@ -1192,9 +1164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--minimize", action="store_true",
                        help="shrink the witness to a locally minimal "
                        "decision string and replay its timeline")
-    p_exp.add_argument("--fp-cache", action="store_true",
-                       help="warm-start from (and persist to) the "
-                       "cross-run fingerprint cache in the run store")
     p_exp.add_argument("--watch", action="store_true",
                        help="periodic progress lines on stderr "
                        "(schedules/sec, frontier, pruning ratio, ETA; "
@@ -1246,8 +1215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--cache-root", default=None, metavar="DIR",
                        help="oracle-cache directory (default "
                        ".repro/runs/synthesis)")
-    p_syn.add_argument("--no-fp-cache", action="store_true",
-                       help="disable per-candidate fingerprint warm-starts")
     p_syn.add_argument("--json", action="store_true",
                        help="machine-readable output")
     p_syn.set_defaults(func=_cmd_synth)

@@ -307,29 +307,20 @@ class ExplorationEngine:
         self,
         check: Checker,
         stop_at_first: bool = False,
-        warm: Optional[Set[PruneKey]] = None,
     ) -> ExplorationResult:
         """Search for schedules where ``check`` reports violations.
+
+        Every search starts from an empty ``seen`` set: prune keys are
+        never carried between searches (DESIGN.md §14).
 
         Args:
             check: maps a run result to violation messages (empty = ok).
             stop_at_first: return as soon as one violating schedule is
                 found (used when hunting for a witness, e.g. experiment E5).
-            warm: prune keys claimed by previous searches of the *same*
-                system (see :class:`repro.obs.runstore.FingerprintCache`);
-                mutated in place — after the search it holds the union of
-                old and new claims, ready to persist.  Only meaningful
-                with ``prune=True``.  ``result.states`` counts only keys
-                claimed by *this* search.
         """
         result = ExplorationResult()
         frontier: List[Tuple[int, ...]] = [()]
-        seen: Optional[Set[PruneKey]]
-        if self.prune:
-            seen = warm if warm is not None else set()
-        else:
-            seen = None
-        preloaded = len(seen) if seen is not None else 0
+        seen: Optional[Set[PruneKey]] = set() if self.prune else None
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.begin(max_runs=self.max_runs, workers=1)
@@ -357,7 +348,7 @@ class ExplorationEngine:
                 telemetry.note_progress(result.runs, len(frontier),
                                         result.pruned)
                 telemetry.add("collect", perf_counter() - mark)
-        result.states = len(seen) - preloaded if seen is not None else 0
+        result.states = len(seen) if seen is not None else 0
         if telemetry is not None:
             telemetry.finish()
         return result

@@ -123,7 +123,6 @@ def explore_parallel(
     prune: bool = True,
     seed: Optional[int] = None,
     stop_at_first: bool = False,
-    warm_seen: Optional[Set[PruneKey]] = None,
     telemetry=None,
 ) -> ExplorationResult:
     """Explore ``target``'s schedule space with ``workers`` processes.
@@ -141,12 +140,6 @@ def explore_parallel(
         seed: deterministic wave-order shuffle; affects which schedules a
             *budget-limited* search reaches, never an exhaustive one.
         stop_at_first: stop once a wave containing a violation is merged.
-        warm_seen: prune keys claimed by previous searches of the same
-            target (the persistent fingerprint cache,
-            :class:`repro.obs.runstore.FingerprintCache`); mutated in
-            place so the caller can persist the union afterwards.  Only
-            meaningful with ``prune=True``; ``result.states`` counts only
-            keys claimed by this search.
         telemetry: optional :class:`~repro.obs.harness.HarnessTelemetry`
             receiving phase accounting, wave stats, and the per-worker
             utilization timeline.  Duck-typed null path exactly as in
@@ -166,12 +159,7 @@ def explore_parallel(
         telemetry = None
     result = ExplorationResult()
     frontier: List[Tuple[int, ...]] = [()]
-    seen: Optional[Set[PruneKey]]
-    if prune:
-        seen = warm_seen if warm_seen is not None else set()
-    else:
-        seen = None
-    preloaded = len(seen) if seen is not None else 0
+    seen: Optional[Set[PruneKey]] = set() if prune else None
     key = _wave_key(seed)
     pool = None
     if workers > 1:
@@ -269,5 +257,5 @@ def explore_parallel(
             pool.join()
         if telemetry is not None:
             telemetry.finish()
-    result.states = len(seen) - preloaded if seen is not None else 0
+    result.states = len(seen) if seen is not None else 0
     return result

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .critical_path import CriticalPathReport
 
@@ -279,128 +279,11 @@ def dump_baseline(records: List[RunRecord]) -> str:
         [r.to_dict() for r in sorted(records, key=lambda r: r.key)])
 
 
-# ----------------------------------------------------------------------
-# The fingerprint cache: persistent cross-run exploration state
-# ----------------------------------------------------------------------
-#: Schema of fingerprint-cache files (independent of RUNSTORE_SCHEMA).
-FP_CACHE_SCHEMA = 1
-
-#: Default location of fingerprint-cache files, under the run store.
+#: Where the removed fingerprint cache once kept prune keys.  Nothing
+#: writes here: prune keys are never persisted (DESIGN.md §14).  The name
+#: stays importable because ``verdictbench/workloads.py`` asserts the
+#: directory is absent for its cold-cache check.
 FP_CACHE_ROOT = os.path.join(DEFAULT_ROOT, "fingerprints")
-
-
-class FingerprintCache:
-    """Persistent ``(state fingerprint, chosen pid)`` prune keys from past
-    explorations, keyed by ``(problem, mechanism[, variant])``.
-
-    The explore engine's equivalence pruning
-    (:func:`repro.explore.engine.expand_record`) claims one key per
-    explored subtree; warm-starting a later search with those keys makes
-    it skip every subtree a previous run already covered — repeated
-    ``repro explore --fp-cache`` invocations and synthesis candidate
-    re-runs collapse to (nearly) a single schedule.  ``variant`` carves
-    separate namespaces per candidate fingerprint, so candidates with
-    different semantics never share subtree claims.
-
-    Soundness rules (enforced here and at the save call sites):
-
-    * Only **exhausted** searches may be persisted — an out-of-budget
-      search claims subtrees it never finished, and reusing those claims
-      would silently skip unexplored schedules.  :meth:`save` refuses
-      unless the caller asserts exhaustion.
-    * A cache recorded at branching depth ``D`` warms only searches with
-      ``max_depth <= D`` (deeper searches would trust shallow claims);
-      :meth:`load` returns a cold (empty) set on a depth mismatch.
-
-    Fingerprints are virtual-time canonical-state digests, so cache files
-    are portable across machines like every other run-store artifact —
-    but **not** across code changes that alter scheduler state layout;
-    ``repro explore --fp-cache`` rebuilds stale caches for free because an
-    unmatched fingerprint simply never prunes.  A change to the
-    fingerprint function must bump :data:`FP_CACHE_SCHEMA`: a file of any
-    other schema loads cold and is overwritten, never merged.
-    """
-
-    def __init__(self, root: str = FP_CACHE_ROOT) -> None:
-        self.root = root
-
-    # ------------------------------------------------------------------
-    def _path(self, problem: str, mechanism: str,
-              variant: Optional[str]) -> str:
-        name = "{}__{}__{}.json".format(problem, mechanism,
-                                        variant if variant else "base")
-        return os.path.join(self.root, name)
-
-    def load(self, problem: str, mechanism: str, *,
-             variant: Optional[str] = None,
-             max_depth: Optional[int] = None) -> Set[Tuple[int, int]]:
-        """The stored prune-key set, or an empty (cold) set when there is
-        no usable cache: missing file, a schema other than
-        :data:`FP_CACHE_SCHEMA`, or a stored depth shallower than
-        ``max_depth``."""
-        path = self._path(problem, mechanism, variant)
-        if not os.path.exists(path):
-            return set()
-        with open(path) as fh:
-            data = json.load(fh)
-        if int(data.get("schema", 1)) != FP_CACHE_SCHEMA:
-            return set()
-        stored_depth = data.get("max_depth")
-        if (max_depth is not None and stored_depth is not None
-                and int(stored_depth) < max_depth):
-            return set()
-        return {(int(fp), int(pid)) for fp, pid in data.get("keys", [])}
-
-    def save(self, problem: str, mechanism: str,
-             keys: Set[Tuple[int, int]], *,
-             variant: Optional[str] = None,
-             max_depth: Optional[int] = None,
-             exhausted: bool = False) -> Optional[str]:
-        """Union-merge ``keys`` into the stored set; returns the path, or
-        ``None`` when nothing was written.
-
-        Refuses (returns ``None``) unless ``exhausted`` — see the class
-        docstring.  A merge keeps the *shallower* of the two depths so the
-        stored depth never overstates coverage.  A stored file with a
-        schema other than :data:`FP_CACHE_SCHEMA` is overwritten, not
-        merged: its keys were computed by other code.
-        """
-        if not exhausted:
-            return None
-        path = self._path(problem, mechanism, variant)
-        merged = set(keys)
-        depth: Optional[int] = max_depth
-        if os.path.exists(path):
-            with open(path) as fh:
-                data = json.load(fh)
-            if int(data.get("schema", 1)) == FP_CACHE_SCHEMA:
-                merged |= {(int(fp), int(pid))
-                           for fp, pid in data.get("keys", [])}
-                stored_depth = data.get("max_depth")
-                if stored_depth is not None:
-                    depth = (int(stored_depth) if depth is None
-                             else min(depth, int(stored_depth)))
-        os.makedirs(self.root, exist_ok=True)
-        payload = {
-            "schema": FP_CACHE_SCHEMA,
-            "problem": problem,
-            "mechanism": mechanism,
-            "variant": variant,
-            "max_depth": depth,
-            "keys": sorted([fp, pid] for fp, pid in merged),
-        }
-        with open(path, "w") as fh:
-            fh.write(canonical_json(payload))
-        return path
-
-    def discard(self, problem: str, mechanism: str, *,
-                variant: Optional[str] = None) -> bool:
-        """Drop one cache entry; True when a file was removed."""
-        path = self._path(problem, mechanism, variant)
-        if os.path.exists(path):
-            os.remove(path)
-            return True
-        return False
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,12 @@ interrupted ``repro synth`` resumes exactly where it stopped — already-
 judged candidates cost one file read each.
 
 The cache key is the content fingerprint of ``(candidate, workload id,
-oracle battery)`` — the full input of the verdict.  Changing the workload,
-the battery, or the candidate grammar changes the key, so stale verdicts
+oracle battery, source digest)`` — the full input of the verdict, plus the
+code that computes it.  The source digest (:func:`source_digest`) hashes
+every module of the packages a verdict runs through, so editing the
+scheduler, a mechanism, the explore engine, an oracle or the synthesizer
+turns every stored verdict into a miss.  Changing the workload, the
+battery, or the candidate grammar changes the key too, so stale verdicts
 are never replayed; they are simply never looked up again.
 
 Each entry also stores the *witness* decision string that produced a
@@ -21,6 +25,7 @@ caller can audit any cached rejection in one run.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -42,12 +47,41 @@ NO_CONCURRENCY = "no_concurrency"
 INCONCLUSIVE = "inconclusive"
 
 
+#: Packages (under ``repro``) whose code a synthesis verdict runs through:
+#: the candidate runner also builds on ``problems`` and ``resources``.
+VERDICT_PACKAGES = ("runtime", "mechanisms", "explore", "verify", "synth",
+                    "problems", "resources")
+
+
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """BLAKE2b over the sorted source files of :data:`VERDICT_PACKAGES`.
+
+    Computed on first use and then once per process, never at import."""
+    base = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    files = []
+    for package in VERDICT_PACKAGES:
+        for root, _dirs, names in os.walk(os.path.join(base, package)):
+            rel = os.path.relpath(root, base).replace(os.sep, "/")
+            files.extend((rel + "/" + name, os.path.join(root, name))
+                         for name in names if name.endswith(".py"))
+    digest = hashlib.blake2b(digest_size=12)
+    for rel, path in sorted(files):
+        with open(path, "rb") as fh:
+            source = fh.read()
+        digest.update(rel.encode() + b"\0")
+        digest.update(len(source).to_bytes(8, "big"))
+        digest.update(source)
+    return digest.hexdigest()
+
+
 def cache_key(candidate: Candidate, workload: str,
               battery_names: Tuple[str, ...]) -> str:
-    """Content fingerprint of one oracle call's full input."""
+    """Content fingerprint of one oracle call's full input, including the
+    code that judges it (:func:`source_digest`)."""
     payload = repr((candidate.paths_text, candidate.read_guard,
                     candidate.write_guard, workload,
-                    tuple(battery_names))).encode()
+                    tuple(battery_names), source_digest())).encode()
     return hashlib.blake2b(payload, digest_size=12).hexdigest()
 
 
@@ -63,13 +97,16 @@ class OracleCache:
     # ------------------------------------------------------------------
     def lookup(self, candidate: Candidate, workload: str,
                battery_names: Tuple[str, ...]) -> Optional[Dict[str, Any]]:
-        """The logged verdict for this exact oracle input, or ``None``."""
+        """The logged verdict for this exact oracle input, or ``None``.
+
+        An entry of any schema other than :data:`ORACLE_CACHE_SCHEMA` is
+        a miss: older code wrote it, so its verdict is not replayed."""
         path = self._path(cache_key(candidate, workload, battery_names))
         if not os.path.exists(path):
             return None
         with open(path) as fh:
             entry = json.load(fh)
-        if int(entry.get("schema", 1)) > ORACLE_CACHE_SCHEMA:
+        if int(entry.get("schema", 1)) != ORACLE_CACHE_SCHEMA:
             return None
         return entry.get("verdict")
 

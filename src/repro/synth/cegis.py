@@ -35,7 +35,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..explore.engine import ExplorationEngine
 from ..explore.minimize import minimize_witness
-from ..obs.runstore import FingerprintCache
 from ..runtime.policies import ScriptedPolicy
 from ..verify.registry import SYNTH_RW_BATTERY, battery
 from .cache import (
@@ -76,7 +75,6 @@ class SynthConfig:
     include_serializer: bool = True
     use_cache: bool = True
     cache_root: Optional[str] = None
-    use_fp_cache: bool = True
 
     @classmethod
     def fast(cls) -> "SynthConfig":
@@ -153,7 +151,6 @@ def synthesize(
     check = battery(*SYNTH_RW_BATTERY)
     cache = (OracleCache(config.cache_root) if config.cache_root
              else OracleCache()) if config.use_cache else None
-    fp_cache = FingerprintCache() if config.use_fp_cache else None
     stats = SynthStats()
     bank: List[Counterexample] = []
     overlap_witnesses: List[Tuple[int, ...]] = []
@@ -221,23 +218,13 @@ def synthesize(
             continue
 
         # Gate 3: full exploration.
-        warm = None
-        if fp_cache is not None:
-            warm = fp_cache.load("synth_footnote3", "synth",
-                                 variant=candidate.fingerprint,
-                                 max_depth=config.max_depth)
         runner = (lambda cand: lambda policy:
                   run_candidate_footnote3(cand, policy))(candidate)
         engine = ExplorationEngine(runner, max_runs=config.max_runs,
                                    max_depth=config.max_depth, prune=True)
-        result = engine.explore(check, warm=warm)
+        result = engine.explore(check)
         stats.explored += 1
         stats.exploration_runs += result.runs
-        if fp_cache is not None and warm is not None:
-            fp_cache.save("synth_footnote3", "synth", warm,
-                          variant=candidate.fingerprint,
-                          max_depth=config.max_depth,
-                          exhausted=result.exhausted)
         if not result.exhausted:
             say("budget hit on {} — rejected as inconclusive".format(
                 candidate.describe()))

@@ -232,90 +232,6 @@ def test_bench_persist_is_canonical_and_merges(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The cross-run fingerprint cache
-# ----------------------------------------------------------------------
-
-
-def test_fp_cache_refuses_unexhausted_saves(tmp_path):
-    from repro.obs.runstore import FingerprintCache
-
-    cache = FingerprintCache(str(tmp_path / "fp"))
-    keys = {(1, 0), (2, 1)}
-    assert cache.save("p", "m", keys, max_depth=60, exhausted=False) is None
-    assert cache.load("p", "m") == set()
-    path = cache.save("p", "m", keys, max_depth=60, exhausted=True)
-    assert path is not None
-    assert cache.load("p", "m") == keys
-
-
-def test_fp_cache_depth_gating_and_union_merge(tmp_path):
-    from repro.obs.runstore import FingerprintCache
-
-    cache = FingerprintCache(str(tmp_path / "fp"))
-    cache.save("p", "m", {(1, 0)}, max_depth=40, exhausted=True)
-    # A deeper search must come up cold (shallow claims would hide
-    # unexplored subtrees); an equal-or-shallower one warms.
-    assert cache.load("p", "m", max_depth=60) == set()
-    assert cache.load("p", "m", max_depth=40) == {(1, 0)}
-    assert cache.load("p", "m", max_depth=10) == {(1, 0)}
-    # Merge unions keys and keeps the SHALLOWER depth.
-    cache.save("p", "m", {(2, 1)}, max_depth=60, exhausted=True)
-    assert cache.load("p", "m", max_depth=40) == {(1, 0), (2, 1)}
-    assert cache.load("p", "m", max_depth=60) == set()
-
-
-def test_fp_cache_variants_are_isolated(tmp_path):
-    from repro.obs.runstore import FingerprintCache
-
-    cache = FingerprintCache(str(tmp_path / "fp"))
-    cache.save("p", "m", {(1, 0)}, variant="a", max_depth=60,
-               exhausted=True)
-    assert cache.load("p", "m", variant="b", max_depth=60) == set()
-    assert cache.load("p", "m", variant="a", max_depth=60) == {(1, 0)}
-    assert cache.discard("p", "m", variant="a")
-    assert cache.load("p", "m", variant="a", max_depth=60) == set()
-
-
-def test_fp_cache_other_schema_is_cold_and_overwritten(tmp_path):
-    from repro.obs.runstore import FP_CACHE_SCHEMA, FingerprintCache
-
-    cache = FingerprintCache(str(tmp_path / "fp"))
-    path = cache.save("p", "m", {(1, 0)}, max_depth=60, exhausted=True)
-    with open(path) as fh:
-        stale = json.load(fh)
-    stale["schema"] = FP_CACHE_SCHEMA - 1
-    with open(path, "w") as fh:
-        json.dump(stale, fh)
-    # Keys from another schema were computed by other fingerprint code:
-    # never warm a search with them, never merge them into a new file.
-    assert cache.load("p", "m", max_depth=60) == set()
-    cache.save("p", "m", {(2, 1)}, max_depth=60, exhausted=True)
-    assert cache.load("p", "m", max_depth=60) == {(2, 1)}
-    with open(path) as fh:
-        assert json.load(fh)["schema"] == FP_CACHE_SCHEMA
-
-
-def test_explore_cli_fp_cache_warm_start(tmp_path, capsys, monkeypatch):
-    """Second --fp-cache exploration of the same target claims (nearly)
-    nothing new: the persisted keys prune every revisited subtree."""
-    monkeypatch.chdir(tmp_path)
-    argv = ["explore", "one_slot_buffer", "semaphore",
-            "--max-runs", "4000", "--fp-cache", "--json"]
-    assert main(argv) == 0
-    cold = json.loads(capsys.readouterr().out)
-    assert cold["exhausted"]
-    assert cold["fp_cache"]["preloaded"] == 0
-    assert cold["fp_cache"]["persisted"]
-    assert cold["fp_cache"]["new_states"] > 0
-
-    assert main(argv) == 0
-    warm = json.loads(capsys.readouterr().out)
-    assert warm["fp_cache"]["preloaded"] == cold["fp_cache"]["new_states"]
-    assert warm["fp_cache"]["new_states"] == 0
-    assert warm["runs"] < cold["runs"]
-
-
-# ----------------------------------------------------------------------
 # Satellite: load-sweep latency tails through the gate
 # ----------------------------------------------------------------------
 

@@ -29,10 +29,9 @@ from repro.synth.cache import CORRECT, VIOLATION
 from repro.verify import SYNTH_RW_BATTERY, battery
 
 
-def _config(tmp_root, fp_cache=False):
+def _config(tmp_root):
     config = SynthConfig.fast()
     config.cache_root = os.path.join(str(tmp_root), "oracle")
-    config.use_fp_cache = fp_cache
     return config
 
 
@@ -183,6 +182,47 @@ def test_cache_miss_on_empty_store(tmp_path):
     assert cache.entries() == []
 
 
+def _stored_probe(tmp_path):
+    cache = OracleCache(str(tmp_path / "oracle"))
+    probe = Candidate(paths_text="path read end\n", read_guard=(),
+                      write_guard=(), path_size=1)
+    path = cache.store(probe, "w", ("o",), {"status": CORRECT, "runs": 3})
+    assert cache.lookup(probe, "w", ("o",)) == {"status": CORRECT,
+                                                 "runs": 3}
+    return cache, probe, path
+
+
+def test_cache_entry_of_another_schema_is_a_miss(tmp_path):
+    import json
+
+    cache, probe, path = _stored_probe(tmp_path)
+    with open(path) as fh:
+        entry = json.load(fh)
+    entry["schema"] = 0
+    with open(path, "w") as fh:
+        json.dump(entry, fh)
+    assert cache.lookup(probe, "w", ("o",)) is None
+
+
+def test_cache_verdict_goes_stale_when_the_source_changes(tmp_path,
+                                                          monkeypatch):
+    from repro.synth import cache as cache_module
+
+    cache, probe, _ = _stored_probe(tmp_path)
+    monkeypatch.setattr(cache_module, "source_digest", lambda: "edited")
+    assert cache.lookup(probe, "w", ("o",)) is None
+
+
+def test_source_digest_is_computed_once_and_stable():
+    from repro.synth.cache import source_digest
+
+    first = source_digest()
+    assert len(first) == 24
+    assert source_digest() is first
+    source_digest.cache_clear()
+    assert source_digest() == first
+
+
 # ----------------------------------------------------------------------
 # The flagship repair
 # ----------------------------------------------------------------------
@@ -208,7 +248,7 @@ def test_synth_cli_fast_json(tmp_path, capsys, monkeypatch):
     from repro.__main__ import main
 
     monkeypatch.chdir(tmp_path)
-    rc = main(["synth", "--fast", "--json", "--no-fp-cache",
+    rc = main(["synth", "--fast", "--json",
                "--cache-root", str(tmp_path / "oracle")])
     assert rc == 0
     import json
