@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..runtime.trace import Event
+from ..runtime.trace import OP_KINDS, Event, OpFold
 
 #: possession-opening kinds and their closing counterparts.
 _POSSESS_OPEN = {"enter": "leave", "acquire": "release"}
@@ -129,9 +129,6 @@ class _ProcState:
         self.possessions: List[_Possession] = []
         #: open crowd spans by crowd name.
         self.crowds: Dict[str, Span] = {}
-        #: open operation spans by "<res>.<op>", FIFO per object.
-        self.op_queue: Dict[str, List[Span]] = {}
-        self.service: Dict[str, List[Span]] = {}
 
 
 def fold_spans(trace: Iterable[Event]) -> List[Span]:
@@ -139,10 +136,9 @@ def fold_spans(trace: Iterable[Event]) -> List[Span]:
     list) into closed :class:`Span` intervals, ordered by ``start_seq``."""
     spans: List[Span] = []
     procs: Dict[str, _ProcState] = {}
-    #: cross-process FIFO of open op_queue spans per operation object — a
-    #: request may be *served* by another process (CSP server, channel
-    #: rendezvous), so request→op_start matching cannot be per-process.
-    op_pending: Dict[str, List[Span]] = {}
+    #: request→op_start→op_end pairing; the op spans are read off it at the
+    #: end of the trace.
+    ops = OpFold()
     last_seq = 0
     last_time = 0
 
@@ -188,6 +184,8 @@ def fold_spans(trace: Iterable[Event]) -> List[Span]:
         last_seq = max(last_seq, ev.seq)
         last_time = max(last_time, ev.time)
         kind = ev.kind
+        if kind in OP_KINDS:
+            ops.feed(ev)
 
         if kind == "blocked":
             st = state_of(ev.pname)
@@ -290,42 +288,6 @@ def fold_spans(trace: Iterable[Event]) -> List[Span]:
                 # resumed at its "unblocked").
                 resume_top(st, ev, ev.obj)
 
-        elif kind == "request":
-            st = state_of(ev.pname)
-            span = Span("op_queue", ev.pid, ev.pname, ev.obj,
-                        ev.seq, start_time=ev.time)
-            st.op_queue.setdefault(ev.obj, []).append(span)
-            op_pending.setdefault(ev.obj, []).append(span)
-
-        elif kind == "op_start":
-            st = state_of(ev.pname)
-            own = st.op_queue.get(ev.obj)
-            if own:
-                close(own.pop(0), ev)
-            else:
-                # Cross-process service (a CSP server executing a client's
-                # request): close the oldest still-open request.  Spans a
-                # kill already closed stay in the FIFO with end_seq set;
-                # skip them.
-                fifo = op_pending.get(ev.obj, [])
-                while fifo:
-                    span = fifo.pop(0)
-                    if span.end_seq == -1:
-                        close(span, ev)
-                        procs[span.pname].op_queue[ev.obj].remove(span)
-                        break
-            st.service.setdefault(ev.obj, []).append(Span(
-                "service", ev.pid, ev.pname, ev.obj,
-                ev.seq, start_time=ev.time,
-            ))
-
-        elif kind in ("op_end", "op_abort"):
-            st = state_of(ev.pname)
-            running = st.service.get(ev.obj)
-            if running:
-                close(running.pop(0), ev,
-                      outcome="crashed" if kind == "op_abort" else "ok")
-
         elif kind in ("killed", "failed"):
             # kill/failure events carry the victim's name in obj; close every
             # open span of the victim with the crashed marker, never leak.
@@ -338,6 +300,15 @@ def fold_spans(trace: Iterable[Event]) -> List[Span]:
     end = Event(last_seq, last_time, -1, "<end>", "end")
     for st in procs.values():
         _close_all(st, end, spans, outcome="leaked")
+    for op in ops.ops:
+        if op.request is not None:
+            served = op.start is not None
+            spans.append(_op_span("op_queue", op.request,
+                                  op.start if served else op.end,
+                                  "ok" if served else "crashed", end))
+        if op.start is not None:
+            spans.append(_op_span("service", op.start, op.end,
+                                  "ok" if op.completed else "crashed", end))
     spans.sort(key=lambda s: (s.start_seq, s.end_seq, s.pid))
     return spans
 
@@ -365,12 +336,16 @@ def _close_all(st: _ProcState, ev: Event, spans: List[Span],
     for crowd in st.crowds.values():
         close(crowd)
     st.crowds.clear()
-    for pending in st.op_queue.values():
-        while pending:
-            close(pending.pop(0))
-    for running in st.service.values():
-        while running:
-            close(running.pop(0))
+
+
+def _op_span(kind: str, opener: Event, closer: Optional[Event],
+             outcome: str, end: Event) -> Span:
+    """One half of an op's latency: ``opener`` to ``closer`` with
+    ``outcome``, or leaked at ``end`` when nothing closed it."""
+    if closer is None:
+        closer, outcome = end, "leaked"
+    return Span(kind, opener.pid, opener.pname, opener.obj, opener.seq,
+                closer.seq, opener.time, closer.time, outcome)
 
 
 # ----------------------------------------------------------------------

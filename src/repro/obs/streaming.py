@@ -269,9 +269,14 @@ class StreamingSink(InstrumentationSink):
         self.completed = 0
         self.max_depth: Dict[str, int] = {}
         self._last_pid: Optional[int] = None
-        #: obj -> FIFO of (pname, start_seq) for open requests.  Matched
-        #: oldest-first on op_start, mirroring the cross-process rule the
-        #: span folder uses (a CSP server serves another process's request).
+        #: obj -> FIFO of (pname, start_seq) for open requests.  An
+        #: op_start pops the oldest open request on the label from *any*
+        #: process, even when the starter has one of its own.  This is not
+        #: OpFold's own-request-first rule (runtime/trace.py): with arrival
+        #: seed 0 at 1024 clients it pops another process's request for
+        #: 634 of 4,096 starts on monitor, 946 on serializer and all on
+        #: csp.  It stays until a benchmark change regenerates the
+        #: load_sweep reference that pins these latencies (DESIGN.md §13).
         self._pending: Dict[str, List[Tuple[str, int]]] = {}
         #: (pname, obj) -> (op_start seq, request seq or None)
         self._service: Dict[Tuple[str, str], Tuple[int, Optional[int]]] = {}

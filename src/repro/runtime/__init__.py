@@ -36,7 +36,7 @@ from .primitives import BroadcastEvent, Mutex, Semaphore
 from .process import ProcessState, SimProcess
 from .scheduler import Scheduler, run_processes
 from .timeline import render_timeline
-from .trace import Event, RunResult, Trace
+from .trace import Event, Op, OpFold, RunResult, Trace
 
 __all__ = [
     "BroadcastEvent",
@@ -48,6 +48,8 @@ __all__ = [
     "IllegalOperationError",
     "Mutex",
     "NamedOrderPolicy",
+    "Op",
+    "OpFold",
     "PeerFailed",
     "PriorityPolicy",
     "ProcessFailed",

@@ -25,8 +25,10 @@ kind                      meaning
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, List, NamedTuple, Optional
+from typing import (Any, Callable, Deque, Dict, Iterable, Iterator, List,
+                    NamedTuple, Optional, Tuple)
 
 
 class Event(NamedTuple):
@@ -254,6 +256,124 @@ class Trace:
         import json
 
         return json.dumps(self.to_dicts(), indent=indent, default=repr)
+
+
+class Op:
+    """One operation as :class:`OpFold` paired it: the requesting process
+    (the starter, for an op started without a request), its ``obj``, its
+    ``request`` and ``start`` events (``None`` when absent), and ``end``,
+    the event that closed it: ``op_end``, ``op_abort``, or the
+    ``killed``/``failed`` event of the process holding it (``None`` while
+    open)."""
+
+    __slots__ = ("pid", "pname", "obj", "request", "start", "end")
+
+    def __init__(self, first: Event, request: Optional[Event]) -> None:
+        self.pid, self.pname, self.obj = first.pid, first.pname, first.obj
+        self.request = request
+        self.start: Optional[Event] = None
+        self.end: Optional[Event] = None
+
+    @property
+    def completed(self) -> bool:
+        """``True`` when the op ran to its ``op_end``."""
+        return self.end is not None and self.end.kind == "op_end"
+
+    def pending_at(self, seq: int) -> bool:
+        """Requested before ``seq`` and not started by then.  A request a
+        kill dropped stays pending: nothing ever served it."""
+        return (self.request is not None and self.request.seq < seq
+                and (self.start is None or self.start.seq > seq))
+
+
+#: the event kinds :class:`OpFold` reads.
+OP_KINDS = frozenset(
+    ("request", "op_start", "op_end", "op_abort", "killed", "failed"))
+
+
+class OpFold:
+    """The one pairing of ``request`` → ``op_start`` → ``op_end``, read by
+    every oracle, liveness query and span that asks which request a start
+    served.  The rule:
+
+    * an ``op_start`` takes the oldest open request of its own
+      ``(pid, obj)``, else the oldest open request on ``obj`` from any
+      process (a CSP server serving a client), else opens an op with no
+      request;
+    * ``op_end`` / ``op_abort`` close the ender's oldest running op on
+      ``obj``;
+    * ``killed`` / ``failed`` (victim name in ``obj``) close the victim's
+      open requests and the ops it is running.
+
+    Feed events one at a time (:meth:`feed`) or a whole trace
+    (:meth:`fold`); ``objects`` restricts the fold to those operation
+    objects.  ``ops`` holds every op in order of its first event,
+    ``started`` the served ones in ``op_start`` order.
+    """
+
+    def __init__(self, objects: Optional[Iterable[str]] = None) -> None:
+        self.objects = None if objects is None else frozenset(objects)
+        self.ops: List[Op] = []
+        self.started: List[Op] = []
+        # FIFOs with lazy deletion: an op taken through one index stays in
+        # the other until it reaches the front.
+        self._own: Dict[Tuple[int, str], Deque[Op]] = {}
+        self._waiting: Dict[str, Deque[Op]] = {}
+        self._running: Dict[Tuple[int, str], Deque[Op]] = {}
+
+    def fold(self, events: Iterable[Event]) -> "OpFold":
+        """Feed every event of ``events``; returns ``self``."""
+        feed = self.feed
+        for ev in events:
+            if ev.kind in OP_KINDS:
+                feed(ev)
+        return self
+
+    def feed(self, ev: Event) -> None:
+        """Fold one event (other kinds are ignored)."""
+        kind, obj = ev.kind, ev.obj
+        if kind == "killed" or kind == "failed":
+            self._drop(obj, ev)
+        elif self.objects is not None and obj not in self.objects:
+            return
+        elif kind == "request":
+            op = Op(ev, ev)
+            self.ops.append(op)
+            self._own.setdefault((ev.pid, obj), deque()).append(op)
+            self._waiting.setdefault(obj, deque()).append(op)
+        elif kind == "op_start":
+            op = (_take_open(self._own.get((ev.pid, obj)))
+                  or _take_open(self._waiting.get(obj)))
+            if op is None:
+                op = Op(ev, None)
+                self.ops.append(op)
+            op.start = ev
+            self.started.append(op)
+            self._running.setdefault((ev.pid, obj), deque()).append(op)
+        elif kind == "op_end" or kind == "op_abort":
+            running = self._running.get((ev.pid, obj))
+            if running:
+                running.popleft().end = ev
+
+    def _drop(self, victim: str, ev: Event) -> None:
+        for fifo in self._own.values():
+            for op in fifo:
+                if op.pname == victim and op.start is None and op.end is None:
+                    op.end = ev
+        for running in self._running.values():
+            if running and running[0].start.pname == victim:
+                for op in running:
+                    op.end = ev
+                running.clear()
+
+
+def _take_open(fifo: Optional[Deque[Op]]) -> Optional[Op]:
+    """Pop the oldest op of ``fifo`` still waiting for its start."""
+    while fifo:
+        op = fifo.popleft()
+        if op.start is None and op.end is None:
+            return op
+    return None
 
 
 @dataclass

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-from ..runtime.trace import Trace
+from ..runtime.trace import OpFold, Trace
 
 
 @dataclass(frozen=True)
@@ -39,43 +39,22 @@ class Wait:
 def waiting_times(
     trace: Trace, resource: str, ops: Iterable[str]
 ) -> List[Wait]:
-    """Pair each request with its op_start (per process, per op, in order)
-    and return the waits of the *served* requests."""
-    objects = {"{}.{}".format(resource, op) for op in ops}
-    pending: Dict[Tuple[int, str], List[int]] = {}
-    waits: List[Wait] = []
-    for ev in trace:
-        if ev.obj not in objects:
-            continue
-        key = (ev.pid, ev.obj)
-        if ev.kind == "request":
-            pending.setdefault(key, []).append(ev.seq)
-        elif ev.kind == "op_start" and pending.get(key):
-            request_seq = pending[key].pop(0)
-            waits.append(Wait(ev.pname, ev.obj, request_seq, ev.seq))
-    return waits
+    """The waits of the *served* requests, in ``op_start`` order, as
+    :class:`~repro.runtime.trace.OpFold` pairs them (a request a csp server
+    started counts as served)."""
+    fold = OpFold("{}.{}".format(resource, op) for op in ops).fold(trace)
+    return [Wait(op.pname, op.obj, op.request.seq, op.start.seq)
+            for op in fold.started if op.request is not None]
 
 
 def unserved_requests(
     trace: Trace, resource: str, ops: Iterable[str]
 ) -> List[Tuple[str, str, int]]:
-    """Requests still waiting at the end of the run:
+    """Requests no ``op_start`` served by the end of the run:
     (process, operation, request seq)."""
-    objects = {"{}.{}".format(resource, op) for op in ops}
-    pending: Dict[Tuple[int, str], List[Tuple[str, int]]] = {}
-    for ev in trace:
-        if ev.obj not in objects:
-            continue
-        key = (ev.pid, ev.obj)
-        if ev.kind == "request":
-            pending.setdefault(key, []).append((ev.pname, ev.seq))
-        elif ev.kind == "op_start" and pending.get(key):
-            pending[key].pop(0)
-    out: List[Tuple[str, str, int]] = []
-    for (__, obj), entries in pending.items():
-        for pname, seq in entries:
-            out.append((pname, obj, seq))
-    return sorted(out, key=lambda item: item[2])
+    fold = OpFold("{}.{}".format(resource, op) for op in ops).fold(trace)
+    return [(op.pname, op.obj, op.request.seq) for op in fold.ops
+            if op.request is not None and op.start is None]
 
 
 @dataclass

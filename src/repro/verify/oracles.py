@@ -20,9 +20,9 @@ DESIGN.md E5 discussion):
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
-from ..runtime.trace import Event, Trace
+from ..runtime.trace import Event, OpFold, Trace
 
 
 def _full(resource: str, op: str) -> str:
@@ -88,45 +88,22 @@ def check_single_occupancy(
 # ----------------------------------------------------------------------
 # Ordering / priority
 # ----------------------------------------------------------------------
-def _paired_requests_and_starts(
-    trace: Trace, objects: Set[str]
-) -> Tuple[Iterable[Event], Iterable[Event]]:
-    requests = trace.filter(kind="request",
-                            predicate=lambda ev: ev.obj in objects)
-    starts = trace.filter(kind="op_start",
-                          predicate=lambda ev: ev.obj in objects)
-    return requests, starts
-
-
 def check_fcfs(
     trace: Trace, resource: str, ops: Iterable[str]
 ) -> List[str]:
     """``arrival_order``: operations start in the order they were requested.
 
-    Requests and starts are matched per (process, operation) occurrence
-    count, so a process may issue several requests.
+    Requests and starts are paired by :class:`~repro.runtime.trace.OpFold`,
+    so a process may issue several requests.
     """
-    objects = {_full(resource, op) for op in ops}
-    requests, starts = _paired_requests_and_starts(trace, objects)
-    # k-th request of (pid, obj) corresponds to k-th start of (pid, obj).
-    start_iters: Dict[Tuple[int, str], List[Event]] = {}
-    for ev in starts:
-        start_iters.setdefault((ev.pid, ev.obj), []).append(ev)
+    fold = OpFold(_full(resource, op) for op in ops).fold(trace)
     violations: List[str] = []
-    matched: List[Tuple[Event, Event]] = []
-    occurrence: Dict[Tuple[int, str], int] = {}
-    for req in requests:
-        key = (req.pid, req.obj)
-        index = occurrence.get(key, 0)
-        occurrence[key] = index + 1
-        own_starts = start_iters.get(key, [])
-        if index >= len(own_starts):
-            continue  # request never served (blocked at end of run)
-        matched.append((req, own_starts[index]))
-    # FCFS: sorting by request seq must give starts already in seq order.
-    matched.sort(key=lambda pair: pair[0].seq)
+    # FCFS: taken in request order, the starts must already be in seq order.
     last_start = -1
-    for req, start in matched:
+    for op in fold.ops:
+        req, start = op.request, op.start
+        if req is None or start is None:
+            continue  # request never served (blocked at end of run)
         if start.seq < last_start:
             violations.append(
                 "seq {}: {} by {} requested earlier but started later "
@@ -134,21 +111,6 @@ def check_fcfs(
             )
         last_start = max(last_start, start.seq)
     return violations
-
-
-def _class_events(
-    trace: Trace, resource: str, op: str
-) -> Tuple[Iterable[Event], Dict[Tuple[int, int], Event]]:
-    """Requests of one op plus a map from (pid, occurrence) to start."""
-    obj = _full(resource, op)
-    requests = trace.filter(kind="request", obj=obj)
-    starts: Dict[Tuple[int, int], Event] = {}
-    counts: Dict[int, int] = {}
-    for ev in trace.filter(kind="op_start", obj=obj):
-        index = counts.get(ev.pid, 0)
-        counts[ev.pid] = index + 1
-        starts[(ev.pid, index)] = ev
-    return requests, starts
 
 
 def check_no_overtake(
@@ -163,42 +125,25 @@ def check_no_overtake(
     Schedule-robust: holds for every correct priority solution regardless of
     entry-queue races, so it is the oracle used under randomized schedules.
     """
-    preferred_requests, preferred_starts = _class_events(
-        trace, resource, preferred_op
-    )
-    deferred_requests, deferred_starts = _class_events(
-        trace, resource, deferred_op
-    )
+    preferred_obj = _full(resource, preferred_op)
+    deferred_obj = _full(resource, deferred_op)
+    fold = OpFold((preferred_obj, deferred_obj)).fold(trace)
+    requested = [op for op in fold.ops if op.request is not None]
     violations: List[str] = []
-    pref: List[Tuple[Event, Optional[Event]]] = []
-    occ: Dict[int, int] = {}
-    for req in preferred_requests:
-        index = occ.get(req.pid, 0)
-        occ[req.pid] = index + 1
-        pref.append((req, preferred_starts.get((req.pid, index))))
-    occ = {}
-    for req in deferred_requests:
-        index = occ.get(req.pid, 0)
-        occ[req.pid] = index + 1
-        start = deferred_starts.get((req.pid, index))
-        if start is None:
+    for op in requested:
+        req, start = op.request, op.start
+        if op.obj != deferred_obj or start is None:
             continue
-        for p_req, p_start in pref:
-            if p_req.seq < req.seq and (
+        for p_op in requested:
+            p_req, p_start = p_op.request, p_op.start
+            if p_op.obj == preferred_obj and p_req.seq < req.seq and (
                 p_start is None or p_start.seq > start.seq
             ):
                 violations.append(
                     "seq {}: {} by {} (requested seq {}) started before "
                     "earlier-requested {} by {} (seq {})".format(
-                        start.seq,
-                        req.obj,
-                        req.pname,
-                        req.seq,
-                        p_req.obj,
-                        p_req.pname,
-                        p_req.seq,
-                    )
-                )
+                        start.seq, req.obj, req.pname, req.seq,
+                        p_req.obj, p_req.pname, p_req.seq))
     return violations
 
 
@@ -229,33 +174,19 @@ def _strict_priority(
 ) -> List[str]:
     preferred_obj = _full(resource, preferred_op)
     deferred_obj = _full(resource, deferred_op)
-    pending: Dict[Tuple[int, str], List[int]] = {}
+    fold = OpFold((preferred_obj, deferred_obj)).fold(trace)
+    preferred = [op for op in fold.ops if op.obj == preferred_obj]
     violations: List[str] = []
-    for ev in trace.filter(
-        kind="request|op_start",
-        predicate=lambda ev: ev.obj in (preferred_obj, deferred_obj),
-    ):
-        if ev.obj == preferred_obj:
-            key = (ev.pid, ev.obj)
-            if ev.kind == "request":
-                pending.setdefault(key, []).append(ev.seq)
-            elif ev.kind == "op_start" and pending.get(key):
-                pending[key].pop(0)
-        elif ev.obj == deferred_obj and ev.kind == "op_start":
-            waiting = [
-                seq for seqs in pending.values() for seq in seqs if seq < ev.seq
-            ]
-            if waiting:
-                violations.append(
-                    "seq {}: {} by {} started while {} request(s) "
-                    "pending since seq {}".format(
-                        ev.seq,
-                        ev.obj,
-                        ev.pname,
-                        preferred_op,
-                        min(waiting),
-                    )
-                )
+    for op in fold.started:
+        if op.obj != deferred_obj:
+            continue
+        ev = op.start
+        waiting = [p.request.seq for p in preferred if p.pending_at(ev.seq)]
+        if waiting:
+            violations.append(
+                "seq {}: {} by {} started while {} request(s) "
+                "pending since seq {}".format(
+                    ev.seq, ev.obj, ev.pname, preferred_op, min(waiting)))
     return violations
 
 
@@ -401,40 +332,26 @@ def check_class_priority_two_stage(
     """
     high_obj = _full(resource, high_op)
     low_obj = _full(resource, low_op)
-    pending: List[Event] = []
+    fold = OpFold((high_obj, low_obj)).fold(trace)
+    requested = [op for op in fold.ops if op.request is not None]
     violations: List[str] = []
-    for ev in trace.filter(
-        kind="request|op_start",
-        predicate=lambda ev: ev.obj in (high_obj, low_obj),
-    ):
-        if ev.kind == "request":
-            pending.append(ev)
-        else:
-            # Find the matching pending request (same pid+obj, oldest).
-            match = None
-            for req in pending:
-                if req.pid == ev.pid and req.obj == ev.obj:
-                    match = req
-                    break
-            if match is None:
-                continue
-            if ev.obj == low_obj:
-                highs = [r for r in pending if r.obj == high_obj]
-                if highs:
-                    violations.append(
-                        "seq {}: low-class {} served while high-class "
-                        "pending since seq {}".format(
-                            ev.seq, ev.pname, min(r.seq for r in highs)
-                        )
-                    )
-            same_class_earlier = [
-                r for r in pending if r.obj == ev.obj and r.seq < match.seq
-            ]
-            if same_class_earlier:
+    for op in fold.started:
+        if op.request is None:
+            continue
+        ev = op.start
+        if ev.obj == low_obj:
+            highs = [r.request.seq for r in requested
+                     if r.obj == high_obj and r.pending_at(ev.seq)]
+            if highs:
                 violations.append(
-                    "seq {}: {} served out of FCFS order within its class".format(
-                        ev.seq, ev.pname
-                    )
+                    "seq {}: low-class {} served while high-class "
+                    "pending since seq {}".format(ev.seq, ev.pname, min(highs))
                 )
-            pending.remove(match)
+        if any(r.obj == ev.obj and r.request.seq < op.request.seq
+               and r.pending_at(ev.seq) for r in requested):
+            violations.append(
+                "seq {}: {} served out of FCFS order within its class".format(
+                    ev.seq, ev.pname
+                )
+            )
     return violations

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
-from ..runtime.trace import RunResult
+from ..runtime.trace import OpFold, RunResult
 from ..explore.detectors import ConflictingAccessChecker, LostWakeupChecker
 from .oracles import (
     check_alarm_wakeups,
@@ -154,20 +154,15 @@ def check_all_served_oracle(run: RunResult) -> List[str]:
     if run.deadlocked:
         messages.append("progress: run deadlocked with {} process(es) "
                         "blocked".format(len(run.blocked or ())))
-    requested: Dict[Tuple[int, str], int] = {}
-    ended: Dict[Tuple[int, str], int] = {}
-    for ev in run.trace.filter(kind="request"):
-        key = (ev.pid, ev.obj)
-        requested[key] = requested.get(key, 0) + 1
-    for ev in run.trace.filter(kind="op_end"):
-        key = (ev.pid, ev.obj)
-        ended[key] = ended.get(key, 0) + 1
-    for (pid, obj), count in sorted(requested.items()):
-        done = ended.get((pid, obj), 0)
-        if done < count:
-            messages.append(
-                "progress: {} request(s) of {} by pid {} never "
-                "completed".format(count - done, obj, pid))
+    missing: Dict[Tuple[int, str], int] = {}
+    for op in OpFold().fold(run.trace).ops:
+        if op.request is not None and not op.completed:
+            key = (op.pid, op.obj)
+            missing[key] = missing.get(key, 0) + 1
+    for (pid, obj), count in sorted(missing.items()):
+        messages.append(
+            "progress: {} request(s) of {} by pid {} never "
+            "completed".format(count, obj, pid))
     return messages
 
 

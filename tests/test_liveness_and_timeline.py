@@ -1,12 +1,16 @@
 """Unit tests for the liveness analysis and the ASCII timeline renderer."""
 
+import pytest
+
+from repro.explore import get_target
+from repro.obs import fold_spans
 from repro.problems.readers_writers import (
     MonitorRWFcfs,
     PathReadersPriority,
     run_workload,
 )
 from repro.problems.readers_writers.anomaly import footnote3_workload
-from repro.runtime import Scheduler, render_timeline
+from repro.runtime import OpFold, RandomPolicy, Scheduler, render_timeline
 from repro.runtime.trace import Event, Trace
 from repro.verify import (
     check_bounded_waiting,
@@ -22,6 +26,26 @@ def build_trace(events):
     for seq, (pid, kind, obj) in enumerate(events):
         trace.append(Event(seq, 0, pid, "P{}".format(pid), kind, obj))
     return trace
+
+
+def queue_spans(trace):
+    """fold_spans' op_queue spans keyed by (pname, obj, request seq)."""
+    return {(s.pname, s.obj, s.start_seq): s
+            for s in fold_spans(trace) if s.kind == "op_queue"}
+
+
+def assert_waits_match_spans(trace, resource, ops):
+    """Every wait is an ``ok`` op_queue span of the same length, and every
+    unserved request is an op_queue span that did not close ``ok``."""
+    spans = queue_spans(trace)
+    waits = waiting_times(trace, resource, ops)
+    for wait in waits:
+        span = spans[(wait.pname, wait.obj, wait.request_seq)]
+        assert (span.outcome, span.duration) == ("ok", wait.duration)
+    unserved = unserved_requests(trace, resource, ops)
+    for pname, obj, seq in unserved:
+        assert spans[(pname, obj, seq)].outcome != "ok"
+    assert len(waits) + len(unserved) == len(spans)
 
 
 # ----------------------------------------------------------------------
@@ -101,6 +125,73 @@ def test_starvation_report_renders():
     ])
     text = starvation_report(trace, "db", ["read", "write"])
     assert "db.read" in text and "db.write" in text
+
+
+# ----------------------------------------------------------------------
+# OpFold: the one request -> op_start -> op_end pairing
+# ----------------------------------------------------------------------
+#: (name, events, expected waits as (pname, request seq, start seq),
+#: expected unserved as (pname, request seq)); every event is on r.x.
+OP_FOLD_CASES = [
+    ("own_first_beats_cross_process", [
+        (1, "request", "r.x"),       # seq 0
+        (2, "request", "r.x"),       # seq 1
+        (2, "op_start", "r.x"),      # seq 2: P2's own request, not P1's
+        (3, "op_start", "r.x"),      # seq 3: a server serves P1
+    ], [("P2", 1, 2), ("P1", 0, 3)], []),
+    ("kill_drops_victim_requests", [
+        (1, "request", "r.x"),       # seq 0
+        (2, "request", "r.x"),       # seq 1
+        (-1, "killed", "P1"),        # seq 2: P1's request is dropped
+        (3, "op_start", "r.x"),      # seq 3: serves P2, the oldest open
+    ], [("P2", 1, 3)], [("P1", 0)]),
+    ("op_abort_leaves_op_uncompleted", [
+        (1, "request", "r.x"),       # seq 0
+        (1, "op_start", "r.x"),      # seq 1
+        (1, "op_abort", "r.x"),      # seq 2
+        (1, "request", "r.x"),       # seq 3
+        (1, "op_start", "r.x"),      # seq 4
+        (1, "op_end", "r.x"),        # seq 5
+    ], [("P1", 0, 1), ("P1", 3, 4)], []),
+    ("unserved_tail", [
+        (1, "request", "r.x"),       # seq 0
+        (1, "op_start", "r.x"),      # seq 1
+        (1, "op_end", "r.x"),        # seq 2
+        (2, "request", "r.x"),       # seq 3
+        (1, "request", "r.x"),       # seq 4
+    ], [("P1", 0, 1)], [("P2", 3), ("P1", 4)]),
+]
+
+
+@pytest.mark.parametrize("name,events,waits,unserved", OP_FOLD_CASES,
+                         ids=[case[0] for case in OP_FOLD_CASES])
+def test_op_fold_cases(name, events, waits, unserved):
+    trace = build_trace(events)
+    assert [(w.pname, w.request_seq, w.start_seq)
+            for w in waiting_times(trace, "r", ["x"])] == waits
+    assert unserved_requests(trace, "r", ["x"]) == [
+        (pname, "r.x", seq) for pname, seq in unserved]
+    assert_waits_match_spans(trace, "r", ["x"])
+
+
+def test_op_fold_abort_and_kill_close_without_completing():
+    ops = OpFold().fold(build_trace(OP_FOLD_CASES[2][1])).ops
+    assert [(op.start.seq, op.end.kind, op.completed) for op in ops] == [
+        (1, "op_abort", False), (4, "op_end", True)]
+    dropped = OpFold().fold(build_trace(OP_FOLD_CASES[1][1])).ops[0]
+    assert (dropped.start, dropped.end.kind, dropped.completed) == (
+        None, "killed", False)
+
+
+def test_csp_buffer_requests_served_by_the_server_count_as_served():
+    # The csp buffer's server process logs op_start for the clients'
+    # requests: all four are served, and each wait is its op_queue span.
+    run = get_target("bounded_buffer", "csp").build_and_run(RandomPolicy(1))
+    assert not run.deadlocked
+    assert unserved_requests(run.trace, "buf", ["get", "put"]) == []
+    waits = waiting_times(run.trace, "buf", ["get", "put"])
+    assert len(waits) == 4
+    assert_waits_match_spans(run.trace, "buf", ["get", "put"])
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Unit tests for the trace oracles, exercised on hand-built traces so each
 property's accept/reject behaviour is pinned down exactly."""
 
-from repro.runtime.trace import Event, Trace
+from repro.runtime.trace import Event, RunResult, Trace
 from repro.verify import (
     check_alarm_wakeups,
     check_alternation,
@@ -14,6 +14,7 @@ from repro.verify import (
     check_single_occupancy,
     check_writers_priority_strict,
 )
+from repro.verify.registry import oracle
 
 
 def build_trace(events):
@@ -138,6 +139,28 @@ def test_fcfs_ignores_unserved_tail():
     assert check_fcfs(trace, "r", ["acquire"]) == []
 
 
+def test_fcfs_pairs_server_starts_with_client_requests():
+    # A csp-style server (P9) starts the clients' requests: it serves the
+    # oldest open one first, so FCFS holds; a client's own start still
+    # takes its own request ahead of an older one.
+    served = build_trace([
+        (1, "request", "r.acquire"),
+        (2, "request", "r.acquire"),
+        (9, "op_start", "r.acquire"),
+        (9, "op_start", "r.acquire"),
+    ])
+    assert check_fcfs(served, "r", ["acquire"]) == []
+    own_first = build_trace([
+        (1, "request", "r.acquire"),
+        (2, "request", "r.acquire"),
+        (2, "op_start", "r.acquire"),
+        (9, "op_start", "r.acquire"),
+    ])
+    assert check_fcfs(own_first, "r", ["acquire"]) == [
+        "seq 1: r.acquire by P2 requested earlier but started later "
+        "(FCFS violated)"]
+
+
 def test_fcfs_across_two_ops():
     trace = build_trace([
         (1, "request", "db.read"),
@@ -205,6 +228,19 @@ def test_strict_readers_priority_ok_when_no_pending():
         (1, "op_start", "db.read"),
     ])
     assert check_readers_priority_strict(trace, "db") == []
+
+
+def test_strict_readers_priority_keeps_a_killed_readers_request_pending():
+    # Nothing ever serves a request whose process was killed.
+    trace = build_trace([
+        (1, "request", "db.read"),
+        (-1, "killed", "P1"),
+        (2, "request", "db.write"),
+        (2, "op_start", "db.write"),
+    ])
+    assert check_readers_priority_strict(trace, "db") == [
+        "seq 3: db.write by P2 started while read request(s) pending "
+        "since seq 0"]
 
 
 def test_strict_writers_priority_mirror():
@@ -356,3 +392,22 @@ def test_two_stage_flags_fcfs_within_class():
         (1, "op_start", "r.acquire_a"),
     ])
     assert check_class_priority_two_stage(trace, "r", "acquire_a", "acquire_b")
+
+
+# ----------------------------------------------------------------------
+# Progress (the all_served registry oracle)
+# ----------------------------------------------------------------------
+def test_all_served_counts_aborted_and_unserved_requests():
+    trace = build_trace([
+        (1, "request", "r.x"),
+        (1, "op_start", "r.x"),
+        (1, "op_abort", "r.x"),     # started but never completed
+        (2, "request", "r.x"),
+        (9, "op_start", "r.x"),     # a server serves P2 ...
+        (9, "op_end", "r.x"),       # ... and completes it
+        (2, "request", "r.y"),      # never served
+    ])
+    assert oracle("all_served")(RunResult(trace=trace)) == [
+        "progress: 1 request(s) of r.x by pid 1 never completed",
+        "progress: 1 request(s) of r.y by pid 2 never completed",
+    ]

@@ -8,6 +8,7 @@ import pytest
 from repro.obs import QuantileSketch, StreamingSink, WindowedSeries
 from repro.problems import bounded_buffer
 from repro.problems.registry import get_solution
+from repro.runtime import OpFold
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.trace import Event
 
@@ -168,6 +169,30 @@ def test_sink_matches_cross_process_requests_fifo():
     sink.on_event(_ev(7, "op_end", "server", "buf.put"))
     assert sink.op_sketches["buf.put"]["queue"].max == 4  # matched seq=1
     assert sink.in_flight() == 1  # client-b's request still open
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="load_sweep reference pins the sink's global FIFO; flip with "
+           "the next benchmark change",
+)
+def test_sink_queue_latency_matches_op_fold():
+    # A requests x, B requests x, B starts and ends x.  OpFold pairs B's
+    # start with B's own request (wait 1); the sink's global FIFO pops A's
+    # older request (wait 2).
+    events = [
+        Event(1, 0, 1, "A", "request", "x"),
+        Event(2, 0, 2, "B", "request", "x"),
+        Event(3, 0, 2, "B", "op_start", "x"),
+        Event(4, 0, 2, "B", "op_end", "x"),
+    ]
+    sink = StreamingSink()
+    for ev in events:
+        sink.on_event(ev)
+    [op] = OpFold().fold(events).started
+    wait = op.start.seq - op.request.seq
+    assert sink.op_sketches["x"]["queue"].quantile(50) == pytest.approx(
+        wait, rel=sink.rel_error)
 
 
 def test_sink_wait_sketch_is_woken_process_keyed():
