@@ -150,7 +150,9 @@ def run_load(
     # Step budget scales with the swarm; per-op step costs are two orders
     # of magnitude below this, so the limit only catches genuine wedges.
     budget = max(500_000, clients * ops * 400)
-    sched = Scheduler(sink=sink, max_steps=budget)
+    # Nothing reads this run's trace: the sink is its only observer, so the
+    # scheduler keeps no events and memory follows the swarm's width.
+    sched = Scheduler(sink=sink, max_steps=budget, keep_trace=False)
     resource = ShardedResource(sched, mechanism, shards=shards,
                                capacity=capacity)
     gaps = make_arrivals(arrival, rate, seed=seed)

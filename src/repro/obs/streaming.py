@@ -32,16 +32,18 @@ its *length* (events, virtual time).  Three pieces:
   sketches per object plus windowed throughput / arrivals / contention /
   queue-depth series.  It never stores an event.
 
-The sink piggybacks on the scheduler's existing publish sites — no runtime
-changes — so the uninstrumented null path (``sink=None``) is untouched and
-the E15 "<5% null overhead" gate keeps applying (re-asserted by
-``benchmarks/bench_load.py``).
+The sink piggybacks on the scheduler's existing publish sites, so the
+uninstrumented null path (``sink=None``) is untouched and the E15 "<5% null
+overhead" gate keeps applying (re-asserted by ``benchmarks/bench_load.py``).
+The sink alone does not bound a run: :func:`repro.load.run_load` also builds
+its scheduler with ``keep_trace=False``, so the run keeps no event list.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from .sink import InstrumentationSink
 
@@ -170,10 +172,14 @@ class WindowedSeries:
         self._windows: Dict[int, Dict[str, int]] = {}
         self.evicted: Dict[str, int] = {}
         self.evicted_windows = 0
+        # The window written last: a run's clock only moves forward, so
+        # nearly every write lands in it.
+        self._last_index: Optional[int] = None
+        self._last: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
-    def _window(self, time: int) -> Dict[str, int]:
-        index = time // self.width
+    def _window(self, index: int) -> Dict[str, int]:
+        """The window numbered ``index``, opened if absent."""
         win = self._windows.get(index)
         if win is None:
             win = self._windows[index] = {}
@@ -186,19 +192,27 @@ class WindowedSeries:
                         self.evicted[key] = max(self.evicted.get(key, 0), val)
                     else:
                         self.evicted[key] = self.evicted.get(key, 0) + val
+                if oldest == index:
+                    # The new window was itself the oldest: it is gone,
+                    # and the next write to it opens a fresh one.
+                    return win
+        self._last_index = index
+        self._last = win
         return win
 
     def add(self, time: int, key: str, amount: int = 1) -> None:
         """Accumulate ``amount`` into ``key`` for the window covering
         ``time``."""
-        win = self._window(time)
+        index = time // self.width
+        win = self._last if index == self._last_index else self._window(index)
         win[key] = win.get(key, 0) + amount
 
     def gauge(self, time: int, key: str, value: int) -> None:
         """Record a gauge sample; windows keep the maximum.  Keys are
         prefixed ``max_`` so eviction folds them with max, not sum."""
         key = "max_" + key
-        win = self._window(time)
+        index = time // self.width
+        win = self._last if index == self._last_index else self._window(index)
         if value > win.get(key, 0):
             win[key] = value
 
@@ -277,19 +291,40 @@ class StreamingSink(InstrumentationSink):
         #: 634 of 4,096 starts on monitor, 946 on serializer and all on
         #: csp.  It stays until a benchmark change regenerates the
         #: load_sweep reference that pins these latencies (DESIGN.md §13).
-        self._pending: Dict[str, List[Tuple[str, int]]] = {}
+        self._pending: Dict[str, Deque[Tuple[str, int]]] = {}
         #: (pname, obj) -> (op_start seq, request seq or None)
         self._service: Dict[Tuple[str, str], Tuple[int, Optional[int]]] = {}
         #: pname -> (wait obj, start seq)
         self._blocked: Dict[str, Tuple[str, int]] = {}
+        #: pname -> its entries in ``_pending`` and ``_service``; a process
+        #: that ends with none open skips the scrub scan.
+        self._open: Dict[str, int] = {}
+        #: obj -> label, memoized (a run touches a handful of objects).
+        self._labels: Dict[str, str] = {}
+        #: event kind -> fold; every other kind is only counted.
+        self._folds: Dict[str, Callable[[Any], None]] = {
+            "request": self._on_request,
+            "op_start": self._on_op_start,
+            "op_end": self._on_op_end,
+            "op_abort": self._on_op_abort,
+            "blocked": self._on_blocked,
+            "unblocked": self._on_unblocked,
+            "killed": self._on_killed,
+            "failed": self._on_killed,
+            "exit": self._on_exit,
+        }
 
     # ------------------------------------------------------------------
     def _label(self, obj: str) -> str:
-        if self.shard_prefix:
-            head, dot, __ = obj.partition(".")
-            if dot:
-                return head
-        return obj
+        label = self._labels.get(obj)
+        if label is None:
+            label = obj
+            if self.shard_prefix:
+                head, dot, __ = obj.partition(".")
+                if dot:
+                    label = head
+            self._labels[obj] = label
+        return label
 
     def _op(self, obj: str) -> Dict[str, QuantileSketch]:
         sketches = self.op_sketches.get(obj)
@@ -313,10 +348,13 @@ class StreamingSink(InstrumentationSink):
     def on_probe(
         self, category: str, obj: str, value: Any, seq: int, time: int
     ) -> None:
-        try:
-            depth = int(value)
-        except (TypeError, ValueError):
-            return
+        if type(value) is int:
+            depth = value
+        else:
+            try:
+                depth = int(value)
+            except (TypeError, ValueError):
+                return
         label = self._label(obj)
         if depth > self.max_depth.get(label, 0):
             self.max_depth[label] = depth
@@ -324,57 +362,97 @@ class StreamingSink(InstrumentationSink):
 
     def on_event(self, event) -> None:
         self.events += 1
-        kind = event.kind
-        if kind == "request":
-            obj = self._label(event.obj)
-            self._pending.setdefault(obj, []).append(
-                (event.pname, event.seq))
-            self.windows.add(event.time, "arrivals")
-        elif kind == "op_start":
-            obj = self._label(event.obj)
-            fifo = self._pending.get(obj)
-            requested: Optional[int] = None
-            if fifo:
-                __, requested = fifo.pop(0)
-                if not fifo:
-                    del self._pending[obj]
-                self._op(obj)["queue"].observe(event.seq - requested)
-            self._service[(event.pname, obj)] = (event.seq, requested)
-            self.windows.add(event.time, "op_start")
-        elif kind in ("op_end", "op_abort"):
-            obj = self._label(event.obj)
-            open_op = self._service.pop((event.pname, obj), None)
-            if open_op is not None and kind == "op_end":
-                started, requested = open_op
-                sketches = self._op(obj)
-                sketches["service"].observe(event.seq - started)
-                if requested is not None:
-                    sketches["total"].observe(event.seq - requested)
-                self.completed += 1
-                self.windows.add(event.time, "completed")
-        elif kind == "blocked":
-            self._blocked[event.pname] = (self._label(event.obj), event.seq)
-            self.windows.add(event.time, "blocked")
-        elif kind == "unblocked":
-            # obj carries the *woken* process's name (waker-attributed).
-            open_wait = self._blocked.pop(event.obj, None)
-            if open_wait is not None:
-                waited_on, since = open_wait
-                sketch = self.wait_sketches.get(waited_on)
-                if sketch is None:
-                    sketch = self.wait_sketches[waited_on] = QuantileSketch(
-                        self.rel_error)
-                sketch.observe(event.seq - since)
-        elif kind in ("killed", "failed", "exit"):
-            # Scrub the victim's in-flight state so crashed or finished
-            # clients never pin memory (partial ops are dropped, not
-            # counted — a half-measured latency would skew the sketch).
-            name = event.obj if kind != "exit" else event.pname
-            self._blocked.pop(name, None)
-            for key in [k for k in self._service if k[0] == name]:
-                del self._service[key]
-            for fifo in self._pending.values():
-                fifo[:] = [entry for entry in fifo if entry[0] != name]
+        fold = self._folds.get(event.kind)
+        if fold is not None:
+            fold(event)
+
+    # ------------------------------------------------------------------
+    # Per-kind folds
+    # ------------------------------------------------------------------
+    def _on_request(self, event) -> None:
+        pname = event.pname
+        obj = self._label(event.obj)
+        fifo = self._pending.get(obj)
+        if fifo is None:
+            fifo = self._pending[obj] = deque()
+        fifo.append((pname, event.seq))
+        self._open[pname] = self._open.get(pname, 0) + 1
+        self.windows.add(event.time, "arrivals")
+
+    def _on_op_start(self, event) -> None:
+        pname = event.pname
+        obj = self._label(event.obj)
+        fifo = self._pending.get(obj)
+        requested: Optional[int] = None
+        if fifo:
+            requester, requested = fifo.popleft()
+            self._open[requester] -= 1
+            self._op(obj)["queue"].observe(event.seq - requested)
+        key = (pname, obj)
+        if key not in self._service:
+            self._open[pname] = self._open.get(pname, 0) + 1
+        self._service[key] = (event.seq, requested)
+        self.windows.add(event.time, "op_start")
+
+    def _close(
+        self, pname: str, obj: str
+    ) -> Optional[Tuple[int, Optional[int]]]:
+        """Pop ``pname``'s open service on ``obj``."""
+        open_op = self._service.pop((pname, obj), None)
+        if open_op is not None:
+            self._open[pname] -= 1
+        return open_op
+
+    def _on_op_end(self, event) -> None:
+        obj = self._label(event.obj)
+        open_op = self._close(event.pname, obj)
+        if open_op is not None:
+            started, requested = open_op
+            sketches = self._op(obj)
+            sketches["service"].observe(event.seq - started)
+            if requested is not None:
+                sketches["total"].observe(event.seq - requested)
+            self.completed += 1
+            self.windows.add(event.time, "completed")
+
+    def _on_op_abort(self, event) -> None:
+        self._close(event.pname, self._label(event.obj))
+
+    def _on_blocked(self, event) -> None:
+        self._blocked[event.pname] = (self._label(event.obj), event.seq)
+        self.windows.add(event.time, "blocked")
+
+    def _on_unblocked(self, event) -> None:
+        # obj carries the *woken* process's name (waker-attributed).
+        open_wait = self._blocked.pop(event.obj, None)
+        if open_wait is not None:
+            waited_on, since = open_wait
+            sketch = self.wait_sketches.get(waited_on)
+            if sketch is None:
+                sketch = self.wait_sketches[waited_on] = QuantileSketch(
+                    self.rel_error)
+            sketch.observe(event.seq - since)
+
+    def _on_killed(self, event) -> None:
+        self._scrub(event.obj)  # the victim's name
+
+    def _on_exit(self, event) -> None:
+        self._scrub(event.pname)
+
+    def _scrub(self, name: str) -> None:
+        """Drop ``name``'s in-flight state so crashed or finished clients
+        never pin memory (partial ops are dropped, not counted — a
+        half-measured latency would skew the sketch)."""
+        self._blocked.pop(name, None)
+        if not self._open.pop(name, 0):
+            return
+        for key in [k for k in self._service if k[0] == name]:
+            del self._service[key]
+        for fifo in self._pending.values():
+            kept = [entry for entry in fifo if entry[0] != name]
+            if len(kept) != len(fifo):
+                fifo.clear()
+                fifo.extend(kept)
 
     # ------------------------------------------------------------------
     # Reporting

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+from collections import deque
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from .errors import (
@@ -46,7 +47,7 @@ from .errors import (
 from .faults import FaultPlan, WaitForGraph, _Failure
 from .policies import FIFOPolicy, SchedulingPolicy
 from .process import ProcessState, SimProcess
-from .trace import Event, RunResult, Trace
+from .trace import Event, RunResult, Trace, UnkeptTrace
 
 #: Trace events carried by :class:`StepLimitExceeded` for diagnosis.
 DIAGNOSTIC_TAIL = 20
@@ -67,6 +68,12 @@ _EVENT_TERMS: Dict[tuple, int] = {}
 #: The memo is cleared when it reaches this size (a full pass over the
 #: exploration catalog produces about a thousand distinct terms).
 _EVENT_TERMS_MAX = 8192
+
+
+def _discard(event: Event) -> None:
+    """The event append of a finished run.  A body left suspended when
+    :meth:`Scheduler.run` returns can still log when the collector
+    finalizes it; those events must not reach the returned trace."""
 
 
 def _event_term(pid: int, kind: str, obj: Any, detail: Any) -> int:
@@ -151,6 +158,14 @@ class Scheduler:
             ``NullSink``) is normalized to ``None`` here, so uninstrumented
             runs execute the identical code path and pay nothing.  Checked
             by duck-typing so the runtime never imports the obs package.
+        keep_trace: when ``False``, the scheduler keeps only the last
+            :data:`DIAGNOSTIC_TAIL` events (for
+            :class:`StepLimitExceeded`); every event still reaches the
+            sink, the fingerprint digest and the fault plan, and
+            ``trace`` is an :class:`~repro.runtime.trace.UnkeptTrace` that
+            raises on any read.  For long runs observed only through a
+            sink: memory then follows the system's width, not the run's
+            length.
     """
 
     def __init__(
@@ -160,6 +175,8 @@ class Scheduler:
         preemptive: bool = False,
         fault_plan: Optional[FaultPlan] = None,
         sink: Optional[Any] = None,
+        *,
+        keep_trace: bool = True,
     ) -> None:
         self.policy = policy or FIFOPolicy()
         self.policy.reset()
@@ -169,8 +186,14 @@ class Scheduler:
         if sink is not None and getattr(sink, "IS_NULL", False):
             sink = None
         self._sink = sink
-        self.trace = Trace()
-        self._append_event = self.trace._events.append
+        self._tail: Optional[deque] = None
+        if keep_trace:
+            self.trace = Trace()
+            self._append_event = self.trace._events.append
+        else:
+            self.trace = UnkeptTrace()
+            self._tail = deque(maxlen=DIAGNOSTIC_TAIL)
+            self._append_event = self._tail.append
         self._ready: List[SimProcess] = []
         self._processes: List[SimProcess] = []
         self._timers: list = []  # heap of (deadline, seq, _TimerEntry)
@@ -715,7 +738,9 @@ class Scheduler:
                         break
                     raise StepLimitExceeded(
                         "exceeded {} scheduling steps".format(max_steps),
-                        recent_events=self.trace[-DIAGNOSTIC_TAIL:],
+                        recent_events=(self.trace[-DIAGNOSTIC_TAIL:]
+                                       if self._tail is None
+                                       else self._tail),
                         ready=[p.name for p in ready],
                     )
                 if fault_plan is not None:
@@ -777,6 +802,8 @@ class Scheduler:
         finally:
             self._running = False
             self._finished = True
+            self._append_event = _discard
+            self._sink = None
         results = {
             p.name: p.result for p in self._processes if p.state is DONE
         }

@@ -30,13 +30,15 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Deque, Dict, Iterable, Iterator, List,
                     NamedTuple, Optional, Tuple)
 
+from .errors import SchedulerStateError
+
 
 class Event(NamedTuple):
     """One observable step in an execution.
 
     A named tuple: immutable, hashable, and equal by fields.  Being a
     tuple, an ``Event`` also compares equal to a plain tuple holding the
-    same seven fields in order.  Every run keeps every event, so the
+    same seven fields in order.  A traced run keeps every event, so the
     record carries no per-instance ``__dict__``.
 
     Attributes:
@@ -258,6 +260,29 @@ class Trace:
         return json.dumps(self.to_dicts(), indent=indent, default=repr)
 
 
+class UnkeptTrace:
+    """The trace of a run made with ``Scheduler(keep_trace=False)``.
+
+    Such a run kept no events, so every read raises
+    :class:`~repro.runtime.errors.SchedulerStateError`.  An empty trace
+    would read as a run in which nothing happened, and an oracle handed
+    one would pass."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args: Any, **kwargs: Any):
+        raise SchedulerStateError(
+            "this run kept no trace (Scheduler(keep_trace=False)); attach "
+            "a sink to observe its events")
+
+    __len__ = __iter__ = __getitem__ = __contains__ = __bool__ = _refuse
+
+    def __getattr__(self, name: str):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        self._refuse()
+
+
 class Op:
     """One operation as :class:`OpFold` paired it: the requesting process
     (the starter, for an op started without a request), its ``obj``, its
@@ -381,7 +406,8 @@ class RunResult:
     """Outcome of :meth:`Scheduler.run`.
 
     Attributes:
-        trace: the complete event trace.
+        trace: the complete event trace (an :class:`UnkeptTrace`, which
+            refuses every read, when the scheduler kept none).
         deadlocked: ``True`` when the run ended with blocked processes and
             nothing runnable (only when ``on_deadlock='return'``).
         blocked: names of processes still blocked at the end of the run.

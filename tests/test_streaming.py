@@ -1,10 +1,13 @@
 """Streaming telemetry: sketch error bounds, window semantics, and the
 StreamingSink's on-arrival folding of the uniform trace vocabulary."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
+from repro.load import run_load
 from repro.obs import QuantileSketch, StreamingSink, WindowedSeries
 from repro.problems import bounded_buffer
 from repro.problems.registry import get_solution
@@ -272,3 +275,25 @@ def test_sink_agrees_with_recording_pipeline_on_real_run():
     merged = streaming.merged_latency("total")
     assert merged.count == 40
     assert merged.min >= 0 and merged.max >= merged.min
+
+
+# ----------------------------------------------------------------------
+# The whole load run, not only the sink, holds O(width) memory
+# ----------------------------------------------------------------------
+def _peak_bytes(mechanism, ops):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_load(mechanism, clients=128, ops=ops, shards=2, rate=0.5)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mechanism", ["semaphore", "monitor", "csp"])
+def test_load_run_peak_memory_is_independent_of_length(mechanism):
+    # Four times the operations on the same swarm: E19's 1.6x cells
+    # ceiling, applied to every allocation the run makes.
+    small = _peak_bytes(mechanism, 2)
+    big = _peak_bytes(mechanism, 8)
+    assert big < 1.6 * small, (small, big)
