@@ -6,7 +6,7 @@ strings (run a prefix, read back how many alternatives existed at each
 step, queue every first-deviation sibling) exactly like the naive DFS it
 replaces — but with **equivalence pruning**: a :class:`RecordingPolicy`
 captures the scheduler's canonical state fingerprint before every decision
-the search can branch on
+the search reads
 (:meth:`~repro.runtime.scheduler.Scheduler.fingerprint`), and a work item
 that would re-enter an already-claimed ``(state, chosen process)`` subtree
 is dropped.  Interleavings that are permutations of independent steps
@@ -49,35 +49,72 @@ class RecordingPolicy(ScriptedPolicy):
     decisions past the horizon are never read, so they are never hashed.
     Without a horizon it snapshots every decision.  :attr:`first` is the
     index of the first decision snapshotted.
+
+    With ``claimed`` — the search's own ``seen`` set, read and never
+    written — the policy also stops where :func:`expand_record` will stop
+    reading: at the first decision whose default key ``(fingerprint,
+    ready[0])`` is in ``claimed`` or among the keys the expansion adds
+    before it (kept in a run-local set).  That snapshot is the last one
+    taken, and the scheduler stops folding the event digest for the rest
+    of the run.  Exact only when ``claimed`` is the ``seen`` the record is
+    expanded against (DESIGN.md §9).  ``claimed`` needs a ``horizon``:
+    without one the prefix, where the pick is not the default, is
+    snapshotted too.
     """
 
     def __init__(
         self,
         decisions: Optional[Sequence[int]] = None,
         horizon: Optional[int] = None,
+        claimed: Optional[Set[PruneKey]] = None,
     ) -> None:
+        if claimed is not None and horizon is None:
+            raise ValueError("a RecordingPolicy with claimed keys needs a "
+                             "horizon")
         super().__init__(decisions)
         self.horizon = horizon
+        self._claimed = claimed
         self.first = 0 if horizon is None else len(self.decisions)
         self.fingerprints: List[int] = []
         self.ready_pids: List[Tuple[int, ...]] = []
+        self._stop = horizon
+        self._local: Set[PruneKey] = set()
 
     def observe_state(self, sched) -> None:
-        # Enabled at the first decision whether or not it is snapshotted,
-        # so the event digest always covers the whole run.
-        if sched._fp_digest is None:
-            sched.enable_fingerprinting()
         index = self._cursor
-        if index < self.first or (self.horizon is not None
-                                  and index >= self.horizon):
+        if index == 0:
+            # Enabled at the first decision whether or not it is
+            # snapshotted, so the event digest covers the run up to the cut.
+            sched.enable_fingerprinting()
+        if index < self.first or (self._stop is not None
+                                  and index >= self._stop):
             return
-        self.fingerprints.append(sched.fingerprint())
-        self.ready_pids.append(tuple(p.pid for p in sched._ready))
+        fingerprint = sched.fingerprint()
+        ready = tuple(p.pid for p in sched._ready)
+        self.fingerprints.append(fingerprint)
+        self.ready_pids.append(ready)
+        claimed = self._claimed
+        if claimed is None:
+            return
+        # Past the prefix the pick is 0, so ready[0] is the default.  The
+        # keys expand_record adds at this decision: every sibling's, then
+        # the default's unless the default is claimed and it breaks.
+        local = self._local
+        for pid in ready[1:]:
+            local.add((fingerprint, pid))
+        default = (fingerprint, ready[0])
+        if default in claimed or default in local:
+            self._stop = index + 1
+            sched.disable_fingerprinting()
+        else:
+            local.add(default)
 
     def reset(self) -> None:
         super().reset()
         self.fingerprints = []
         self.ready_pids = []
+        self._stop = self.horizon
+        self._local = set()
 
 
 class TimedRecordingPolicy(RecordingPolicy):
@@ -92,8 +129,9 @@ class TimedRecordingPolicy(RecordingPolicy):
         self,
         decisions: Optional[Sequence[int]] = None,
         horizon: Optional[int] = None,
+        claimed: Optional[Set[PruneKey]] = None,
     ) -> None:
-        super().__init__(decisions, horizon)
+        super().__init__(decisions, horizon, claimed)
         self.fp_seconds = 0.0
 
     def observe_state(self, sched) -> None:
@@ -113,15 +151,17 @@ def run_one_timed(
     prune: bool,
     telemetry,
     max_depth: int,
+    claimed: Optional[Set[PruneKey]] = None,
 ) -> RunRecord:
     """Execute one schedule with phase-attributed wall-clock accounting.
 
     Shared by the serial engine and the parallel frontier's in-process
     path so both attribute identically: ``step`` (scheduler stepping,
     fingerprint time subtracted), ``fingerprint``, ``check`` (oracle
-    battery), ``record`` (RunRecord reduction).
+    battery), ``record`` (RunRecord reduction).  ``claimed`` is passed to
+    the :class:`RecordingPolicy`.
     """
-    policy = (TimedRecordingPolicy(prefix, max_depth) if prune
+    policy = (TimedRecordingPolicy(prefix, max_depth, claimed) if prune
               else ScriptedPolicy(prefix))
     start = perf_counter()
     run = build_and_run(policy)
@@ -145,8 +185,9 @@ class RunRecord:
     to the master without shipping the trace.
 
     ``fingerprints[i]`` and ``ready_pids[i]`` describe decision
-    ``len(prefix) + i``; they run up to the branching horizon at most (and
-    are empty when pruning is off)."""
+    ``len(prefix) + i``; they run up to the branching horizon at most, or
+    up to the decision where a policy with claimed keys cut (and are empty
+    when pruning is off)."""
 
     prefix: Tuple[int, ...]
     taken: Tuple[int, ...]
@@ -295,11 +336,14 @@ class ExplorationEngine:
         if telemetry is not None and getattr(telemetry, "IS_NULL", False):
             telemetry = None
         self.telemetry = telemetry
+        #: The running search's ``seen`` set (``None`` outside a pruned
+        #: :meth:`explore`): its runs stop hashing where expansion stops.
+        self._seen: Optional[Set[PruneKey]] = None
 
     def run_one(self, prefix: Sequence[int], check: Checker) -> RunRecord:
         """Execute a single schedule and reduce it to a :class:`RunRecord`."""
-        policy = (RecordingPolicy(prefix, self.max_depth) if self.prune
-                  else ScriptedPolicy(prefix))
+        policy = (RecordingPolicy(prefix, self.max_depth, self._seen)
+                  if self.prune else ScriptedPolicy(prefix))
         run = self._build_and_run(policy)
         return RunRecord.from_run(prefix, policy, check(run))
 
@@ -321,6 +365,7 @@ class ExplorationEngine:
         result = ExplorationResult()
         frontier: List[Tuple[int, ...]] = [()]
         seen: Optional[Set[PruneKey]] = set() if self.prune else None
+        self._seen = seen
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.begin(max_runs=self.max_runs, workers=1)
@@ -333,12 +378,19 @@ class ExplorationEngine:
                 record = self.run_one(prefix, check)
             else:
                 record = run_one_timed(self._build_and_run, prefix, check,
-                                       self.prune, telemetry, self.max_depth)
+                                       self.prune, telemetry, self.max_depth,
+                                       seen)
             result.runs += 1
             if record.messages:
                 result.violations.append((record.taken, list(record.messages)))
                 if stop_at_first:
-                    result.exhausted = not frontier
+                    # Covered iff neither the frontier nor this record's own
+                    # children are left; expanding against a copy of seen
+                    # counts them without moving `states`.
+                    children, __ = expand_record(
+                        record, self.max_depth,
+                        set(seen) if seen is not None else None)
+                    result.exhausted = not (frontier or children)
                     break
             mark = perf_counter() if telemetry is not None else 0.0
             children, pruned = expand_record(record, self.max_depth, seen)
@@ -349,6 +401,7 @@ class ExplorationEngine:
                                         result.pruned)
                 telemetry.add("collect", perf_counter() - mark)
         result.states = len(seen) if seen is not None else 0
+        self._seen = None
         if telemetry is not None:
             telemetry.finish()
         return result

@@ -244,10 +244,16 @@ def explore_parallel(
                     result.runs, len(frontier) + len(children), result.pruned)
                 telemetry.add("collect", perf_counter() - mark)
             if stopped_at is not None:
-                # Covered iff nothing is left anywhere: no children, no
-                # leftover frontier, and the violating record closed its wave.
+                # Covered iff nothing is left anywhere: no children (the
+                # violating record's own included, counted against a copy
+                # of seen so `states` does not move), no leftover frontier,
+                # and the violating record closed its wave.
+                own, __ = expand_record(
+                    records[stopped_at], max_depth,
+                    set(seen) if seen is not None else None)
                 result.exhausted = not (
-                    children or frontier or stopped_at < len(records) - 1
+                    own or children or frontier
+                    or stopped_at < len(records) - 1
                 )
                 break
             frontier.extend(children)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List, Tuple
 
 from .ast import Burst, Name, PathExpr, PathNode, Selection, Sequence, _normalize
 
@@ -171,6 +171,14 @@ def parse_path(text: str) -> PathExpr:
     return result
 
 
+#: Memo of parsed programs: text -> its declarations.  The AST nodes are
+#: frozen, so every caller can share them; each call gets a fresh list.
+#: A program that fails to parse is never stored.
+_PROGRAMS: Dict[str, Tuple[PathExpr, ...]] = {}
+#: The memo is cleared when it reaches this size.
+_PROGRAMS_MAX = 1024
+
+
 def parse_paths(text: str) -> List[PathExpr]:
     """Parse a program of several path declarations, in order.
 
@@ -179,6 +187,16 @@ def parse_paths(text: str) -> List[PathExpr]:
         path writeattempt end
         path { requestread } , requestwrite end
     """
+    program = _PROGRAMS.get(text)
+    if program is None:
+        program = tuple(_parse_program(text))
+        if len(_PROGRAMS) >= _PROGRAMS_MAX:
+            _PROGRAMS.clear()
+        _PROGRAMS[text] = program
+    return list(program)
+
+
+def _parse_program(text: str) -> List[PathExpr]:
     tokens = tokenize(text)
     parser = _Parser(tokens, text)
     paths: List[PathExpr] = []

@@ -251,6 +251,13 @@ class Scheduler:
         if self._fp_digest is None:
             self._fp_digest = 0
 
+    def disable_fingerprinting(self) -> None:
+        """Stop maintaining the event digest for the rest of the run: later
+        events fold no digest term.  An exploration policy calls this once
+        it will take no further snapshot; :meth:`fingerprint` must not be
+        read after it."""
+        self._fp_digest = None
+
     def add_fingerprint_provider(self, fn: Callable[[], Any]) -> None:
         """Register a zero-argument snapshot of *shared user state* (buffer
         contents, counters...) to fold into :meth:`fingerprint`.  Mechanism

@@ -115,6 +115,22 @@ def test_stop_at_first_on_last_schedule_reports_exhausted():
     assert result.exhausted, "empty frontier at stop must mean exhausted"
 
 
+def test_stop_at_first_counts_the_violating_records_own_children():
+    # The first footnote3/pathexpr schedule already violates, with the
+    # frontier still empty; its own unexpanded children are the other 591
+    # schedules of a full search.
+    target = get_target("footnote3", "pathexpr")
+    full = ExplorationEngine(target.runner(), max_runs=2000,
+                             prune=True).explore(target.checker)
+    assert full.exhausted and full.runs > 1
+    stopped = ExplorationEngine(target.runner(), max_runs=2000,
+                                prune=True).explore(target.checker,
+                                                    stop_at_first=True)
+    assert stopped.runs == 1 and stopped.violations
+    assert not stopped.exhausted
+    assert stopped.states == 0, "counting the children claims nothing"
+
+
 def test_budget_exactly_equal_to_space_reports_exhausted():
     target = get_target("readers_priority", "monitor")
     space = ExplorationEngine(target.runner(), max_runs=20000).explore(

@@ -93,3 +93,12 @@ def test_stop_at_first_parity_across_workers():
     fleet = explore_parallel(target, workers=4, **kwargs)
     assert serial.witness is not None
     assert as_tuple(serial) == as_tuple(fleet)
+
+
+def test_stop_at_first_counts_the_violating_records_own_children():
+    target = get_target("footnote3", "pathexpr")
+    stopped = explore_parallel(target, workers=1, max_runs=2000, prune=True,
+                               stop_at_first=True)
+    assert stopped.runs == 1 and stopped.violations
+    assert not stopped.exhausted
+    assert stopped.states == 0

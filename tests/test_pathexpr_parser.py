@@ -11,6 +11,7 @@ from repro.mechanisms.pathexpr import (
     parse_path,
     parse_paths,
 )
+from repro.mechanisms.pathexpr import parser as parser_module
 from repro.mechanisms.pathexpr.parser import tokenize
 
 
@@ -183,3 +184,43 @@ def test_error_position_survives_comment_stripping():
         assert err.position == len("-- lead-in\npath a ")
     else:  # pragma: no cover
         pytest.fail("expected PathSyntaxError")
+
+
+# ----------------------------------------------------------------------
+# The program memo
+# ----------------------------------------------------------------------
+PROGRAM = """
+    path writeattempt end
+    path { requestread } , requestwrite end
+"""
+
+
+def test_memoized_program_equals_a_fresh_parse():
+    first = parse_paths(PROGRAM)
+    assert PROGRAM in parser_module._PROGRAMS
+    cached = parse_paths(PROGRAM)
+    assert cached == first == parser_module._parse_program(PROGRAM)
+
+
+def test_mutating_a_parsed_program_does_not_reach_the_memo():
+    paths = parse_paths(PROGRAM)
+    paths.append(parse_path("path extra end"))
+    paths.reverse()
+    assert parse_paths(PROGRAM) == parser_module._parse_program(PROGRAM)
+
+
+def test_bad_program_raises_on_every_call():
+    bad = "path a ; end"
+    for __ in range(3):
+        with pytest.raises(PathSyntaxError):
+            parse_paths(bad)
+    assert bad not in parser_module._PROGRAMS
+
+
+def test_program_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(parser_module, "_PROGRAMS", {})
+    monkeypatch.setattr(parser_module, "_PROGRAMS_MAX", 4)
+    for index in range(10):
+        parse_paths("path op{} end".format(index))
+        assert len(parser_module._PROGRAMS) <= 4
+    assert parse_paths("path op9 end")[0].body == Name("op9")
