@@ -18,7 +18,7 @@ how many ticks of the makespan each constraint kind actually cost.
 
 from conftest import emit, persist
 
-from repro.obs import profileable, run_causal
+from repro.suite import profileable, run_causal
 
 
 def _fingerprint(path):

@@ -20,10 +20,11 @@ from time import perf_counter
 
 from conftest import emit, persist
 
-from repro.obs import NullSink, RecordingSink, run_profile
+from repro.obs import NullSink, RecordingSink
 from repro.problems import bounded_buffer
 from repro.problems.registry import get_solution, solutions_for
 from repro.runtime.scheduler import Scheduler
+from repro.suite import run_profile
 
 #: Hot workload: enough items that scheduler-loop cost dominates setup.
 _LOAD = dict(producers=4, consumers=4, items_each=25)

@@ -443,11 +443,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from .obs import (
         ascii_contention,
         ascii_timeline,
-        profileable,
-        run_profile,
         write_chrome_trace,
         write_jsonl,
     )
+    from .suite import profileable, run_profile
 
     if args.profile_self:
         return _cmd_profile_self(args)
@@ -581,7 +580,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     else:
         result = run_search()
     if args.record and telemetry is not None:
-        from .obs import RunStore, explore_record
+        from .obs import RunStore
+        from .suite import explore_record
 
         record = explore_record(args.problem, args.mechanism, result,
                                 telemetry, seed=args.seed)
@@ -673,7 +673,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    from .obs import comparison_table, metrics_suite
+    from .suite import comparison_table, metrics_suite
 
     reports = metrics_suite(args.problem, args.mechanism, seed=args.seed)
     if not reports:
@@ -715,7 +715,8 @@ def _fault_plan(ticks: Optional[int]):
 
 
 def _cmd_causal(args: argparse.Namespace) -> int:
-    from .obs import RunStore, profileable, run_causal, write_chrome_trace
+    from .obs import RunStore, write_chrome_trace
+    from .suite import profileable, run_causal
 
     try:
         report = run_causal(args.problem, args.mechanism, seed=args.seed)
@@ -760,60 +761,25 @@ def _cmd_regress(args: argparse.Namespace) -> int:
         dump_baseline,
         load_baseline,
         render_comparison,
-        run_causal,
     )
-    from .obs.profiles import WORKLOADS
-    from .obs.runstore import load_tail_record
-    from .problems.registry import solutions_for
+    from .suite import PRODUCERS, target_matches
 
-    from .obs.harness import EXPLORE_RECORD_PREFIX
-
-    load_counts = [int(c) for c in args.load_clients.split(",") if c.strip()]
-
-    def tail_record(mechanism, seed):
-        from .load import saturation_curve
-
-        points = saturation_curve(mechanism, load_counts,
-                                  seed=seed if seed is not None else 0)
-        return load_tail_record(mechanism, points, seed=seed)
-
-    def explore_rec(problem, mechanism, seed):
-        from .explore import explore_parallel, get_target
-        from .obs import HarnessTelemetry, explore_record
-
-        telemetry = HarnessTelemetry()
-        result = explore_parallel(
-            get_target(problem, mechanism),
-            max_runs=args.explore_runs, max_depth=args.explore_depth,
-            prune=True, seed=seed, telemetry=telemetry)
-        return explore_record(problem, mechanism, result, telemetry,
-                              seed=seed)
-
-    def explore_targets():
-        for spec in args.explore_target.split(","):
-            spec = spec.strip()
-            if spec:
-                problem, __, mechanism = spec.partition("/")
-                yield problem, mechanism
+    kind = "load" if args.load else "explore" if args.explore else None
+    options = dict(
+        fault_plan=_fault_plan(args.inject_delay),
+        load_clients=[int(c) for c in args.load_clients.split(",")
+                      if c.strip()],
+        explore_runs=args.explore_runs,
+        explore_depth=args.explore_depth,
+    )
 
     if args.write_baseline:
-        records = []
-        if args.load:
-            from .load import LOAD_MECHANISMS
-
-            mechanisms = ([args.mechanism] if args.mechanism
-                          else list(LOAD_MECHANISMS))
-            for mechanism in mechanisms:
-                records.append(tail_record(mechanism, args.seed))
-        elif args.explore:
-            for problem, mechanism in explore_targets():
-                records.append(explore_rec(problem, mechanism, args.seed))
-        else:
-            for entry in solutions_for(args.problem, args.mechanism):
-                if entry.problem not in WORKLOADS:
-                    continue
-                records.append(run_causal(entry.problem, entry.mechanism,
-                                          seed=args.seed).record)
+        producer = PRODUCERS[kind or "causal"]
+        targets = producer.targets(problem=args.problem,
+                                   mechanism=args.mechanism,
+                                   explore_target=args.explore_target)
+        records = [producer.measure(target, args.seed, **options)
+                   for target in targets]
         with open(args.write_baseline, "w") as fh:
             fh.write(dump_baseline(records))
         print("wrote baseline of {} record(s) to {}".format(
@@ -824,18 +790,11 @@ def _cmd_regress(args: argparse.Namespace) -> int:
         print("error: --baseline (or --write-baseline) is required",
               file=sys.stderr)
         return 2
-    baseline = load_baseline(args.baseline)
-    if args.load:
-        baseline = [r for r in baseline if r.problem == "load_tail"]
-    if args.explore:
-        baseline = [r for r in baseline
-                    if r.problem.startswith(EXPLORE_RECORD_PREFIX)]
-    if args.problem or args.mechanism:
-        baseline = [
-            r for r in baseline
-            if (args.problem is None or r.problem == args.problem)
-            and (args.mechanism is None or r.mechanism == args.mechanism)
-        ]
+    baseline = [
+        r for r in load_baseline(args.baseline)
+        if kind in (None, r.kind)
+        and target_matches(r.target, args.problem, args.mechanism)
+    ]
     if not baseline:
         print("baseline {} holds no matching records".format(args.baseline),
               file=sys.stderr)
@@ -846,17 +805,8 @@ def _cmd_regress(args: argparse.Namespace) -> int:
     missing = []
     for base in baseline:
         try:
-            if base.problem == "load_tail":
-                current = tail_record(base.mechanism, base.seed)
-            elif base.problem.startswith(EXPLORE_RECORD_PREFIX):
-                current = explore_rec(
-                    base.problem[len(EXPLORE_RECORD_PREFIX):],
-                    base.mechanism, base.seed)
-            else:
-                current = run_causal(
-                    base.problem, base.mechanism, seed=base.seed,
-                    fault_plan=_fault_plan(args.inject_delay),
-                ).record
+            current = PRODUCERS[base.kind].measure(base.target, base.seed,
+                                                   **options)
         except KeyError:
             missing.append(base.key)
             continue
@@ -1119,7 +1069,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "the largest is the gated tail point)")
     p_reg.add_argument("--explore", action="store_true",
                        help="gate exploration throughput instead: rebuild "
-                       "each explore: baseline record (schedule count is "
+                       "each explore baseline record (schedule count is "
                        "deterministic; schedules/sec is wall-clock, so pair "
                        "with a generous --threshold in CI)")
     p_reg.add_argument("--explore-target", default="fcfs_resource/monitor",

@@ -1,13 +1,15 @@
 """Observability layer: instrumentation sinks, span folding, metrics,
-exporters, and profile runners.
+exporters, causal analysis, harness telemetry and the run store.
 
 Layered *on top of* the runtime: the runtime never imports this package
 (the scheduler's ``sink`` hook is duck-typed), so ``repro.runtime`` stays
-dependency-free and uninstrumented runs pay nothing.
+dependency-free and uninstrumented runs pay nothing.  This package in turn
+imports only ``repro.runtime`` and ``repro.core``; the runners that drive
+the problem suite through it live in :mod:`repro.suite`.
 
 Quick use::
 
-    from repro.obs import run_profile
+    from repro.suite import run_profile
     report = run_profile("bounded_buffer", "monitor")
     print(report.metrics.render())
 
@@ -49,24 +51,12 @@ from .harness import (
     NullHarnessTelemetry,
     WaveStat,
     WorkerItem,
-    explore_record,
-    normalize_telemetry,
     self_profile,
 )
 from .metrics import Histogram, ObjectMetrics, RunMetrics, compute_metrics
-from .profiles import (
-    WORKLOADS,
-    CausalReport,
-    ProfileReport,
-    comparison_table,
-    metrics_suite,
-    profileable,
-    run_causal,
-    run_profile,
-)
 from .runstore import (
+    GateRecord,
     Regression,
-    RunRecord,
     RunStore,
     compare_records,
     dump_baseline,
@@ -116,12 +106,6 @@ __all__ = [
     "write_jsonl",
     "ascii_timeline",
     "ascii_contention",
-    "ProfileReport",
-    "WORKLOADS",
-    "run_profile",
-    "metrics_suite",
-    "comparison_table",
-    "profileable",
     "HBGraph",
     "HBEdge",
     "Wake",
@@ -134,9 +118,7 @@ __all__ = [
     "compute_critical_path",
     "causal_chain",
     "parse_jsonl",
-    "CausalReport",
-    "run_causal",
-    "RunRecord",
+    "GateRecord",
     "RunStore",
     "Regression",
     "compare_records",
@@ -156,8 +138,6 @@ __all__ = [
     "NullHarnessTelemetry",
     "WorkerItem",
     "WaveStat",
-    "normalize_telemetry",
-    "explore_record",
     "Hotspot",
     "HotspotReport",
     "self_profile",

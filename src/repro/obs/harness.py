@@ -25,8 +25,8 @@ This module answers why, in three layers:
   frontier depth, pruning ratio) feed ``repro explore --watch`` progress
   lines, the chrome-trace "harness" track
   (:func:`repro.obs.exporters.chrome_trace` with ``harness=``), and the
-  run store (:func:`explore_record`, gated by ``repro regress
-  --explore``); :func:`self_profile` wraps a search in cProfile and
+  run store (:func:`repro.suite.explore_record`, gated by ``repro
+  regress --explore``); :func:`self_profile` wraps a search in cProfile and
   surfaces the hotspot list (``repro profile --self``) the scheduler-core
   refactor needs.
 
@@ -56,8 +56,6 @@ import pstats
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, TextIO, Tuple
-
-from .runstore import RunRecord
 
 #: The phase vocabulary (DESIGN.md §15).  Serial searches decompose every
 #: schedule into ``step``/``fingerprint``/``check``/``record`` and the
@@ -408,50 +406,6 @@ class NullHarnessTelemetry(HarnessTelemetry):
     nothing — the contract E21 measures."""
 
     IS_NULL = True
-
-
-def normalize_telemetry(
-        telemetry: Optional[HarnessTelemetry]) -> Optional[HarnessTelemetry]:
-    """``None`` for the null path (no telemetry, or a sink whose class
-    sets ``IS_NULL``); the sink itself otherwise.  Duck-typed so the
-    explore package never has to import this module."""
-    if telemetry is None or getattr(telemetry, "IS_NULL", False):
-        return None
-    return telemetry
-
-
-# ----------------------------------------------------------------------
-# Run-store persistence (repro regress --explore)
-# ----------------------------------------------------------------------
-#: RunRecord.problem prefix marking harness exploration records.
-EXPLORE_RECORD_PREFIX = "explore:"
-
-
-def explore_record(problem: str, mechanism: str, result: Any,
-                   telemetry: HarnessTelemetry,
-                   seed: Optional[int] = None) -> RunRecord:
-    """A gateable :class:`~repro.obs.runstore.RunRecord` from one explored
-    target.
-
-    Two gates ride on it: ``steps`` carries the schedule count — fully
-    deterministic, so *any* increase is a pruning regression — and
-    ``schedules_per_sec`` carries wall-clock throughput (direction ``-``:
-    a *drop* is the regression; machine-dependent, so CI compares with a
-    generous threshold).  Phase attribution is persisted alongside for
-    post-hoc diffing but not gated.
-    """
-    record = RunRecord(
-        problem=EXPLORE_RECORD_PREFIX + problem,
-        mechanism=mechanism,
-        seed=seed,
-    )
-    record.steps = result.runs
-    record.events = result.pruned
-    record.schedules_per_sec = int(round(telemetry.schedules_per_sec()))
-    record.phase_seconds = {phase: round(seconds, 6)
-                            for phase, seconds in
-                            sorted(telemetry.phase_seconds.items())}
-    return record
 
 
 # ----------------------------------------------------------------------

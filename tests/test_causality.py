@@ -18,11 +18,9 @@ from repro.obs import (
     causal_chain,
     jsonl_lines,
     parse_jsonl,
-    profileable,
-    run_causal,
-    run_profile,
     wake_records,
 )
+from repro.suite import profileable, run_causal, run_profile
 
 # ----------------------------------------------------------------------
 # Wait classification (DESIGN.md §10 table)
@@ -185,7 +183,8 @@ def test_causal_json_bit_identical_for_same_seed(capsys):
     second = capsys.readouterr().out
     assert first == second
     payload = json.loads(first)
-    assert payload["record"]["makespan"] == payload["critical_path"]["makespan"]
+    assert (payload["record"]["metrics"]["makespan"]
+            == payload["critical_path"]["makespan"])
 
 
 # ----------------------------------------------------------------------

@@ -15,18 +15,20 @@ import os
 from repro.__main__ import main
 from repro.explore import ExplorationEngine, explore_parallel, get_target
 from repro.obs import (
+    GateRecord,
     HarnessTelemetry,
     NullHarnessTelemetry,
-    RunRecord,
     RunStore,
     chrome_trace,
     compare_records,
-    explore_record,
     jsonl_lines,
-    normalize_telemetry,
     parse_jsonl,
     self_profile,
 )
+from repro.suite import explore_record
+
+BASELINE = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks",
+                        "baselines", "explore_baseline.json")
 
 TARGET = ("fcfs_resource", "monitor")
 BUDGET = dict(max_runs=400, max_depth=48)
@@ -69,10 +71,6 @@ def test_null_sink_is_normalized_and_identical():
     engine = ExplorationEngine(lambda p: None,
                                telemetry=NullHarnessTelemetry())
     assert engine.telemetry is None
-    assert normalize_telemetry(None) is None
-    assert normalize_telemetry(NullHarnessTelemetry()) is None
-    live = HarnessTelemetry()
-    assert normalize_telemetry(live) is live
 
 
 def test_engine_and_frontier_agree_under_telemetry():
@@ -201,28 +199,37 @@ def test_explore_record_round_trip_and_gate_direction():
     telemetry = HarnessTelemetry()
     result = _explore(telemetry=telemetry)
     record = explore_record(TARGET[0], TARGET[1], result, telemetry)
-    assert record.problem == "explore:fcfs_resource"
-    assert record.steps == result.runs
-    assert record.schedules_per_sec > 0
-    assert record.phase_seconds
-    clone = RunRecord.from_dict(record.to_dict())
+    assert (record.kind, record.target) == ("explore", "fcfs_resource/monitor")
+    metrics = record.metrics
+    assert metrics["runs"] == result.runs
+    assert metrics["pruned"] == result.pruned
+    assert metrics["schedules_per_sec"] > 0
+    assert any(name.startswith("phase_seconds.") for name in metrics)
+    # An explore run measures no critical path and steps no clock.
+    assert not {"makespan", "path_blocked_ticks", "steps",
+                "events"} & set(metrics)
+    assert record.directions == {"runs": "+", "schedules_per_sec": "-"}
+    clone = GateRecord.from_dict(record.to_dict())
     assert clone.to_dict() == record.to_dict()
 
+    def variant(**changes):
+        copy = GateRecord.from_dict(record.to_dict())
+        copy.metrics.update(changes)
+        return copy
+
     # Direction "-": a throughput *drop* regresses, a gain never does.
-    slower = RunRecord.from_dict(record.to_dict())
-    slower.schedules_per_sec = max(1, record.schedules_per_sec // 10)
+    rate = metrics["schedules_per_sec"]
+    slower = variant(schedules_per_sec=max(1, rate // 10))
     hits = compare_records(record, slower, threshold_pct=50.0)
     assert any(r.metric == "schedules_per_sec" for r in hits)
-    faster = RunRecord.from_dict(record.to_dict())
-    faster.schedules_per_sec = record.schedules_per_sec * 10
+    faster = variant(schedules_per_sec=rate * 10)
     assert compare_records(record, faster, threshold_pct=50.0) == []
 
     # Direction "+" still holds on the same record: more schedules to
     # cover the same space = pruning regressed.
-    worse = RunRecord.from_dict(record.to_dict())
-    worse.steps = record.steps * 2
+    worse = variant(runs=metrics["runs"] * 2)
     hits = compare_records(record, worse, threshold_pct=50.0)
-    assert any(r.metric == "steps" for r in hits)
+    assert any(r.metric == "runs" for r in hits)
 
 
 def test_regress_explore_cli_round_trip(tmp_path, capsys):
@@ -240,6 +247,20 @@ def test_regress_explore_cli_round_trip(tmp_path, capsys):
     assert out["regressions"] == []
 
 
+def test_regress_explore_problem_filter_matches_committed_baseline(capsys):
+    """``--problem`` filters explore records on their target, so the
+    committed baseline's fcfs_resource record is found and compared."""
+    code = main(["regress", "--explore", "--problem", "fcfs_resource",
+                 "--mechanism", "monitor", "--threshold", "500",
+                 "--baseline", BASELINE, "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["compared"] == ["explore:fcfs_resource/monitor"]
+    assert main(["regress", "--explore", "--problem", "bounded_buffer",
+                 "--baseline", BASELINE]) == 2
+    assert "holds no matching records" in capsys.readouterr().err
+
+
 def test_regress_explore_gate_trips_on_steps(tmp_path, capsys):
     """Shrinking the baseline's schedule count makes the fresh run look
     like a pruning regression — the deterministic side of the gate."""
@@ -249,14 +270,14 @@ def test_regress_explore_gate_trips_on_steps(tmp_path, capsys):
     data = json.loads(baseline.read_text())
     # Shrink far enough that the growth clears even the generous
     # wall-clock threshold this test uses for schedules_per_sec.
-    data[0]["steps"] = max(1, data[0]["steps"] // 10)
+    data[0]["metrics"]["runs"] = max(1, data[0]["metrics"]["runs"] // 10)
     baseline.write_text(json.dumps(data))
     capsys.readouterr()
     code = main(["regress", "--baseline", str(baseline),
                  "--threshold", "500", "--json"] + common)
     out = json.loads(capsys.readouterr().out)
     assert code == 1
-    assert any(r["metric"] == "steps" for r in out["regressions"])
+    assert any(r["metric"] == "runs" for r in out["regressions"])
 
 
 # ----------------------------------------------------------------------
@@ -272,8 +293,10 @@ def test_explore_cli_watch_record_export(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "harness telemetry:" in captured.out
     assert "[explore" in captured.err, "--watch writes to stderr"
-    record = RunStore(str(store)).load("explore:" + TARGET[0], TARGET[1])
-    assert record is not None and record.schedules_per_sec is not None
+    record = RunStore(str(store)).load("explore", "/".join(TARGET))
+    assert record is not None and record.metrics["schedules_per_sec"] > 0
+    assert os.listdir(str(store)) == [
+        "explore__fcfs_resource__monitor__fifo.json"]
     __, __, counters = parse_jsonl(
         out.read_text().splitlines(), with_counters=True)
     assert counters

@@ -2,14 +2,18 @@
 
 Module-level imports of ``src/repro`` are parsed with ``ast`` (imports
 inside functions are deliberately late and are not edges).  The graph must
-have no cycle, and ``repro.runtime`` — the bottom layer, home of the trace
+have no cycle, ``repro.runtime`` — the bottom layer, home of the trace
 record and of ``OpFold`` — must import nothing from ``repro`` outside
-itself.
+itself, and ``repro.obs`` may import only ``repro.runtime`` and
+``repro.core``.  The problem suite drives ``obs`` from above, through
+``repro.suite``.
 """
 
 import ast
 from pathlib import Path
 from typing import Dict, List, Set
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -72,6 +76,29 @@ def import_graph() -> Dict[str, Set[str]]:
     return graph
 
 
+def package_graph() -> Dict[str, Set[str]]:
+    """:func:`import_graph` plus the packages a dotted import executes.
+
+    ``from ..verify.oracles import x`` runs ``repro/verify/__init__.py``
+    before ``oracles``, so the importer also depends on ``repro.verify``.
+    The importer's own ancestor packages are already executing and add no
+    edge.
+    """
+    graph = import_graph()
+    out: Dict[str, Set[str]] = {}
+    for name, edges in graph.items():
+        parts = name.split(".")
+        ancestors = {".".join(parts[:i]) for i in range(1, len(parts))}
+        executed: Set[str] = set()
+        for target in edges:
+            dotted = target.split(".")
+            executed.update(".".join(dotted[:i])
+                            for i in range(1, len(dotted) + 1))
+        out[name] = {t for t in executed
+                     if t in graph and t != name and t not in ancestors}
+    return out
+
+
 def find_cycle(graph: Dict[str, Set[str]]) -> List[str]:
     """One import cycle as a module path, or ``[]``."""
     state: Dict[str, int] = {}  # 1 on the DFS stack, 2 finished
@@ -122,3 +149,32 @@ def test_runtime_imports_nothing_above_it():
         if name.startswith("repro.runtime")
     }
     assert {name: ups for name, ups in upward.items() if ups} == {}
+
+
+def test_obs_imports_only_runtime_and_core():
+    allowed = ("repro.obs", "repro.runtime", "repro.core")
+    upward = {
+        name: sorted(t for t in edges if not t.startswith(allowed))
+        for name, edges in import_graph().items()
+        if name.startswith("repro.obs")
+    }
+    assert {name: ups for name, ups in upward.items() if ups} == {}
+
+
+def test_package_graph_adds_executed_parent_packages():
+    graph = package_graph()
+    assert {"repro.verify", "repro.verify.oracles"} <= \
+        graph["repro.explore.detectors"]
+    # An importer's own ancestors are already running: no edge.
+    assert "repro.explore" not in graph["repro.explore.detectors"]
+    assert graph["repro.obs.spans"] >= {"repro.runtime",
+                                        "repro.runtime.trace"}
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "package-level cycle repro.verify -> repro.explore -> "
+    "repro.explore.detectors -> repro.verify: verify/__init__ imports "
+    "explore.detectors (running explore/__init__), and detectors imports "
+    "verify.oracles (running verify/__init__)"))
+def test_package_graph_has_no_cycle():
+    assert find_cycle(package_graph()) == []

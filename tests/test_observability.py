@@ -19,9 +19,9 @@ from repro.obs import (
     compute_metrics,
     fold_spans,
     jsonl_lines,
-    run_profile,
     spans_by_kind,
 )
+from repro.suite import run_profile
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.trace import Event, Trace, TraceView
 
