@@ -14,11 +14,10 @@ test-sampled ones.  This bench:
   class in the explored space of the Figure-1 program (every violating
   schedule has W2 overtaking a pending read);
 * measures the exploration engine itself — schedules/sec of the naive
-  serial DFS vs the equivalence-pruned search vs the multi-process
-  frontier — and persists the numbers to BENCH_exploration.json.
+  DFS vs the equivalence-pruned search — and persists the numbers to
+  BENCH_exploration.json.
 """
 
-import os
 import time
 
 from conftest import emit, persist
@@ -124,24 +123,14 @@ def test_e14_exhaustive_verification(benchmark):
 
 
 # ----------------------------------------------------------------------
-# E14b — engine throughput: naive vs pruned vs parallel
+# E14b — engine throughput: naive vs pruned
 # ----------------------------------------------------------------------
-PAR_WORKERS = 4
-
-
-def _timed_explore(target, **kwargs):
-    from repro.explore import explore_parallel
-
+def _timed_explore(target, prune, **budget):
+    engine = ExplorationEngine(target.runner(), prune=prune, **budget)
     start = time.perf_counter()
-    result = explore_parallel(target, **kwargs)
+    result = engine.explore(target.checker)
     seconds = time.perf_counter() - start
     return result, seconds
-
-
-def explore_parallel_with(target, telemetry, **kwargs):
-    from repro.explore import explore_parallel
-
-    return explore_parallel(target, telemetry=telemetry, **kwargs)
 
 
 def _stats(result, seconds):
@@ -163,49 +152,17 @@ def test_e14b_engine_throughput():
     target = get_target("fcfs_resource", "monitor")
     budget = dict(max_runs=20000, max_depth=80)
 
-    naive, naive_s = _timed_explore(target, workers=1, prune=False, **budget)
-    pruned, pruned_s = _timed_explore(target, workers=1, prune=True, **budget)
+    naive, naive_s = _timed_explore(target, prune=False, **budget)
+    pruned, pruned_s = _timed_explore(target, prune=True, **budget)
     assert naive.exhausted and pruned.exhausted
     assert pruned.runs < naive.runs, "pruning must shrink the search"
     assert len(pruned.violations) == len(naive.violations) == 0
 
-    # Parallel frontier on the same space: identical result, wall-clock
-    # measured against the single-worker run of the same algorithm.
-    par, par_s = _timed_explore(
-        target, workers=PAR_WORKERS, prune=False, **budget
-    )
-    assert (par.runs, par.exhausted) == (naive.runs, naive.exhausted)
-    speedup = naive_s / par_s if par_s else 0.0
-
-    # A second, telemetry-attached parallel run answers what the wall
-    # clock alone cannot: how busy the workers actually were, and whether
-    # the configuration even had the cores its worker count implies.
-    # (Separate run so the telemetry never taints the timed one.)
-    from repro.obs import HarnessTelemetry
-
-    telemetry = HarnessTelemetry()
-    observed = explore_parallel_with(target, telemetry,
-                                     workers=PAR_WORKERS, prune=False,
-                                     **budget)
-    assert (observed.runs, observed.exhausted) == (par.runs, par.exhausted)
-    attribution = telemetry.attribution()
-    cpus = os.cpu_count() or 1
-    oversubscribed = PAR_WORKERS > cpus
-
     payload = {
         "target": "fcfs_resource/monitor",
-        "cpu_count": cpus,
         "serial_naive": _stats(naive, naive_s),
         "serial_pruned": _stats(pruned, pruned_s),
-        "parallel": dict(
-            _stats(par, par_s), workers=PAR_WORKERS,
-            oversubscribed=oversubscribed,
-            effective_workers=attribution["effective_workers"],
-            worker_utilization=attribution["worker_utilization"],
-        ),
         "pruning_ratio": round(naive.runs / pruned.runs, 2),
-        "parallel_speedup": round(speedup, 2),
-        "speedup_attribution": attribution,
     }
     persist("exploration", payload)
     emit(
@@ -217,24 +174,7 @@ def test_e14b_engine_throughput():
                  "{:.0f}".format(naive.runs / naive_s)],
                 ["pruned", str(pruned.runs), "{:.3f}".format(pruned_s),
                  "{:.0f}".format(pruned.runs / pruned_s)],
-                ["parallel x{}".format(PAR_WORKERS), str(par.runs),
-                 "{:.3f}".format(par_s), "{:.0f}".format(par.runs / par_s)],
             ],
         )
-        + "\n\npruning ratio {:.2f}x, parallel speedup {:.2f}x "
-        "({} cpu(s), {} effective worker(s), utilization {})".format(
-            naive.runs / pruned.runs, speedup, cpus,
-            attribution["effective_workers"],
-            attribution["worker_utilization"],
-        )
-        + "\n" + attribution["explanation"],
+        + "\n\npruning ratio {:.2f}x".format(naive.runs / pruned.runs),
     )
-
-    # The >=2x parallel win needs actual cores.  An oversubscribed run
-    # (workers > cpus: lanes time-slice, speedup < 1 is the expected
-    # outcome) is recorded as such and exempted from the gate.
-    if not oversubscribed:
-        assert speedup >= 2.0, (
-            "expected >=2x schedules/sec with {} workers on {} cpu(s), "
-            "got {:.2f}x".format(PAR_WORKERS, cpus, speedup)
-        )

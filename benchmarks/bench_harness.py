@@ -6,10 +6,9 @@ itself (the ROADMAP's "make exploration fast" prerequisite):
 
 * **Phase tiling** — with :class:`~repro.obs.harness.HarnessTelemetry`
   attached, the per-phase wall-clock attribution must *tile* the measured
-  elapsed time (sum of phases >= 90%), serial and parallel alike — the
-  same conservation standard E16 holds the critical path to against the
-  makespan.  An accounting that doesn't tile can hide exactly the
-  bottleneck it was built to find.
+  elapsed time (sum of phases >= 90%) — the same conservation standard
+  E16 holds the critical path to against the makespan.  An accounting
+  that doesn't tile can hide exactly the bottleneck it was built to find.
 * **Null-path overhead** — the disabled telemetry path
   (:class:`~repro.obs.harness.NullHarnessTelemetry`, normalized to
   ``None`` at the entry points) must stay within 5% of a plain run on the
@@ -17,10 +16,6 @@ itself (the ROADMAP's "make exploration fast" prerequisite):
   The two sides run in interleaved pairs, alternating which goes first,
   and the gate reads the median of the per-pair ratios
   (:func:`conftest.paired_ratio`).
-* **Speedup attribution** — the parallel frontier's worker timeline must
-  explain the observed speedup: utilization in (0, 1], oversubscription
-  flagged exactly when workers exceed cpus, busy + idle tiling pool
-  capacity.
 * **Hotspots** — ``self_profile`` must surface a non-empty, ranked
   hotspot list over the explore hot loop (the scheduler-core refactor's
   work queue).
@@ -28,12 +23,11 @@ itself (the ROADMAP's "make exploration fast" prerequisite):
 Everything persists to ``BENCH_harness.json``.
 """
 
-import os
 import time
 
 from conftest import emit, paired_ratio, persist
 
-from repro.explore import explore_parallel, get_target
+from repro.explore import ExplorationEngine, get_target
 from repro.obs import HarnessTelemetry, NullHarnessTelemetry, self_profile
 
 #: The E14b exploration target and budget (bench_exploration.py) — the
@@ -51,10 +45,10 @@ TILING_FLOOR = 0.90
 NULL_OVERHEAD_CEILING = 1.05
 
 
-def _explore(telemetry=None, workers=1, prune=True):
+def _explore(telemetry=None):
     target = get_target(*TARGET)
-    return explore_parallel(target, workers=workers, prune=prune,
-                            telemetry=telemetry, **BUDGET)
+    return ExplorationEngine(target.runner(), prune=True, telemetry=telemetry,
+                             **BUDGET).explore(target.checker)
 
 
 def _timed_explore(telemetry) -> float:
@@ -69,47 +63,14 @@ def test_e21_phase_tiling_serial():
     assert result.exhausted
     coverage = telemetry.coverage()
     assert coverage >= TILING_FLOOR, (
-        "serial phase accounting covers only {:.1%} of elapsed "
+        "phase accounting covers only {:.1%} of elapsed "
         "(floor {:.0%})".format(coverage, TILING_FLOOR))
-    # Serial searches must attribute the actual work phases, not just
-    # loop bookkeeping.
+    # The search must attribute the actual work phases, not just loop
+    # bookkeeping.
     for phase in ("step", "fingerprint", "check", "record", "collect"):
         assert telemetry.phase_seconds.get(phase, 0.0) > 0.0, phase
-    assert telemetry.phase_seconds.get("execute") is None, (
-        "no pool phase on a serial search")
     persist("harness", {"serial": telemetry.to_dict()})
-    emit("E21: serial phase tiling ({}/{})".format(*TARGET),
-         telemetry.render())
-
-
-def test_e21_phase_tiling_parallel_attribution():
-    telemetry = HarnessTelemetry()
-    result = _explore(telemetry, workers=2, prune=False)
-    assert result.exhausted
-    coverage = telemetry.coverage()
-    assert coverage >= TILING_FLOOR, (
-        "parallel phase accounting covers only {:.1%} of elapsed "
-        "(floor {:.0%})".format(coverage, TILING_FLOOR))
-
-    attribution = telemetry.attribution()
-    cpus = os.cpu_count() or 1
-    assert attribution["oversubscribed"] == (2 > cpus)
-    assert attribution["effective_workers"] == min(2, cpus)
-    utilization = attribution["worker_utilization"]
-    assert utilization is not None and 0.0 < utilization <= 1.0
-    # Busy + idle tile pool capacity (worker lanes x execute seconds).
-    capacity = attribution["execute_seconds"] * attribution["workers"]
-    tiled = (attribution["worker_busy_seconds"]
-             + attribution["worker_idle_seconds"])
-    assert abs(tiled - capacity) <= 0.02 * max(capacity, 1e-9)
-    # IPC byte accounting flows both ways.
-    assert attribution["pickle_bytes_out"] > 0
-    assert attribution["pickle_bytes_in"] > 0
-    assert attribution["explanation"]
-    # Every worker the pool forked shows up in the utilization table.
-    assert len(telemetry.utilization()) == 2
-    persist("harness", {"parallel": telemetry.to_dict()})
-    emit("E21: parallel attribution ({}/{}, 2 workers)".format(*TARGET),
+    emit("E21: phase tiling ({}/{})".format(*TARGET),
          telemetry.render())
 
 

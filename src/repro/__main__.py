@@ -18,17 +18,15 @@ Commands:
 * ``profile``       — run one (problem, mechanism) workload under full
   instrumentation: metrics report, ASCII span timeline, contention bars;
   ``--export chrome --out trace.json`` writes a Perfetto-loadable trace.
-  ``--self`` turns the lens around: cProfile the harness's own
-  exploration loop and print the hotspot list.
 * ``metrics``       — profile every registered pair (filter with
   ``--problem``/``--mechanism``) and tabulate the counters side by side.
 * ``explore``       — exhaustively explore one solution's schedule space
   (``repro explore <problem> <mechanism>``): equivalence-pruned search,
-  ``--workers N`` for a parallel frontier, ``--minimize`` to shrink a
-  found witness; ``repro explore list`` names the available targets.
-  Harness telemetry: ``--watch`` live progress lines, ``--self-profile``
-  cProfile hotspots, ``--record`` a gateable run-store record,
-  ``--export chrome`` the worker-lane + counter harness track.
+  ``--minimize`` to shrink a found witness; ``repro explore list`` names
+  the available targets.  Harness telemetry: ``--watch`` live progress
+  lines, ``--self-profile`` cProfile hotspots of the harness's own
+  exploration loop, ``--record`` a gateable run-store record,
+  ``--export chrome`` the counter harness track.
 * ``causal``        — happens-before critical path of one (problem,
   mechanism) run: per-segment attribution (exclusion vs priority
   constraints, T1-T6 information types), what-if virtual speedups, the
@@ -448,12 +446,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
     from .suite import profileable, run_profile
 
-    if args.profile_self:
-        return _cmd_profile_self(args)
-    if args.problem is None or args.mechanism is None:
-        print("error: problem and mechanism are required (or use --self "
-              "to profile the harness itself)", file=sys.stderr)
-        return 2
     try:
         report = run_profile(args.problem, args.mechanism, seed=args.seed)
     except KeyError:
@@ -489,50 +481,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_profile_self(args: argparse.Namespace) -> int:
-    """``repro profile --self``: cProfile the harness's own exploration
-    hot loop and print the hotspot list (the scheduler-core refactor's
-    work queue).  Telemetry rides along so phase shares frame the
-    hotspots."""
-    from .explore import explore_parallel, get_target
-    from .obs import HarnessTelemetry, self_profile
-
-    problem = args.problem or "fcfs_resource"
-    mechanism = args.mechanism or "monitor"
-    try:
-        target = get_target(problem, mechanism)
-    except KeyError as bad:
-        print("error: {}".format(bad.args[0]), file=sys.stderr)
-        return 2
-    telemetry = HarnessTelemetry()
-    report = self_profile(
-        lambda: explore_parallel(target, max_runs=args.self_runs,
-                                 max_depth=args.self_depth, prune=True,
-                                 telemetry=telemetry))
-    result = report.value
-    if args.json:
-        print(json.dumps({
-            "problem": problem,
-            "mechanism": mechanism,
-            "runs": result.runs,
-            "pruned": result.pruned,
-            "telemetry": telemetry.to_dict(),
-            "self_profile": report.to_dict(),
-        }, indent=2, sort_keys=True))
-        return 0
-    print("self-profile of explore {}/{} ({} run(s), {} pruned)".format(
-        problem, mechanism, result.runs, result.pruned))
-    print()
-    print(telemetry.render())
-    print()
-    print(report.render())
-    return 0
-
-
 def _cmd_explore(args: argparse.Namespace) -> int:
     from .explore import (
+        ExplorationEngine,
         available_targets,
-        explore_parallel,
         get_target,
         minimize_witness,
     )
@@ -560,16 +512,13 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             watch=sys.stderr if args.watch else None)
 
     def run_search():
-        return explore_parallel(
-            target,
-            workers=args.workers,
+        return ExplorationEngine(
+            target.runner(),
             max_runs=args.max_runs,
             max_depth=args.max_depth,
             prune=args.prune,
-            seed=args.seed,
-            stop_at_first=args.stop_at_first,
             telemetry=telemetry,
-        )
+        ).explore(target.checker, stop_at_first=args.stop_at_first)
 
     hotspots = None
     if args.self_profile:
@@ -584,7 +533,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         from .suite import explore_record
 
         record = explore_record(args.problem, args.mechanism, result,
-                                telemetry, seed=args.seed)
+                                telemetry)
         saved_record = RunStore(args.store).save(record)
         if not args.json:
             print("explore record saved to " + saved_record)
@@ -609,7 +558,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         payload = {
             "problem": args.problem,
             "mechanism": args.mechanism,
-            "workers": args.workers,
             "prune": args.prune,
             "runs": result.runs,
             "pruned": result.pruned,
@@ -981,16 +929,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof = sub.add_parser(
         "profile", help="instrumented run of one (problem, mechanism) pair"
     )
-    p_prof.add_argument("problem", nargs="?", default=None)
-    p_prof.add_argument("mechanism", nargs="?", default=None)
-    p_prof.add_argument("--self", dest="profile_self", action="store_true",
-                        help="cProfile the harness's own exploration loop "
-                        "(default target fcfs_resource/monitor) and print "
-                        "the hotspot list")
-    p_prof.add_argument("--self-runs", type=int, default=400,
-                        help="schedule budget for --self (default 400)")
-    p_prof.add_argument("--self-depth", type=int, default=48,
-                        help="branching horizon for --self (default 48)")
+    p_prof.add_argument("problem")
+    p_prof.add_argument("mechanism")
     p_prof.add_argument("--export", choices=("chrome", "jsonl"), default=None,
                         help="also write the trace in this format")
     p_prof.add_argument("--out", default=None,
@@ -1094,8 +1034,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="target problem, or 'list' to enumerate targets")
     p_exp.add_argument("mechanism", nargs="?", default=None,
                        help="mechanism to explore")
-    p_exp.add_argument("--workers", type=int, default=1,
-                       help="worker processes (default 1: in-process)")
     p_exp.add_argument("--max-runs", type=int, default=2000,
                        help="schedule budget (default 2000)")
     p_exp.add_argument("--max-depth", type=int, default=60,
@@ -1106,9 +1044,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="equivalence pruning (default)")
     prune.add_argument("--no-prune", dest="prune", action="store_false",
                        help="naive first-deviation DFS")
-    p_exp.add_argument("--seed", type=int, default=None,
-                       help="deterministic frontier shuffle for budgeted "
-                       "searches")
     p_exp.add_argument("--stop-at-first", action="store_true",
                        help="stop at the first violating schedule")
     p_exp.add_argument("--minimize", action="store_true",
@@ -1123,8 +1058,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--self-profile", dest="self_profile",
                        action="store_true",
                        help="run the search under cProfile and print the "
-                       "hotspot list (~2x slower; see also "
-                       "'repro profile --self')")
+                       "hotspot list (~2x slower)")
     p_exp.add_argument("--record", action="store_true",
                        help="persist an explore record (schedules/sec + "
                        "phase seconds) to the run store for "
@@ -1133,8 +1067,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run-store directory for --record "
                        "(default: {})".format(RUNS_DIR))
     p_exp.add_argument("--export", choices=("chrome", "jsonl"), default=None,
-                       help="write the harness telemetry track "
-                       "(worker lanes + counters) in this format")
+                       help="write the harness telemetry counter track "
+                       "in this format")
     p_exp.add_argument("--out", default=None,
                        help="export path (default: harness_trace.json[l])")
     p_exp.add_argument("--json", action="store_true",

@@ -1,17 +1,15 @@
-"""The exploration engine: pruned, parallel, minimizing schedule-space
-search (DESIGN.md §9).
+"""The exploration engine: pruned, minimizing schedule-space search
+(DESIGN.md §9).
 
-* :mod:`repro.explore.engine` — serial depth-first search with canonical
-  state-fingerprint equivalence pruning (off by default: the naive
-  first-deviation DFS).
-* :mod:`repro.explore.parallel` — wave-synchronized multi-process frontier
-  with worker-count-independent results.
+* :mod:`repro.explore.engine` — the one schedule-space search: depth-first
+  with canonical state-fingerprint equivalence pruning (off by default:
+  the naive first-deviation DFS).
 * :mod:`repro.explore.minimize` — ddmin witness shrinking to local
   minimality, with an obs-layer replay timeline.
 * :mod:`repro.explore.detectors` — pluggable lost-wakeup and
   conflicting-access (race) checkers.
 * :mod:`repro.explore.targets` — named (problem, mechanism) workloads the
-  CLI and worker processes resolve by string.
+  CLI, the regression gate and the benchmarks resolve by string.
 * :mod:`repro.explore.campaign` — the fault-campaign engine behind
   ``repro robustness|recover|partition|resilience``: fault cells explored
   and classified, fault-set search, and ddmin.
@@ -34,7 +32,6 @@ from .engine import (
     expand_record,
 )
 from .minimize import MinimizedWitness, minimize_result, minimize_witness
-from .parallel import explore_parallel
 from .targets import ExplorationTarget, available_targets, get_target
 
 __all__ = [
@@ -51,7 +48,6 @@ __all__ = [
     "MinimizedWitness",
     "minimize_result",
     "minimize_witness",
-    "explore_parallel",
     "ExplorationTarget",
     "available_targets",
     "get_target",

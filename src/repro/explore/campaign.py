@@ -275,7 +275,7 @@ def fold_net_run(outcome: Outcome, run: RunResult) -> None:
     """Fold one distributed run into its cell: failover and post-heal MTTR
     samples, availability, the most restarts any run saw, and message
     statistics (counters summed, per-node gauges max-merged)."""
-    # Imported here: the obs package sits above this engine.
+    # Imported here so that importing repro.explore does not load repro.obs.
     from ..obs.recovery import compute_availability, compute_partition_mttr
 
     for span in compute_partition_mttr(run).spans:

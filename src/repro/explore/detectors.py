@@ -4,8 +4,8 @@ detection over explored schedules.
 A ``Checker`` is anything callable as ``check(run) -> List[str]`` (empty =
 ok), the same contract the trace oracles satisfy — so detectors, oracles,
 and ad-hoc lambdas compose freely via :func:`compose_checkers` and plug
-into :class:`~repro.explore.engine.ExplorationEngine`, the parallel
-frontier, and the fault campaigns' classifiers alike.
+into :class:`~repro.explore.engine.ExplorationEngine` and the fault
+campaigns' classifiers alike.
 
 Unlike the problem oracles (which check a discipline: FCFS, alternation,
 priority), these two detect *mechanism-level* pathologies that any problem

@@ -14,9 +14,8 @@ converge to the same canonical state, so each equivalence class is visited
 once — a sleep-set/state-caching reduction in the DPOR family (see
 DESIGN.md §9 for the soundness argument and its boundary).
 
-Serial depth-first search lives here; the wave-synchronized parallel
-frontier is :mod:`repro.explore.parallel`, sharing :func:`expand_record`
-so both searches prune identically.
+This is the one schedule-space search: the CLI, the regression gate, the
+synthesis engine and every fault campaign run it.
 """
 
 from __future__ import annotations
@@ -153,13 +152,11 @@ def run_one_timed(
     max_depth: int,
     claimed: Optional[Set[PruneKey]] = None,
 ) -> RunRecord:
-    """Execute one schedule with phase-attributed wall-clock accounting.
-
-    Shared by the serial engine and the parallel frontier's in-process
-    path so both attribute identically: ``step`` (scheduler stepping,
-    fingerprint time subtracted), ``fingerprint``, ``check`` (oracle
-    battery), ``record`` (RunRecord reduction).  ``claimed`` is passed to
-    the :class:`RecordingPolicy`.
+    """Execute one schedule with phase-attributed wall-clock accounting:
+    ``step`` (scheduler stepping, fingerprint time subtracted),
+    ``fingerprint``, ``check`` (oracle battery), ``record`` (RunRecord
+    reduction).  The observed twin of :meth:`ExplorationEngine.run_one`;
+    ``claimed`` is passed to the :class:`RecordingPolicy`.
     """
     policy = (TimedRecordingPolicy(prefix, max_depth, claimed) if prune
               else ScriptedPolicy(prefix))
@@ -180,9 +177,9 @@ def run_one_timed(
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Everything the frontier logic needs from one executed schedule —
-    a picklable reduction of the run, so parallel workers can ship it back
-    to the master without shipping the trace.
+    """Everything the search needs from one executed schedule: a
+    reduction of the run, so the trace can be dropped as soon as the
+    oracles have read it.
 
     ``fingerprints[i]`` and ``ready_pids[i]`` describe decision
     ``len(prefix) + i``; they run up to the branching horizon at most, or
@@ -368,7 +365,7 @@ class ExplorationEngine:
         self._seen = seen
         telemetry = self.telemetry
         if telemetry is not None:
-            telemetry.begin(max_runs=self.max_runs, workers=1)
+            telemetry.begin(max_runs=self.max_runs)
         while frontier:
             if result.runs >= self.max_runs:
                 result.exhausted = False

@@ -144,9 +144,9 @@ def minimize_witness(
                     break
 
     # One final replay for the report: messages + span timeline + causal
-    # chain.  The obs import is deferred: repro.obs pulls in the problem
-    # catalog, which imports repro.verify, which shims through this
-    # package — importing it at module scope would close that cycle.
+    # chain.  The obs import is deferred so that importing repro.explore
+    # does not load repro.obs: a search that minimizes no witness never
+    # needs it.
     from ..obs import ascii_timeline, causal_chain, compute_critical_path, \
         fold_spans
 

@@ -2,11 +2,10 @@
 (problem, mechanism) pair, addressable by name.
 
 The engine itself takes arbitrary ``build_and_run`` closures; the *targets*
-exist so that exploration can be requested from the command line
-(``python -m repro explore bounded_buffer monitor``) and sharded across
-worker processes — a target is identified by two strings, so a worker can
-rebuild the system and checker locally instead of receiving an unpicklable
-closure.
+exist so that exploration can be requested by name — from the command line
+(``python -m repro explore bounded_buffer monitor``), the ``repro regress
+--explore`` gate and the benchmarks.  A target is identified by two
+strings and supplies both the runner and the checker.
 
 Each target couples a deliberately small workload (2–3 processes, 1–2
 operations each, so the schedule space is exhaustible within CLI budgets)
@@ -43,9 +42,9 @@ def _factory(problem: str, mechanism: str):
 
 
 # ----------------------------------------------------------------------
-# Workloads (sched, mechanism) -> RunResult.  Kept module-level so worker
-# processes resolve them by problem name.  The matching oracles live in
-# repro.verify.registry under the names listed in _SPECS below.
+# Workloads (sched, mechanism) -> RunResult, resolved by problem name.  The
+# matching oracles live in repro.verify.registry under the names listed in
+# _SPECS below.
 # ----------------------------------------------------------------------
 def _run_readers_priority(sched: Scheduler, mechanism: str) -> RunResult:
     impl = _factory("readers_priority", mechanism)(sched)

@@ -49,8 +49,6 @@ from .harness import (
     Hotspot,
     HotspotReport,
     NullHarnessTelemetry,
-    WaveStat,
-    WorkerItem,
     self_profile,
 )
 from .metrics import Histogram, ObjectMetrics, RunMetrics, compute_metrics
@@ -136,8 +134,6 @@ __all__ = [
     "PHASES",
     "HarnessTelemetry",
     "NullHarnessTelemetry",
-    "WorkerItem",
-    "WaveStat",
     "Hotspot",
     "HotspotReport",
     "self_profile",

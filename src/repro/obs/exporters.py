@@ -62,10 +62,9 @@ def chrome_trace(
 
     ``harness`` takes a :class:`~repro.obs.harness.HarnessTelemetry`
     (duck-typed): its counter samples become ``ph: "C"`` events
-    (schedules/sec, frontier depth, pruning ratio) on a ``harness`` track
-    and each :class:`~repro.obs.harness.WorkerItem` becomes a complete
-    event on a ``worker <pid>`` lane.  Caveat: harness timestamps are
-    **wall-clock seconds since the telemetry epoch** (exported as µs),
+    (schedules/sec, frontier depth, pruning ratio) on a ``harness``
+    track.  Caveat: harness timestamps are **wall-clock seconds since the
+    telemetry epoch** (exported as µs),
     not the seq axis the mechanism tracks use — meaningful on its own
     (``repro explore --export chrome`` passes empty spans) or as a
     separate clock domain alongside a profiled run.
@@ -181,27 +180,6 @@ def chrome_trace(
                     "tid": harness_tid,
                     "args": {counter: value},
                 })
-        worker_tids: Dict[int, int] = {}
-        for item in getattr(harness, "worker_items", ()):
-            tid = worker_tids.get(item.worker)
-            if tid is None:
-                tid = harness_tid + 1 + len(worker_tids)
-                worker_tids[item.worker] = tid
-                seen_tids.setdefault(tid, "worker %d" % item.worker)
-            events.append({
-                "name": "schedule len=%d" % item.prefix_len,
-                "cat": "harness",
-                "ph": "X",
-                "ts": int(round(item.start * 1_000_000)),
-                "dur": max(int(round(item.busy * 1_000_000)), 1),
-                "pid": 0,
-                "tid": tid,
-                "args": {
-                    "queue_wait_us": int(round(item.queue_wait * 1_000_000)),
-                    "result_bytes": item.result_bytes,
-                    "prefix_len": item.prefix_len,
-                },
-            })
 
     metadata: List[Dict[str, Any]] = [{
         "name": "process_name",

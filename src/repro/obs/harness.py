@@ -1,50 +1,35 @@
 """Harness self-observability: the exploration engine measured with the
 same discipline it applies to the mechanisms.
 
-The ROADMAP's perf goal — "make exploration fast, and make parallel
-actually parallel" — cannot be attacked blind: before this module the
-harness could report *that* the 4-worker frontier was slower than serial
-(``parallel_speedup: 0.73`` in BENCH_exploration.json) but not *why*.
-This module answers why, in three layers:
+Two layers:
 
 * **Phase-attributed wall-clock accounting** — every second the explore
   hot loop spends is attributed to one phase of :data:`PHASES`
   (scheduler stepping vs fingerprint hashing vs oracle checking vs trace
-  recording vs dispatch/IPC vs result collection), and the attribution
-  *tiles*: E21 (``benchmarks/bench_harness.py``) asserts the phase sum
-  covers >= 90% of measured elapsed time, the same conservation standard
-  the critical path meets against the makespan.
-* **Per-worker utilization timeline** — for :func:`repro.explore.parallel.
-  explore_parallel`, each worker item becomes a :class:`WorkerItem`
-  (busy span, queue wait, pickle bytes in/out), and
-  :meth:`HarnessTelemetry.attribution` reduces the timeline to an
-  Amdahl-style explanation of the observed speedup: serial master share,
-  parallel busy share, idle/IPC share, the core-count bound, and an
-  ``oversubscribed`` verdict when workers exceed physical cpus.
+  recording vs result collection), and the attribution *tiles*: E21
+  (``benchmarks/bench_harness.py``) asserts the phase sum covers >= 90%
+  of measured elapsed time, the same conservation standard the critical
+  path meets against the makespan.
 * **Live progress + hotspots** — counter samples (schedules/sec,
   frontier depth, pruning ratio) feed ``repro explore --watch`` progress
   lines, the chrome-trace "harness" track
   (:func:`repro.obs.exporters.chrome_trace` with ``harness=``), and the
   run store (:func:`repro.suite.explore_record`, gated by ``repro
   regress --explore``); :func:`self_profile` wraps a search in cProfile and
-  surfaces the hotspot list (``repro profile --self``) the scheduler-core
-  refactor needs.
+  surfaces the hotspot list (``repro explore --self-profile``).
 
 **Null-path contract.**  Exactly like the runtime's
-:class:`~repro.obs.sink.InstrumentationSink`: the engine and the parallel
-frontier store ``telemetry=None`` for the unobserved case and guard every
-accounting site with one ``is not None`` test; passing
-:class:`NullHarnessTelemetry` is normalized to ``None`` at the entry
-point (``IS_NULL = True``), so an unobserved search executes the
-identical code path and pays nothing.  E21 asserts the null path within
-5% of no-argument runs, the same gate E15 holds the trace sink to.
+:class:`~repro.obs.sink.InstrumentationSink`: the engine stores
+``telemetry=None`` for the unobserved case and guards every accounting
+site with one ``is not None`` test; passing :class:`NullHarnessTelemetry`
+is normalized to ``None`` at the entry point (``IS_NULL = True``), so an
+unobserved search executes the identical code path and pays nothing.
+E21 asserts the null path within 5% of no-argument runs, the same gate
+E15 holds the trace sink to.
 
 Telemetry is **passive**: it never influences a scheduling or pruning
 decision, so results with telemetry attached are byte-identical to
-results without (asserted by ``tests/test_harness_obs.py``).  Worker
-timestamps are ``time.perf_counter()`` readings; on the POSIX platforms
-the pool targets (fork context) that clock is system-wide monotonic, so
-worker spans are directly comparable with the master epoch.
+results without (asserted by ``tests/test_harness_obs.py``).
 """
 
 from __future__ import annotations
@@ -57,55 +42,25 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, TextIO, Tuple
 
-#: The phase vocabulary (DESIGN.md §15).  Serial searches decompose every
-#: schedule into ``step``/``fingerprint``/``check``/``record`` and the
-#: master loop into ``dispatch``/``collect``; multi-process searches
-#: additionally book the pool round-trip under ``execute`` (decomposed
-#: post-hoc into busy/idle/IPC by the worker timeline).
+#: The phase vocabulary (DESIGN.md §15).  Every schedule decomposes into
+#: ``step``/``fingerprint``/``check``/``record``, and the search loop's own
+#: work is ``collect``.
 PHASES = (
     "step",         # scheduler stepping: executing the schedule itself
     "fingerprint",  # canonical-state digesting (RecordingPolicy.observe_state)
     "check",        # oracle battery over the finished run
-    "record",       # RunRecord reduction (trace -> picklable record)
-    "dispatch",     # wave sort, prefix pickling, work submission
-    "execute",      # pool.map round trip (workers > 1 only)
-    "collect",      # record merging, expand_record, frontier bookkeeping
+    "record",       # RunRecord reduction (trace -> record)
+    "collect",      # expand_record and frontier bookkeeping
 )
-
-
-@dataclass(frozen=True)
-class WorkerItem:
-    """One schedule executed by one pool worker, on the master's clock."""
-
-    worker: int          # worker process id
-    start: float         # seconds since telemetry epoch
-    end: float
-    queue_wait: float    # start minus the wave's dispatch timestamp
-    result_bytes: int    # pickled RunRecord size shipped back
-    prefix_len: int
-
-    @property
-    def busy(self) -> float:
-        return self.end - self.start
-
-
-@dataclass
-class WaveStat:
-    """One dispatch round of the parallel frontier."""
-
-    size: int            # work items in the wave
-    chunk: int           # pool chunksize
-    arg_bytes: int       # pickled prefix bytes shipped out
-    seconds: float       # pool round-trip wall time
 
 
 class HarnessTelemetry:
     """Accumulating sink for harness self-measurement.
 
-    Attach one to :class:`~repro.explore.engine.ExplorationEngine` or
-    :func:`~repro.explore.parallel.explore_parallel` via ``telemetry=``.
-    All methods are passive accumulators; ``watch`` (a writable stream)
-    additionally emits periodic, non-tty-safe progress lines.
+    Attach one to :class:`~repro.explore.engine.ExplorationEngine` via
+    ``telemetry=``.  All methods are passive accumulators; ``watch`` (a
+    writable stream) additionally emits periodic, non-tty-safe progress
+    lines.
     """
 
     IS_NULL = False
@@ -123,11 +78,8 @@ class HarnessTelemetry:
         self.frontier = 0
         self.frontier_peak = 0
         self.max_runs: Optional[int] = None
-        self.workers = 1
         #: (elapsed_s, runs, frontier, pruned) counter samples.
         self.samples: List[Tuple[float, int, int, int]] = []
-        self.worker_items: List[WorkerItem] = []
-        self.waves: List[WaveStat] = []
         self.watch = watch
         self.watch_interval = watch_interval
         self._epoch: Optional[float] = None
@@ -140,14 +92,11 @@ class HarnessTelemetry:
     # Accumulation (called from the explore hot loop, guarded by the
     # caller's single `telemetry is not None` test)
     # ------------------------------------------------------------------
-    def begin(self, max_runs: Optional[int] = None,
-              workers: int = 1) -> None:
-        """Start (or restart) the epoch.  Idempotent across the serial
-        engine's and the parallel frontier's shared entry points."""
+    def begin(self, max_runs: Optional[int] = None) -> None:
+        """Start (or restart) the epoch."""
         self._epoch = perf_counter()
         self._finished = None
         self.max_runs = max_runs
-        self.workers = workers
 
     def add(self, phase: str, seconds: float) -> None:
         """Attribute ``seconds`` of wall clock to ``phase``."""
@@ -172,26 +121,6 @@ class HarnessTelemetry:
             self._last_watch_t = now
             self.watch.write(self.progress_line() + "\n")
             self.watch.flush()
-
-    def note_wave(self, size: int, chunk: int, arg_bytes: int,
-                  seconds: float) -> None:
-        self.waves.append(WaveStat(size=size, chunk=chunk,
-                                   arg_bytes=arg_bytes, seconds=seconds))
-
-    def note_worker_item(self, worker: int, start: float, end: float,
-                         dispatch_ts: float, result_bytes: int,
-                         prefix_len: int) -> None:
-        """Record one worker execution.  ``start``/``end``/``dispatch_ts``
-        are raw ``perf_counter`` readings; stored relative to the epoch."""
-        epoch = self._epoch or 0.0
-        self.worker_items.append(WorkerItem(
-            worker=worker,
-            start=start - epoch,
-            end=end - epoch,
-            queue_wait=max(0.0, start - dispatch_ts),
-            result_bytes=result_bytes,
-            prefix_len=prefix_len,
-        ))
 
     def finish(self) -> None:
         """Freeze the elapsed clock and emit a final sample."""
@@ -254,95 +183,6 @@ class HarnessTelemetry:
             eta="-" if eta is None or final else "{:.1f}s".format(eta),
         )
 
-    def utilization(self) -> Dict[int, Dict[str, Any]]:
-        """Per-worker reduction of the item timeline: busy seconds, items
-        executed, bytes shipped back, mean queue wait."""
-        per: Dict[int, Dict[str, Any]] = {}
-        for item in self.worker_items:
-            stats = per.setdefault(item.worker, {
-                "busy_seconds": 0.0, "items": 0, "result_bytes": 0,
-                "queue_wait_seconds": 0.0,
-            })
-            stats["busy_seconds"] += item.busy
-            stats["items"] += 1
-            stats["result_bytes"] += item.result_bytes
-            stats["queue_wait_seconds"] += item.queue_wait
-        execute = self.phase_seconds.get("execute", 0.0)
-        for stats in per.values():
-            stats["busy_seconds"] = round(stats["busy_seconds"], 6)
-            stats["queue_wait_seconds"] = round(
-                stats["queue_wait_seconds"], 6)
-            stats["utilization"] = (
-                round(min(1.0, stats["busy_seconds"] / execute), 4)
-                if execute > 0 else None)
-        return per
-
-    def attribution(self) -> Dict[str, Any]:
-        """Amdahl-style speedup attribution: where the wall clock of a
-        parallel search went, and what speedup the configuration could at
-        best have achieved.
-
-        The model (DESIGN.md §15): elapsed ~= serial + execute, where
-        ``serial`` is master-only work (dispatch + collect + serial-mode
-        phases) and ``execute`` is the pool round trip.  ``execute``
-        spreads over ``workers`` lanes of capacity: ``busy`` seconds did
-        schedule work, the rest is ``idle`` (queue imbalance, IPC
-        serialization, core starvation).  With ``effective = min(workers,
-        cpus)`` truly parallel lanes, the best case is ``serial +
-        busy/effective`` — the Amdahl bound reported here.  When
-        ``workers > cpus`` the run is flagged ``oversubscribed``: lanes
-        time-slice one core, busy seconds exceed wall capacity, and a
-        speedup below 1 is the *expected* outcome, not an anomaly.
-        """
-        elapsed = self.elapsed()
-        execute = self.phase_seconds.get("execute", 0.0)
-        busy = sum(item.busy for item in self.worker_items)
-        serial = sum(seconds for phase, seconds in self.phase_seconds.items()
-                     if phase != "execute")
-        capacity = execute * self.workers
-        idle = max(0.0, capacity - busy)
-        cpus = os.cpu_count() or 1
-        effective = max(1, min(self.workers, cpus))
-        oversubscribed = self.workers > cpus
-        amdahl = ((serial + busy) / (serial + busy / effective)
-                  if serial + busy > 0 else 1.0)
-        result_bytes = sum(item.result_bytes for item in self.worker_items)
-        arg_bytes = sum(wave.arg_bytes for wave in self.waves)
-        causes = []
-        if oversubscribed:
-            causes.append(
-                "oversubscribed: {} workers share {} cpu(s), so worker "
-                "lanes time-slice instead of running in parallel".format(
-                    self.workers, cpus))
-        if capacity > 0 and idle / capacity > 0.5:
-            causes.append(
-                "workers idle {:.0f}% of pool capacity (queue imbalance "
-                "and IPC)".format(100.0 * idle / capacity))
-        if elapsed > 0 and serial / elapsed > 0.5:
-            causes.append(
-                "master-side serial work is {:.0f}% of elapsed (Amdahl "
-                "bound {:.2f}x)".format(100.0 * serial / elapsed, amdahl))
-        if not causes:
-            causes.append("no dominant bottleneck: parallel section is "
-                          "busy and the serial share is small")
-        return {
-            "workers": self.workers,
-            "cpu_count": cpus,
-            "effective_workers": effective,
-            "oversubscribed": oversubscribed,
-            "elapsed_seconds": round(elapsed, 6),
-            "serial_seconds": round(serial, 6),
-            "execute_seconds": round(execute, 6),
-            "worker_busy_seconds": round(busy, 6),
-            "worker_idle_seconds": round(idle, 6),
-            "worker_utilization": (round(busy / capacity, 4)
-                                   if capacity > 0 else None),
-            "pickle_bytes_out": arg_bytes,
-            "pickle_bytes_in": result_bytes,
-            "amdahl_speedup_bound": round(amdahl, 4),
-            "explanation": "; ".join(causes),
-        }
-
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -356,12 +196,6 @@ class HarnessTelemetry:
                               for phase, seconds in
                               sorted(self.phase_seconds.items())},
             "coverage": round(self.coverage(), 4),
-            "workers": self.workers,
-            "waves": len(self.waves),
-            "worker_utilization": {str(worker): stats for worker, stats
-                                   in sorted(self.utilization().items())},
-            "attribution": (self.attribution()
-                            if self.worker_items else None),
             "samples": [
                 {"t": round(t, 4), "runs": runs, "frontier": frontier,
                  "pruned": pruned}
@@ -387,16 +221,6 @@ class HarnessTelemetry:
             lines.append("  %-12s %8.4fs %5.1f%% %s" % (
                 phase, seconds, 100.0 * share,
                 "#" * int(round(share * 40))))
-        if self.worker_items:
-            attribution = self.attribution()
-            lines.append("  workers: {} ({} effective on {} cpu(s); "
-                         "utilization {}, {} idle s)".format(
-                             attribution["workers"],
-                             attribution["effective_workers"],
-                             attribution["cpu_count"],
-                             attribution["worker_utilization"],
-                             attribution["worker_idle_seconds"]))
-            lines.append("  " + attribution["explanation"])
         return "\n".join(lines)
 
 
@@ -409,7 +233,7 @@ class NullHarnessTelemetry(HarnessTelemetry):
 
 
 # ----------------------------------------------------------------------
-# Self-profiling (repro profile --self / repro explore --self-profile)
+# Self-profiling (repro explore --self-profile)
 # ----------------------------------------------------------------------
 @dataclass
 class Hotspot:

@@ -285,7 +285,7 @@ class Scheduler:
         continuations (see DESIGN.md §9 for the soundness argument), which
         is what lets the exploration engine visit each equivalence class of
         interleavings once.  Uses BLAKE2b, not ``hash()``, so digests agree
-        across worker processes regardless of ``PYTHONHASHSEED``.
+        across processes regardless of ``PYTHONHASHSEED``.
         """
         # One pass builds the per-process tuples and the park order; the
         # payload is byte-identical to building each component separately.

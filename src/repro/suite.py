@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
-from .explore import explore_parallel, get_target
+from .explore import ExplorationEngine, get_target
 from .load import LOAD_MECHANISMS, LoadPoint, saturation_curve
 from .obs.critical_path import CriticalPathReport, compute_critical_path
 from .obs.harness import HarnessTelemetry
@@ -371,10 +371,11 @@ def _explore_targets(*, explore_target: str, **_options) -> List[str]:
 def _measure_explore(target: str, seed: Optional[int], *, explore_runs,
                      explore_depth, **_options) -> GateRecord:
     problem, __, mechanism = target.partition("/")
+    explored = get_target(problem, mechanism)
     telemetry = HarnessTelemetry()
-    result = explore_parallel(
-        get_target(problem, mechanism), max_runs=explore_runs,
-        max_depth=explore_depth, prune=True, seed=seed, telemetry=telemetry)
+    result = ExplorationEngine(
+        explored.runner(), max_runs=explore_runs, max_depth=explore_depth,
+        prune=True, telemetry=telemetry).explore(explored.checker)
     return explore_record(problem, mechanism, result, telemetry, seed=seed)
 
 

@@ -1,7 +1,7 @@
 """Verification layer (S9): trace oracles and the fault campaigns.
 
 The schedule-space search engine lives in :mod:`repro.explore` (pruning,
-parallel frontier, minimization, detectors), as does the fault-campaign
+minimization, detectors), as does the fault-campaign
 loop the chaos, recovery and partition campaigns here configure
 (:mod:`repro.explore.campaign`)."""
 

@@ -8,9 +8,6 @@ memoizes per-event digest terms, and snapshots only the decisions a search
 reads.  These tests check that every prune key the search reads is
 bit-identical to the reference, and that a search recording the reference
 at every decision reaches the same results.
-
-With ``REPRO_EXPLORE_TEST_WORKERS`` set, the parallel leg runs its fast
-search through a worker pool of that size.
 """
 
 import hashlib
@@ -22,13 +19,10 @@ import sys
 import pytest
 
 import repro
-from repro.explore import explore_parallel, get_target
-from repro.explore import parallel as parallel_module
+from repro.explore import get_target
 from repro.explore.engine import ExplorationEngine, RecordingPolicy, RunRecord
 from repro.explore.targets import available_targets
 from repro.runtime.process import ProcessState
-
-ENV_WORKERS = int(os.environ.get("REPRO_EXPLORE_TEST_WORKERS", "0"))
 
 #: Targets whose ``send`` events carry a ``Channel`` as ``detail``:
 #: ``Channel`` has no ``__repr__``, so their event digest hashes a memory
@@ -203,14 +197,14 @@ def test_reference_search_matches_fast_search(problem, mechanism):
     ("readers_priority", "semaphore"),
     ("alarm_clock", "monitor"),
 ])
-def test_parallel_search_matches_reference_recording(problem, mechanism,
-                                                     monkeypatch):
+def test_depth_bounded_search_matches_reference_recording(problem,
+                                                          mechanism):
     target = get_target(problem, mechanism)
-    kwargs = dict(max_runs=BUDGET, max_depth=40, prune=True, seed=5)
-    fast = explore_parallel(target, workers=max(1, ENV_WORKERS), **kwargs)
-    monkeypatch.setattr(parallel_module, "RecordingPolicy",
-                        ReferenceRecordingPolicy)
-    reference = explore_parallel(target, workers=1, **kwargs)
+    fast = ExplorationEngine(target.runner(), max_runs=BUDGET, max_depth=40,
+                             prune=True).explore(target.checker)
+    reference = engine_with(ReferenceRecordingPolicy, target,
+                            max_runs=BUDGET,
+                            max_depth=40).explore(target.checker)
     assert outcome(fast) == outcome(reference)
 
 

@@ -1,9 +1,8 @@
 """Tests for the harness observatory (DESIGN.md §15).
 
 The load-bearing contract: telemetry is *passive*.  Attaching a
-:class:`HarnessTelemetry` (or the null sink) to the serial engine or the
-parallel frontier must leave the exploration result byte-identical —
-including across worker counts — while the accounting it produces tiles
+:class:`HarnessTelemetry` (or the null sink) to the engine must leave the
+exploration result byte-identical, while the accounting it produces tiles
 wall time, survives the exporters, and feeds the ``repro regress
 --explore`` gate.
 """
@@ -12,8 +11,10 @@ import io
 import json
 import os
 
+import pytest
+
 from repro.__main__ import main
-from repro.explore import ExplorationEngine, explore_parallel, get_target
+from repro.explore import ExplorationEngine, get_target
 from repro.obs import (
     GateRecord,
     HarnessTelemetry,
@@ -25,7 +26,7 @@ from repro.obs import (
     parse_jsonl,
     self_profile,
 )
-from repro.suite import explore_record
+from repro.suite import _measure_explore, explore_record
 
 BASELINE = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks",
                         "baselines", "explore_baseline.json")
@@ -40,11 +41,10 @@ def _as_tuple(result):
             tuple((taken, tuple(msgs)) for taken, msgs in result.violations))
 
 
-def _explore(**kwargs):
+def _explore(telemetry=None):
     target = get_target(*TARGET)
-    merged = dict(BUDGET)
-    merged.update(kwargs)
-    return explore_parallel(target, prune=True, **merged)
+    return ExplorationEngine(target.runner(), prune=True, telemetry=telemetry,
+                             **BUDGET).explore(target.checker)
 
 
 # ----------------------------------------------------------------------
@@ -56,14 +56,6 @@ def test_serial_results_identical_with_telemetry():
     assert _as_tuple(base) == _as_tuple(observed)
 
 
-def test_parallel_results_identical_with_telemetry_and_workers():
-    base = _explore(workers=1)
-    for workers in (1, 2):
-        observed = _explore(workers=workers, telemetry=HarnessTelemetry())
-        assert _as_tuple(base) == _as_tuple(observed), (
-            "telemetry changed results at workers={}".format(workers))
-
-
 def test_null_sink_is_normalized_and_identical():
     base = _explore()
     nulled = _explore(telemetry=NullHarnessTelemetry())
@@ -71,22 +63,6 @@ def test_null_sink_is_normalized_and_identical():
     engine = ExplorationEngine(lambda p: None,
                                telemetry=NullHarnessTelemetry())
     assert engine.telemetry is None
-
-
-def test_engine_and_frontier_agree_under_telemetry():
-    """The serial engine (via the target's runner) and the one-worker
-    frontier attribute through the same run_one_timed and agree on the
-    search outcome."""
-    target = get_target(*TARGET)
-    engine_tel = HarnessTelemetry()
-    engine = ExplorationEngine(target.build_and_run, prune=True,
-                               telemetry=engine_tel, **BUDGET)
-    engine_result = engine.explore(target.checker)
-    frontier_result = _explore(telemetry=HarnessTelemetry())
-    assert engine_result.runs == frontier_result.runs
-    assert engine_result.pruned == frontier_result.pruned
-    assert engine_tel.runs == engine_result.runs
-    assert engine_tel.coverage() > 0.5
 
 
 # ----------------------------------------------------------------------
@@ -103,30 +79,9 @@ def test_phase_accounting_tiles_and_counts():
     assert 0.0 <= telemetry.pruning_ratio() < 1.0
     data = telemetry.to_dict()
     assert data["runs"] == result.runs
-    assert set(data["phase_seconds"]) <= {
-        "step", "fingerprint", "check", "record", "dispatch", "execute",
-        "collect"}
+    assert set(data["phase_seconds"]) == {
+        "step", "fingerprint", "check", "record", "collect"}
     assert data["samples"], "counter samples must accumulate"
-
-
-def test_parallel_worker_timeline_and_attribution():
-    telemetry = HarnessTelemetry()
-    _explore(workers=2, telemetry=telemetry)
-    assert telemetry.worker_items, "worker timeline must be populated"
-    assert telemetry.waves, "wave stats must be populated"
-    assert len(telemetry.utilization()) == 2
-    attribution = telemetry.attribution()
-    cpus = os.cpu_count() or 1
-    assert attribution["workers"] == 2
-    assert attribution["cpu_count"] == cpus
-    assert attribution["oversubscribed"] == (2 > cpus)
-    assert attribution["pickle_bytes_in"] > 0
-    assert attribution["pickle_bytes_out"] > 0
-    assert attribution["amdahl_speedup_bound"] >= 1.0
-    assert attribution["explanation"]
-    for item in telemetry.worker_items:
-        assert item.end >= item.start >= 0.0
-        assert item.queue_wait >= 0.0
 
 
 def test_watch_progress_lines_are_plain_text():
@@ -158,23 +113,18 @@ def test_eta_is_budget_bound():
 # ----------------------------------------------------------------------
 def test_chrome_trace_harness_track():
     telemetry = HarnessTelemetry()
-    _explore(workers=2, telemetry=telemetry)
+    _explore(telemetry=telemetry)
     doc = chrome_trace([], harness=telemetry)
     events = doc["traceEvents"]
     names = {ev["args"]["name"] for ev in events if ev["ph"] == "M"
              and ev["name"] == "thread_name"}
-    assert "harness" in names
-    assert any(name.startswith("worker ") for name in names)
+    assert names == {"harness"}
     counters = [ev for ev in events if ev["ph"] == "C"]
+    assert counters
     counter_names = {ev["name"] for ev in counters}
     assert counter_names == {"schedules/sec", "frontier depth",
                              "pruning ratio"}
-    lanes = [ev for ev in events
-             if ev["ph"] == "X" and ev["cat"] == "harness"]
-    assert len(lanes) == len(telemetry.worker_items)
-    for ev in lanes:
-        assert ev["dur"] >= 1
-        assert ev["args"]["result_bytes"] > 0
+    assert all(ev["tid"] == counters[0]["tid"] for ev in counters)
 
 
 def test_jsonl_counter_round_trip():
@@ -281,7 +231,7 @@ def test_regress_explore_gate_trips_on_steps(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# CLI: explore --watch/--record/--export, profile --self
+# CLI: explore --watch/--record/--export/--self-profile
 # ----------------------------------------------------------------------
 def test_explore_cli_watch_record_export(tmp_path, capsys):
     store = tmp_path / "runs"
@@ -304,8 +254,8 @@ def test_explore_cli_watch_record_export(tmp_path, capsys):
 
 def test_explore_cli_chrome_export(tmp_path, capsys):
     out = tmp_path / "harness_trace.json"
-    code = main(["explore", TARGET[0], TARGET[1], "--fast", "--workers",
-                 "2", "--export", "chrome", "--out", str(out), "--json"])
+    code = main(["explore", TARGET[0], TARGET[1], "--fast",
+                 "--export", "chrome", "--out", str(out), "--json"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["telemetry"]["runs"] == payload["runs"]
@@ -314,28 +264,43 @@ def test_explore_cli_chrome_export(tmp_path, capsys):
 
 
 def test_explore_cli_self_profile_json(capsys):
-    code = main(["explore", TARGET[0], TARGET[1], "--fast",
-                 "--self-profile", "--json"])
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["self_profile"]["hotspots"]
-    assert payload["telemetry"]["coverage"] > 0.5
-
-
-def test_profile_self_cli(capsys):
-    code = main(["profile", "--self", "--self-runs", "150", "--json"])
+    budget = ["--max-runs", "150", "--max-depth", "48"]
+    code = main(["explore", TARGET[0], TARGET[1], "--self-profile",
+                 "--json"] + budget)
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["runs"] > 0
     assert payload["self_profile"]["hotspots"]
-    capsys.readouterr()
-    assert main(["profile", "--self", "--self-runs", "150"]) == 0
+    assert payload["telemetry"]["coverage"] > 0.5
+    assert main(["explore", TARGET[0], TARGET[1], "--self-profile"]
+                + budget) == 0
     text = capsys.readouterr().out
     assert "self-profile" in text and "harness telemetry:" in text
 
 
+def test_explore_cli_and_gate_run_the_engine(capsys):
+    """``repro explore`` and the ``regress --explore`` producer report
+    exactly what the engine finds on the same target and budget."""
+    target = get_target("footnote3", "monitor")
+    direct = ExplorationEngine(target.runner(), max_runs=2000, max_depth=60,
+                               prune=True).explore(target.checker)
+    assert direct.violations, "footnote3 must reach its anomaly"
+    assert main(["explore", "footnote3", "monitor", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert ((payload["runs"], payload["pruned"], payload["states"],
+             payload["exhausted"], payload["violations"])
+            == (direct.runs, direct.pruned, direct.states, direct.exhausted,
+                len(direct.violations)))
+    record = _measure_explore("footnote3/monitor", None, explore_runs=2000,
+                              explore_depth=60)
+    assert (record.metrics["runs"], record.metrics["pruned"]) == (
+        direct.runs, direct.pruned)
+
+
 def test_profile_without_args_errors(capsys):
-    assert main(["profile"]) == 2
+    with pytest.raises(SystemExit) as exit_:
+        main(["profile"])
+    assert exit_.value.code == 2
     assert "required" in capsys.readouterr().err
 
 
