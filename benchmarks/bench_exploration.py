@@ -145,7 +145,7 @@ def _stats(result, seconds):
 
 
 def test_e14b_engine_throughput():
-    from repro.explore import get_target
+    from repro.explore.targets import get_target
 
     # fcfs_resource/monitor: a space both searches exhaust quickly, so the
     # pruning ratio compares full coverage with full coverage.

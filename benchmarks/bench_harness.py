@@ -27,7 +27,8 @@ import time
 
 from conftest import emit, paired_ratio, persist
 
-from repro.explore import ExplorationEngine, get_target
+from repro.explore import ExplorationEngine
+from repro.explore.targets import get_target
 from repro.obs import HarnessTelemetry, NullHarnessTelemetry, self_profile
 
 #: The E14b exploration target and budget (bench_exploration.py) — the

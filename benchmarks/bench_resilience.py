@@ -23,7 +23,7 @@ five-node cluster size.  Three questions:
 
 from conftest import emit, persist
 
-from repro.resilience import (
+from repro.resilience.report import (
     RESILIENCE_CLUSTER,
     expected_resilience_classifications,
     resilience_report,

@@ -253,7 +253,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 
 def _cmd_resilience(args: argparse.Namespace) -> int:
-    from .resilience import resilience_report, search_restart_witness
+    from .resilience.report import resilience_report, search_restart_witness
     from .verify.partition import SPLIT_BRAIN, TOLERANT, WEDGED
 
     results, table = resilience_report(fast=args.fast)
@@ -482,12 +482,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    from .explore import (
-        ExplorationEngine,
-        available_targets,
-        get_target,
-        minimize_witness,
-    )
+    from .explore import ExplorationEngine, minimize_witness
+    from .explore.targets import available_targets, get_target
 
     if args.problem == "list":
         for problem, mechanism in available_targets():

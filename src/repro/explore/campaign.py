@@ -21,9 +21,11 @@ data.  This module is the machinery they share:
   over fault atoms, then 1-minimization of the first defeating set.
 
 A builder runs one *fresh* system: ``build(policy, netplan, fault_plan)``.
-Callers pass the exploration engine class in.  Only :mod:`repro.runtime`
-is imported at module level, so both :mod:`repro.recover` and
-:mod:`repro.verify` can depend on this module without an import cycle.
+Callers pass the exploration engine class in.  This module imports only
+the runtime, the checker contract and :mod:`repro.dist`'s ``NetPlan``; the
+campaigns that configure it (:mod:`repro.verify.chaos`,
+:mod:`repro.verify.recovery`, :mod:`repro.verify.partition`,
+:mod:`repro.recover.search`, :mod:`repro.resilience.report`) sit above it.
 """
 
 from __future__ import annotations
@@ -33,14 +35,15 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
                     Tuple, Union)
 
+from ..dist.netplan import NetPlan
 from ..runtime.errors import StepLimitExceeded
 from ..runtime.faults import FaultPlan
 from ..runtime.policies import ScriptedPolicy
 from ..runtime.trace import RunResult, Trace
+from ..verify.detectors import Checker
 
 #: ``(policy, netplan, fault_plan) -> RunResult`` for one fresh system.
 Builder = Callable[[ScriptedPolicy, Any, Optional[FaultPlan]], RunResult]
-Checker = Callable[[RunResult], List[str]]
 
 
 # ----------------------------------------------------------------------
@@ -94,9 +97,6 @@ def compile_faults(faults: Sequence[FaultAtom]) -> Tuple[Any, Any]:
     for f in faults:
         if isinstance(f, CutSpec):
             if netplan is None:
-                # Imported here: the dist package imports the recovery
-                # layer, which imports this module.
-                from ..dist.netplan import NetPlan
                 netplan = NetPlan()
             netplan.isolate(f.node, at=f.at, heal_at=f.heal_at)
             continue
@@ -275,7 +275,7 @@ def fold_net_run(outcome: Outcome, run: RunResult) -> None:
     """Fold one distributed run into its cell: failover and post-heal MTTR
     samples, availability, the most restarts any run saw, and message
     statistics (counters summed, per-node gauges max-merged)."""
-    # Imported here so that importing repro.explore does not load repro.obs.
+    # Deferred: repro.obs loads 11 modules and cProfile; few callers get here.
     from ..obs.recovery import compute_availability, compute_partition_mttr
 
     for span in compute_partition_mttr(run).spans:

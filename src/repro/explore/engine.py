@@ -26,9 +26,9 @@ from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from ..runtime.policies import ScriptedPolicy
 from ..runtime.trace import RunResult
+from ..verify.detectors import Checker
 
 BuildAndRun = Callable[[ScriptedPolicy], RunResult]
-Checker = Callable[[RunResult], List[str]]
 
 #: A pruning key: (canonical state fingerprint, pid chosen from it).  Two
 #: work items with the same key root isomorphic subtrees.

@@ -33,9 +33,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..runtime.policies import ScriptedPolicy
 from ..runtime.trace import RunResult
+from ..verify.detectors import Checker
 
 BuildAndRun = Callable[[ScriptedPolicy], RunResult]
-Checker = Callable[[RunResult], List[str]]
 
 
 @dataclass(frozen=True)
@@ -143,13 +143,12 @@ def minimize_witness(
                 else:
                     break
 
-    # One final replay for the report: messages + span timeline + causal
-    # chain.  The obs import is deferred so that importing repro.explore
-    # does not load repro.obs: a search that minimizes no witness never
-    # needs it.
+    # Deferred: repro.obs loads 11 modules and cProfile; few callers get here.
     from ..obs import ascii_timeline, causal_chain, compute_critical_path, \
         fold_spans
 
+    # One final replay for the report: messages + span timeline + causal
+    # chain.
     final = build_and_run(ScriptedPolicy(current))
     messages = tuple(check(final))
     spans = fold_spans(final.trace)

@@ -26,18 +26,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..problems.registry import get_solution, solutions_for
+from ..problems.staged_queue import run_classes
 from ..runtime.faults import FaultPlan
 from ..runtime.policies import SchedulingPolicy
 from ..runtime.scheduler import Scheduler
 from ..runtime.trace import RunResult
+from ..verify.detectors import Checker
 from ..verify.registry import oracle
-
-Checker = Callable[[RunResult], List[str]]
 
 
 def _factory(problem: str, mechanism: str):
-    from ..problems.registry import get_solution
-
     return get_solution(problem, mechanism).factory
 
 
@@ -169,8 +168,6 @@ def _run_alarm_clock(sched: Scheduler, mechanism: str) -> RunResult:
 
 
 def _run_staged_queue(sched: Scheduler, mechanism: str) -> RunResult:
-    from ..problems.staged_queue import run_classes
-
     return run_classes(
         _factory("staged_queue", mechanism),
         plan=(("B", 0), ("A", 0), ("B", 0)),
@@ -240,8 +237,6 @@ def get_target(problem: str, mechanism: str) -> ExplorationTarget:
     Raises:
         KeyError: unknown problem, or mechanism not registered for it.
     """
-    from ..problems.registry import solutions_for
-
     if problem not in _SPECS:
         raise KeyError(
             "unknown exploration problem {!r}; choose from {}".format(
@@ -261,8 +256,6 @@ def get_target(problem: str, mechanism: str) -> ExplorationTarget:
 
 def available_targets() -> List[Tuple[str, str]]:
     """Every (problem, mechanism) pair that :func:`get_target` accepts."""
-    from ..problems.registry import solutions_for
-
     pairs: List[Tuple[str, str]] = []
     for problem, (__, __, registry_problem) in sorted(_SPECS.items()):
         for entry in solutions_for(registry_problem):

@@ -265,8 +265,6 @@ def parse_jsonl(lines: Iterable[str], with_counters: bool = False):
     stringified on export stays a string (the exporter's ``default=str``
     is lossy by design).
     """
-    from ..runtime.trace import Event
-
     spans: List[Span] = []
     events: List[Event] = []
     counters: List[Dict[str, Any]] = []

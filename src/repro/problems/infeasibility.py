@@ -24,6 +24,7 @@ from ..core import (
     ModularityProfile,
     SolutionDescription,
 )
+from .eventcount_impls import EVENTCOUNT_RW_INFEASIBLE
 
 T3 = InformationType.PARAMETERS
 T5 = InformationType.LOCAL_STATE
@@ -97,14 +98,9 @@ PATH_ALARM_CLOCK_INFEASIBLE = SolutionDescription(
 
 #: All negative records, for the evaluation engine.  The eventcount record
 #: lives with its positive siblings in ``eventcount_impls``.
-def _eventcount_record():
-    from .eventcount_impls import EVENTCOUNT_RW_INFEASIBLE
-    return EVENTCOUNT_RW_INFEASIBLE
-
-
 INFEASIBILITY_RECORDS = (
     PATH_BOUNDED_BUFFER_INFEASIBLE,
     PATH_DISK_SCHEDULER_INFEASIBLE,
     PATH_ALARM_CLOCK_INFEASIBLE,
-    _eventcount_record(),
+    EVENTCOUNT_RW_INFEASIBLE,
 )

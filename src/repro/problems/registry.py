@@ -20,6 +20,7 @@ from ..runtime.scheduler import Scheduler
 from . import alarm_clock, bounded_buffer, disk_scheduler, eventcount_impls, fcfs_resource
 from . import one_slot_buffer, staged_queue
 from . import readers_writers as rw
+from .infeasibility import INFEASIBILITY_RECORDS
 
 Factory = Callable[[Scheduler], object]
 
@@ -277,8 +278,6 @@ def build_evaluator(include_infeasible: bool = True) -> Evaluator:
     :mod:`repro.problems.infeasibility`, so the paper's "no way to express"
     findings surface as NONE cells in the expressive-power matrix.
     """
-    from .infeasibility import INFEASIBILITY_RECORDS
-
     evaluator = Evaluator()
     for entry in all_solutions():
         evaluator.add(entry.description, entry.verifier)

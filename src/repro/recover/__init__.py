@@ -1,4 +1,4 @@
-"""Recovery runtime (S11): supervision, lease reclamation, fault search.
+"""Recovery runtime (S11): supervision, lease reclamation, retry.
 
 Turns the fault layer's crash *tolerance* into crash *recovery*:
 
@@ -10,9 +10,13 @@ Turns the fault layer's crash *tolerance* into crash *recovery*:
 * :class:`BackoffPolicy` family and :func:`retry_with_backoff` — bounded
   retry around timed blocking calls;
 * :class:`Degrader` — graceful degradation: relax priority constraints
-  under repeated failure, never exclusion (the paper's §3–4 split);
-* :func:`search_fault_plans` — search kill sets that defeat recovery and
-  ddmin them to a minimal crash witness.
+  under repeated failure, never exclusion (the paper's §3–4 split).
+
+The dist layer builds on these, so this package re-exports nothing above
+them.  :func:`repro.recover.search.search_fault_plans` — search kill sets
+that defeat recovery and ddmin them to a minimal crash witness — runs a
+fault campaign (:mod:`repro.explore.campaign`) and is imported by its full
+path.
 """
 
 from .backoff import (
@@ -24,7 +28,6 @@ from .backoff import (
 )
 from .degrade import Degrader
 from .leases import LeaseManager, ReclaimAction
-from .search import search_fault_plans
 from .supervisor import ESCALATE, ONE_FOR_ONE, RestartPolicy, Supervisor
 
 __all__ = [
@@ -40,5 +43,4 @@ __all__ = [
     "RestartPolicy",
     "Supervisor",
     "retry_with_backoff",
-    "search_fault_plans",
 ]

@@ -14,25 +14,24 @@ and the mechanism that makes the composition safe:
   cannot provide;
 * :mod:`~repro.resilience.supervisor` — :class:`NodeSupervisor`,
   adapting process supervision to network nodes with inbox quarantine
-  on rejoin;
-* :mod:`~repro.resilience.report` — the scenario × combined-fault table
-  at 5-node clusters, with MTTR and availability, and the joint
-  crash × partition witness search (ddmin-minimized mixed witnesses over
-  :class:`~repro.explore.campaign.CrashSpec` and
-  :class:`~repro.explore.campaign.CutSpec` atoms).
+  on rejoin.
+
+The distributed problems build on these three, so this package
+re-exports nothing above them.  :mod:`repro.resilience.report` — the
+scenario × combined-fault table at 5-node clusters, with MTTR and
+availability, and the joint crash × partition witness search
+(ddmin-minimized mixed witnesses over
+:class:`~repro.explore.campaign.CrashSpec` and
+:class:`~repro.explore.campaign.CutSpec` atoms) — runs those problems
+under a fault campaign and is imported by its full path.
 """
 
 from .durable import DurableNamespace, DurableStore
 from .fencing import FencedResource
 from .supervisor import NodeSupervisor, QUARANTINE, REPLAY
-from .report import (RESILIENCE_CLUSTER,
-                     expected_resilience_classifications, resilience_report,
-                     resilience_scenarios, search_restart_witness)
 
 __all__ = [
     "DurableNamespace", "DurableStore",
     "FencedResource",
     "NodeSupervisor", "QUARANTINE", "REPLAY",
-    "RESILIENCE_CLUSTER", "expected_resilience_classifications",
-    "resilience_report", "resilience_scenarios", "search_restart_witness",
 ]

@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
-from .explore import ExplorationEngine, get_target
+from .explore import ExplorationEngine
+from .explore.targets import get_target
 from .load import LOAD_MECHANISMS, LoadPoint, saturation_curve
 from .obs.critical_path import CriticalPathReport, compute_critical_path
 from .obs.harness import HarnessTelemetry

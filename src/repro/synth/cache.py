@@ -32,6 +32,9 @@ import os
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs.runstore import canonical_json
+from ..runtime.policies import ScriptedPolicy
+from ..verify.registry import battery
+from .candidates import run_candidate_footnote3
 from .grammar import Candidate
 
 #: Cache-entry schema.
@@ -150,10 +153,6 @@ def replay_verdict(candidate: Candidate,
     re-exploring.  Returns ``[]`` for verdicts that carry no witness
     (``correct`` entries are certified by exhaustive exploration, which a
     single replay cannot reproduce)."""
-    from ..runtime.policies import ScriptedPolicy
-    from ..verify.registry import battery
-    from .candidates import run_candidate_footnote3
-
     witness = verdict.get("witness")
     if witness is None:
         # An empty list is a real witness (the default schedule violates);

@@ -1,28 +1,21 @@
-"""Verification layer (S9): trace oracles and the fault campaigns.
+"""The checker layer (S9): trace oracles, liveness queries, the oracle
+registry and the mechanism-level detectors.
 
-The schedule-space search engine lives in :mod:`repro.explore` (pruning,
-minimization, detectors), as does the fault-campaign
-loop the chaos, recovery and partition campaigns here configure
-(:mod:`repro.explore.campaign`)."""
+These four modules read a finished run (:class:`~repro.runtime.trace.
+RunResult`) and import nothing above :mod:`repro.runtime`; the one run
+checker contract, :data:`Checker`, lives here.  The search
+(:mod:`repro.explore`) and the fault campaigns sit on top of this layer.
+The campaigns themselves — :mod:`repro.verify.chaos`,
+:mod:`repro.verify.recovery` and :mod:`repro.verify.partition` — import
+:mod:`repro.explore.campaign`, the mechanisms and the dist layer, so they
+are imported by their full path and not re-exported here."""
 
-from ..explore.detectors import (
+from .detectors import (
+    WAKE_KINDS,
+    Checker,
     ConflictingAccessChecker,
     LostWakeupChecker,
     compose_checkers,
-)
-from .chaos import (
-    classify_run,
-    enumerate_fault_points,
-    explore_kills,
-    robustness_report,
-)
-from .recovery import (
-    classify_recovery_run,
-    exclusion_oracle,
-    expected_recovery,
-    minimal_defeat_witness,
-    mttr_fingerprints,
-    recovery_report,
 )
 from .liveness import (
     Wait,
@@ -46,7 +39,6 @@ from .oracles import (
     check_writers_priority_strict,
 )
 from .registry import (
-    Oracle,
     OracleSpec,
     SYNTH_RW_BATTERY,
     battery,
@@ -56,26 +48,17 @@ from .registry import (
 )
 
 __all__ = [
-    "Oracle",
     "OracleSpec",
     "SYNTH_RW_BATTERY",
     "battery",
     "oracle",
     "oracle_names",
     "register_oracle",
+    "WAKE_KINDS",
+    "Checker",
     "ConflictingAccessChecker",
     "LostWakeupChecker",
     "compose_checkers",
-    "classify_run",
-    "enumerate_fault_points",
-    "explore_kills",
-    "robustness_report",
-    "classify_recovery_run",
-    "exclusion_oracle",
-    "expected_recovery",
-    "minimal_defeat_witness",
-    "mttr_fingerprints",
-    "recovery_report",
     "Wait",
     "WaitSummary",
     "check_bounded_waiting",

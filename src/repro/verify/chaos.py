@@ -52,6 +52,7 @@ from ..runtime.policies import ScriptedPolicy
 from ..runtime.primitives import Mutex, Semaphore
 from ..runtime.scheduler import Scheduler
 from ..runtime.trace import RunResult
+from .detectors import Checker
 
 #: A builder runs one *fresh* system under (policy, fault plan) and returns
 #: the result; it must use ``on_deadlock="return"`` / ``on_error="record"``
@@ -59,7 +60,6 @@ from ..runtime.trace import RunResult
 #: raised :class:`StepLimitExceeded`, but the synthetic result it rebuilds
 #: carries only the diagnostic tail of the trace).
 ChaosBuilder = Callable[[ScriptedPolicy, Optional[FaultPlan]], RunResult]
-Checker = Callable[[RunResult], List[str]]
 
 CONTAINING = "fault-containing"
 PROPAGATING = "fault-propagating"

@@ -35,13 +35,12 @@ from ..dist import NetPlan
 from ..explore.campaign import (Builder, Cell, ScenarioResult, explore_cells,
                                 fold_net_run)
 from ..explore.engine import ExplorationEngine
+# The scenario builders are read off the module at call time, so a
+# rebinding of ``distributed.build_*`` (verdictbench's traced pass)
+# reaches every scenario.
+from ..problems import distributed
 from ..runtime.trace import RunResult, Trace
-
-# The scenario builders are imported lazily (inside the predicates and
-# the scenario table): problems.distributed reaches back here through
-# the resilience layer, and a module-level import would cycle.
-
-Checker = Callable[[RunResult], List[str]]
+from .detectors import Checker
 
 SPLIT_BRAIN = "split-brain"
 WEDGED = "wedged"
@@ -189,36 +188,30 @@ def make_progress_after_heal(
 
 def lamport_succeeded(run: RunResult) -> bool:
     """Every node completed its critical-section pass."""
-    from ..problems.distributed import LAMPORT_NODES
-
     return all(
         isinstance(run.results.get(n), dict)
         and run.results[n].get("exited")
-        for n in LAMPORT_NODES
+        for n in distributed.LAMPORT_NODES
     )
 
 
 def quorum_lock_succeeded(run: RunResult) -> bool:
     """Some client completed a fenced hold (the lock stayed usable)."""
-    from ..problems.distributed import LOCK_CLIENTS
-
     return any(
         isinstance(run.results.get(c), dict)
         and run.results[c].get("locked")
-        for c in LOCK_CLIENTS
+        for c in distributed.LOCK_CLIENTS
     )
 
 
 def election_succeeded(run: RunResult) -> bool:
     """A leader was elected and someone still leads at the end."""
-    from ..problems.distributed import ELECTION_NODES
-
     if run.trace.first(kind="leader_elected") is None:
         return False
     return any(
         isinstance(run.results.get(n), dict)
         and run.results[n].get("leader")
-        for n in ELECTION_NODES
+        for n in distributed.ELECTION_NODES
     )
 
 
@@ -325,19 +318,15 @@ def _election_plans() -> List[PlanCell]:
 
 def partition_scenarios() -> List[Tuple]:
     """(scenario name, builder, safety oracle, success predicate,
-    plan-set factory) — built per call so the builder import stays
-    lazy (see the module-top import note)."""
-    from ..problems.distributed import (build_lamport_mutex,
-                                        build_leader_election,
-                                        build_quorum_lock)
-
+    plan-set factory) — built per call, so each builder is looked up on
+    :mod:`repro.problems.distributed` when the report runs."""
     return [
-        ("lamport_mutex", build_lamport_mutex, check_mutex_intervals,
-         lamport_succeeded, _lamport_plans),
-        ("quorum_lock", build_quorum_lock, check_lease_exclusion,
-         quorum_lock_succeeded, _quorum_lock_plans),
-        ("leader_election", build_leader_election, check_at_most_one_leader,
-         election_succeeded, _election_plans),
+        ("lamport_mutex", distributed.build_lamport_mutex,
+         check_mutex_intervals, lamport_succeeded, _lamport_plans),
+        ("quorum_lock", distributed.build_quorum_lock,
+         check_lease_exclusion, quorum_lock_succeeded, _quorum_lock_plans),
+        ("leader_election", distributed.build_leader_election,
+         check_at_most_one_leader, election_succeeded, _election_plans),
     ]
 
 

@@ -42,12 +42,13 @@ from ..explore.engine import ExplorationEngine
 from ..mechanisms.channels import Channel
 from ..recover import (FixedBackoff, LeaseManager, RestartPolicy, Supervisor,
                        retry_with_backoff)
+from ..recover.search import search_fault_plans
 from ..runtime.errors import WaitTimeout
 from ..runtime.policies import ScriptedPolicy
 from ..runtime.scheduler import Scheduler
 from ..runtime.trace import RunResult
-from .chaos import (LOCKS, ChaosBuilder, Checker, enumerate_fault_points,
-                    explore_kills)
+from .chaos import LOCKS, ChaosBuilder, enumerate_fault_points, explore_kills
+from .detectors import Checker
 
 RECOVERED = "recovered"
 DEGRADED = "degraded"
@@ -271,6 +272,7 @@ def mttr_fingerprints() -> Dict[str, dict]:
     is virtual, every number (including MTTR) is exactly reproducible and
     safe to assert in benchmarks.
     """
+    # Deferred: repro.obs loads 11 modules and cProfile; few callers get here.
     from ..obs.recovery import compute_recovery_metrics
 
     out: Dict[str, dict] = {}
@@ -301,7 +303,8 @@ def mttr_fingerprints() -> Dict[str, dict]:
 
 def minimal_defeat_witness(budget: int = 200) -> FaultSetSearch:
     """Search for a minimal crash set that defeats supervised-semaphore
-    recovery, ddmin-minimized (:func:`repro.recover.search_fault_plans`).
+    recovery, ddmin-minimized
+    (:func:`repro.recover.search.search_fault_plans`).
 
     Recovery of the raw semaphore is *incomplete* in a precise sense: it
     depends on the supervisor being alive to reclaim and restart.  Either
@@ -311,8 +314,6 @@ def minimal_defeat_witness(budget: int = 200) -> FaultSetSearch:
     to revoke it, and the survivors wedge.  The expected witness is
     therefore exactly 2 faults.
     """
-    from ..recover import search_fault_plans
-
     workers = ("P0", "P1", "P2")
     check = exclusion_oracle("s")
     return search_fault_plans(

@@ -9,10 +9,11 @@ targets resolve their battery by name, and the synthesis engine's
 replayable oracle cache keys its logged verdicts on the same names — so a
 cached verdict is meaningful exactly as long as the named battery is.
 
-An *oracle* here is ``Callable[[RunResult], List[str]]``: empty list means
-the property held on that run.  Batteries (:func:`battery`) compose several
-oracles into one callable, preserving message order, so a target's whole
-check is still a single checker in the engine's eyes.
+An *oracle* here is a :data:`~repro.verify.detectors.Checker`: empty list
+means the property held on that run.  Batteries (:func:`battery`) compose
+several oracles into one callable (:func:`compose_checkers`), preserving
+message order, so a target's whole check is still a single checker in the
+engine's eyes.
 
 Conventions: oracles never raise on pathological runs (deadlocks and
 recorded errors are *data* — ``on_deadlock="return"`` / ``on_error="record"``
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from ..runtime.trace import OpFold, RunResult
-from ..explore.detectors import ConflictingAccessChecker, LostWakeupChecker
+from .detectors import (Checker, ConflictingAccessChecker, LostWakeupChecker,
+                        compose_checkers)
 from .oracles import (
     check_alarm_wakeups,
     check_alternation,
@@ -37,8 +39,6 @@ from .oracles import (
     check_single_occupancy,
 )
 
-Oracle = Callable[[RunResult], List[str]]
-
 
 @dataclass(frozen=True)
 class OracleSpec:
@@ -47,7 +47,7 @@ class OracleSpec:
 
     name: str
     description: str
-    check: Oracle
+    check: Checker
 
     def __call__(self, run: RunResult) -> List[str]:
         return self.check(run)
@@ -56,7 +56,8 @@ class OracleSpec:
 _REGISTRY: Dict[str, OracleSpec] = {}
 
 
-def register_oracle(name: str, description: str) -> Callable[[Oracle], Oracle]:
+def register_oracle(name: str,
+                    description: str) -> Callable[[Checker], Checker]:
     """Decorator: register ``fn`` under ``name``.
 
     Raises:
@@ -64,7 +65,7 @@ def register_oracle(name: str, description: str) -> Callable[[Oracle], Oracle]:
             cached verdicts and exploration targets refer to them).
     """
 
-    def deco(fn: Oracle) -> Oracle:
+    def deco(fn: Checker) -> Checker:
         if name in _REGISTRY:
             raise ValueError("oracle {!r} already registered".format(name))
         _REGISTRY[name] = OracleSpec(name, description, fn)
@@ -94,19 +95,11 @@ def oracle_names() -> List[str]:
     return sorted(_REGISTRY)
 
 
-def battery(*names: str) -> Oracle:
+def battery(*names: str) -> Checker:
     """Compose named oracles into one checker (message order follows the
     given name order).  The composition resolves names eagerly, so a typo
     fails at battery-construction time, not mid-exploration."""
-    specs: Tuple[OracleSpec, ...] = tuple(oracle(n) for n in names)
-
-    def check(run: RunResult) -> List[str]:
-        messages: List[str] = []
-        for spec in specs:
-            messages.extend(spec.check(run))
-        return messages
-
-    return check
+    return compose_checkers(*(oracle(n).check for n in names))
 
 
 # ----------------------------------------------------------------------

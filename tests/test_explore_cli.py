@@ -11,7 +11,8 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.explore import ExplorationEngine, ExplorationResult, get_target
+from repro.explore import ExplorationEngine, ExplorationResult
+from repro.explore.targets import get_target
 from repro.suite import _measure_explore
 
 BUDGET = 300

@@ -3,14 +3,12 @@ exhausted fix, detectors, and witness minimization."""
 
 import pytest
 
-from repro.explore import (
+from repro.explore import ExplorationEngine, RecordingPolicy, minimize_witness
+from repro.explore.targets import get_target
+from repro.verify import (
     ConflictingAccessChecker,
-    ExplorationEngine,
     LostWakeupChecker,
-    RecordingPolicy,
     compose_checkers,
-    get_target,
-    minimize_witness,
 )
 from repro.runtime.policies import ScriptedPolicy
 from repro.runtime.scheduler import Scheduler

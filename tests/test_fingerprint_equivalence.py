@@ -19,9 +19,8 @@ import sys
 import pytest
 
 import repro
-from repro.explore import get_target
 from repro.explore.engine import ExplorationEngine, RecordingPolicy, RunRecord
-from repro.explore.targets import available_targets
+from repro.explore.targets import available_targets, get_target
 from repro.runtime.process import ProcessState
 
 #: Targets whose ``send`` events carry a ``Channel`` as ``detail``:
@@ -213,8 +212,8 @@ def test_depth_bounded_search_matches_reference_recording(problem,
 # ----------------------------------------------------------------------
 _RECORD_FINGERPRINTS = """
 import json
-from repro.explore import get_target
 from repro.explore.engine import RecordingPolicy
+from repro.explore.targets import get_target
 
 target = get_target("footnote3", "monitor")
 out = []

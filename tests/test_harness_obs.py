@@ -14,7 +14,8 @@ import os
 import pytest
 
 from repro.__main__ import main
-from repro.explore import ExplorationEngine, get_target
+from repro.explore import ExplorationEngine
+from repro.explore.targets import get_target
 from repro.obs import (
     GateRecord,
     HarnessTelemetry,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.explore import get_target
+from repro.explore.targets import get_target
 from repro.obs import fold_spans
 from repro.problems.readers_writers import (
     MonitorRWFcfs,

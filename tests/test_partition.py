@@ -1,10 +1,9 @@
-"""Partition oracles, scenario classification, partition MTTR, the
-split-brain detector, and the ``repro partition`` CLI."""
+"""Partition oracles, scenario classification, partition MTTR, and the
+``repro partition`` CLI."""
 
 import json
 
 from repro.dist import NetPlan
-from repro.explore import SplitBrainChecker
 from repro.obs.recovery import (
     PARTITION_RECOVERY_KINDS,
     compute_partition_mttr,
@@ -173,30 +172,6 @@ class TestPartitionMttr:
         metrics = compute_partition_mttr(_run_with([]))
         assert metrics.partitions == 0
         assert metrics.mttr_failover is None
-
-
-# ----------------------------------------------------------------------
-# The split-brain detector composes the oracles
-# ----------------------------------------------------------------------
-class TestSplitBrainChecker:
-    def test_flags_double_leadership(self):
-        run = _run_with([
-            (5, "n0", "leader_elected", "n0", {"term": 1}),
-            (7, "n1", "leader_elected", "n1", {"term": 1}),
-        ])
-        messages = SplitBrainChecker()(run)
-        assert messages and messages[0].startswith("split brain: ")
-
-    def test_flags_double_lease_holders(self):
-        run = _run_with([
-            (0, "c0", "lease_acquired", "c0", {"until": 10}),
-            (6, "c1", "lease_acquired", "c1", {"until": 16}),
-        ])
-        assert SplitBrainChecker()(run)
-
-    def test_non_dist_runs_trivially_pass(self):
-        run = _run_with([(0, "P0", "acquire", "m", None)])
-        assert SplitBrainChecker()(run) == []
 
 
 # ----------------------------------------------------------------------

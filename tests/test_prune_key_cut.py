@@ -15,9 +15,8 @@ import dataclasses
 import pytest
 
 from repro.explore import engine as engine_module
-from repro.explore import get_target
 from repro.explore.engine import ExplorationEngine, RecordingPolicy
-from repro.explore.targets import available_targets
+from repro.explore.targets import available_targets, get_target
 from repro.obs import HarnessTelemetry
 from repro.runtime import scheduler as scheduler_module
 

@@ -1,11 +1,15 @@
 """Public-API surface checks: everything advertised in ``__all__`` exists,
 and the README's import paths work."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
 import repro
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 PACKAGES = [
     "repro",
@@ -26,21 +30,37 @@ def test_package_imports(name):
     importlib.import_module(name)
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "repro.runtime",
-        "repro.mechanisms",
-        "repro.mechanisms.pathexpr",
-        "repro.resources",
-        "repro.core",
-        "repro.analysis",
-        "repro.verify",
-    ],
-)
+def _modules_with_all():
+    """Every repro module whose source assigns ``__all__`` at top level."""
+    names = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        if any(isinstance(node, ast.Assign)
+               and any(getattr(t, "id", None) == "__all__"
+                       for t in node.targets)
+               for node in tree.body):
+            parts = list(path.relative_to(SRC.parent).with_suffix("").parts)
+            if parts[-1] == "__init__":
+                parts.pop()
+            names.append(".".join(parts))
+    return names
+
+
+MODULES_WITH_ALL = _modules_with_all()
+
+
+def test_every_package_with_all_is_checked():
+    assert {
+        "repro", "repro.runtime", "repro.verify", "repro.explore",
+        "repro.recover", "repro.resilience", "repro.dist", "repro.obs",
+        "repro.synth", "repro.load",
+    } <= set(MODULES_WITH_ALL)
+
+
+@pytest.mark.parametrize("name", MODULES_WITH_ALL)
 def test_all_entries_resolve(name):
     module = importlib.import_module(name)
-    for symbol in getattr(module, "__all__", []):
+    for symbol in module.__all__:
         assert hasattr(module, symbol), "{}.{} missing".format(name, symbol)
 
 

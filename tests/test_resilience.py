@@ -28,6 +28,8 @@ from repro.resilience import (
     DurableStore,
     FencedResource,
     NodeSupervisor,
+)
+from repro.resilience.report import (
     expected_resilience_classifications,
     resilience_scenarios,
     search_restart_witness,

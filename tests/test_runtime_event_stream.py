@@ -21,7 +21,7 @@ import json
 
 import pytest
 
-from repro.explore import get_target
+from repro.explore.targets import get_target
 from repro.explore.targets import available_targets
 from repro.load import run_load
 from repro.runtime import RandomPolicy

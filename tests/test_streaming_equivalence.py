@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import pytest
 
-from repro.explore import get_target
+from repro.explore.targets import get_target
 from repro.explore.targets import available_targets
 from repro.load import LOAD_MECHANISMS, run_load
 from repro.load.engine import DEFAULT_HORIZON

@@ -13,7 +13,7 @@ import gc
 
 import pytest
 
-from repro.explore import get_target
+from repro.explore.targets import get_target
 from repro.explore.targets import available_targets
 from repro.load import LOAD_MECHANISMS, run_load
 from repro.load import engine

@@ -23,8 +23,7 @@ from itertools import permutations
 
 import pytest
 
-from repro.explore import get_target
-from repro.explore.targets import available_targets
+from repro.explore.targets import available_targets, get_target
 from repro.obs import fold_spans
 from repro.runtime import RandomPolicy
 from repro.verify import (
