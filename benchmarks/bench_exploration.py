@@ -79,7 +79,7 @@ def compute():
     # Anomaly-space audit of the Figure-1 program.
     explorer = ExplorationEngine(
         lambda policy: footnote3_workload(
-            lambda sched: PathReadersPriority(sched), policy=policy
+            PathReadersPriority, Scheduler(policy=policy)
         ),
         max_runs=3000,
         max_depth=150,

@@ -45,7 +45,7 @@ def test_bench_resilience_table() -> None:
             if res.name != "restart_lock_unfenced":
                 assert o.violations == [], (res.name, o.cell_name)
 
-    expected = expected_resilience_classifications(RESILIENCE_CLUSTER)
+    expected = expected_resilience_classifications()
     observed = {
         (res.name, o.cell_name): o.classification
         for res in results for o in res.outcomes

@@ -20,6 +20,7 @@ from repro.problems.readers_writers.pathexpr_impl import (
     FIGURE1_PATHS,
     PathReadersPriority,
 )
+from repro.runtime import Scheduler
 
 
 def main() -> None:
@@ -30,7 +31,7 @@ def main() -> None:
     print(render_report(report))
 
     print("\nBlow-by-blow trace of the anomalous run (path solution):")
-    result = footnote3_workload(lambda sched: PathReadersPriority(sched))
+    result = footnote3_workload(PathReadersPriority, Scheduler())
     for ev in result.trace:
         if ev.kind in ("request", "op_start", "op_end") and (
             ev.obj.startswith("db.") or "openwrite" in ev.obj

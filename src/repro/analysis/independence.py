@@ -17,7 +17,7 @@ module produces:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..core import (
     MODIFICATION_PROBES,
@@ -53,15 +53,14 @@ def _index_descriptions(
 
 def run_probes(
     descriptions: Iterable[SolutionDescription],
-    probes: Sequence[Tuple[str, str]] = MODIFICATION_PROBES,
-    catalog: Mapping = PROBLEM_CATALOG,
 ) -> List[ProbeResult]:
-    """Run every probe for every mechanism that solves both endpoints."""
+    """Run every :data:`MODIFICATION_PROBES` probe for every mechanism that
+    solves both endpoints."""
     index = _index_descriptions(descriptions)
     mechanisms = sorted({d.mechanism for d in index.values()})
     results: List[ProbeResult] = []
     for mechanism in mechanisms:
-        for source_problem, target_problem in probes:
+        for source_problem, target_problem in MODIFICATION_PROBES:
             source = index.get((source_problem, mechanism))
             target = index.get((target_problem, mechanism))
             if source is None or target is None:
@@ -69,8 +68,8 @@ def run_probes(
                     ProbeResult(mechanism, (source_problem, target_problem), None)
                 )
                 continue
-            shared = catalog[source_problem].shared_constraints(
-                catalog[target_problem]
+            shared = PROBLEM_CATALOG[source_problem].shared_constraints(
+                PROBLEM_CATALOG[target_problem]
             )
             results.append(
                 ProbeResult(
@@ -134,11 +133,10 @@ class IndependenceSummary:
 
 def summarize_independence(
     descriptions: Iterable[SolutionDescription],
-    probes: Sequence[Tuple[str, str]] = MODIFICATION_PROBES,
 ) -> Dict[str, IndependenceSummary]:
     """The full §4.2 analysis over a description set."""
     materialized = list(descriptions)
-    results = run_probes(materialized, probes)
+    results = run_probes(materialized)
     conflicts = detect_info_conflicts(materialized)
     summaries: Dict[str, IndependenceSummary] = {}
     for result in results:
@@ -152,10 +150,7 @@ def summarize_independence(
     return summaries
 
 
-def render_independence(
-    summaries: Mapping[str, IndependenceSummary],
-    title: str = "Constraint independence (section 4.2)",
-) -> str:
+def render_independence(summaries: Mapping[str, IndependenceSummary]) -> str:
     """ASCII table: mechanism × probe → change fraction and stability."""
     headers = ["mechanism", "probe", "touched", "shared constraint", "verdict"]
     rows = []
@@ -192,4 +187,4 @@ def render_independence(
                 mechanism, "info-type conflict", "-",
                 "; ".join(summary.conflicts), "resolved (two-stage queue)",
             ])
-    return ascii_table(headers, rows, title)
+    return ascii_table(headers, rows, "Constraint independence (section 4.2)")

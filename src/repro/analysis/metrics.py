@@ -70,23 +70,17 @@ def per_mechanism_totals(
     return totals
 
 
-def render_sizes(
-    sizes: Iterable[SolutionSize],
-    title: str = "Solution size metrics",
-) -> str:
+def render_sizes(sizes: Iterable[SolutionSize]) -> str:
     """ASCII table of per-solution sizes."""
     headers = ["solution", "components", "gates", "text volume"]
     rows = [
         [s.key, str(s.components), str(s.gates), str(s.text_volume)]
         for s in sizes
     ]
-    return ascii_table(headers, rows, title)
+    return ascii_table(headers, rows, "Solution size metrics")
 
 
-def render_totals(
-    totals: Mapping[str, Mapping[str, int]],
-    title: str = "Per-mechanism size totals",
-) -> str:
+def render_totals(totals: Mapping[str, Mapping[str, int]]) -> str:
     """ASCII table of per-mechanism aggregates."""
     headers = ["mechanism", "solutions", "components", "gates", "text volume"]
     rows = [
@@ -99,4 +93,4 @@ def render_totals(
         ]
         for mechanism, row in sorted(totals.items())
     ]
-    return ascii_table(headers, rows, title)
+    return ascii_table(headers, rows, "Per-mechanism size totals")

@@ -228,11 +228,9 @@ MODIFICATION_PROBES: Tuple[Tuple[str, str], ...] = (
 )
 
 
-def coverage_matrix(
-    suite: Tuple[str, ...] = FOOTNOTE2_SUITE,
-) -> Dict[str, FrozenSet[InformationType]]:
-    """Which information types each suite problem covers."""
-    return {name: PROBLEM_CATALOG[name].covers for name in suite}
+def coverage_matrix() -> Dict[str, FrozenSet[InformationType]]:
+    """Which information types each footnote-2 suite problem covers."""
+    return {name: PROBLEM_CATALOG[name].covers for name in FOOTNOTE2_SUITE}
 
 
 def uncovered_types(

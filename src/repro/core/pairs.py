@@ -27,7 +27,6 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Set
 
 from .catalog import PROBLEM_CATALOG
 from .information import ALL_INFORMATION_TYPES, InformationType
-from .problems import ProblemSpec
 from .report import ascii_table
 from .solution import SolutionDescription
 
@@ -49,16 +48,11 @@ def _pair_label(pair: Pair) -> str:
     return "{}x{}".format(a.short, b.short)
 
 
-def pair_coverage(
-    catalog: Mapping[str, ProblemSpec] = PROBLEM_CATALOG,
-    suite: Iterable[str] = (),
-) -> Dict[Pair, List[str]]:
-    """Which problems exercise each pair (both types in the problem's
-    constraint set).  Defaults to the whole catalog."""
-    names = list(suite) or list(catalog)
+def pair_coverage() -> Dict[Pair, List[str]]:
+    """Which catalog problems exercise each pair (both types in the
+    problem's constraint set)."""
     coverage: Dict[Pair, List[str]] = {pair: [] for pair in all_pairs()}
-    for name in names:
-        spec = catalog[name]
+    for name, spec in PROBLEM_CATALOG.items():
         types = spec.info_types
         for pair in coverage:
             if pair <= types:
@@ -66,26 +60,21 @@ def pair_coverage(
     return coverage
 
 
-def uncovered_pairs(
-    catalog: Mapping[str, ProblemSpec] = PROBLEM_CATALOG,
-    suite: Iterable[str] = (),
-) -> List[Pair]:
-    """Pairs no suite problem probes — the residual blind spots."""
+def uncovered_pairs() -> List[Pair]:
+    """Pairs no catalog problem probes — the residual blind spots."""
     return [
-        pair for pair, problems in pair_coverage(catalog, suite).items()
-        if not problems
+        pair for pair, problems in pair_coverage().items() if not problems
     ]
 
 
 def conflicting_pairs(
     descriptions: Iterable[SolutionDescription],
-    catalog: Mapping[str, ProblemSpec] = PROBLEM_CATALOG,
 ) -> Dict[str, Set[Pair]]:
     """Mechanism → pairs whose combined use forced a conflict-resolving
     idiom, recovered from realization construct tags."""
     conflicts: Dict[str, Set[Pair]] = {}
     for description in descriptions:
-        spec = catalog.get(description.problem)
+        spec = PROBLEM_CATALOG.get(description.problem)
         if spec is None:
             continue
         for realization in description.realizations:
@@ -111,7 +100,6 @@ def conflicting_pairs(
 def render_pair_coverage(
     coverage: Mapping[Pair, List[str]],
     conflicts: Mapping[str, Set[Pair]] = (),
-    title: str = "Pairwise information-type coverage (section 4.2)",
 ) -> str:
     """ASCII table: pair → probing problems → mechanisms that conflicted."""
     conflict_index: Dict[Pair, List[str]] = {}
@@ -128,5 +116,6 @@ def render_pair_coverage(
             ", ".join(sorted(conflict_index.get(pair, []))) or "-",
         ])
     return ascii_table(
-        ["pair", "probed by", "conflicts found in"], rows, title
+        ["pair", "probed by", "conflicts found in"], rows,
+        "Pairwise information-type coverage (section 4.2)",
     )

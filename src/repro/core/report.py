@@ -54,7 +54,7 @@ def _cell(judgement: Optional[Directness]) -> str:
     ]
 
 
-def render_expressive_power(matrix: PowerMatrix, title: str = "Expressive power (mechanism x information type)") -> str:
+def render_expressive_power(matrix: PowerMatrix) -> str:
     """The paper's §5 expressive-power findings as a matrix."""
     headers = ["mechanism"] + [t.short for t in ALL_INFORMATION_TYPES]
     rows = []
@@ -67,10 +67,12 @@ def render_expressive_power(matrix: PowerMatrix, title: str = "Expressive power 
         "\nT1=request type  T2=request time  T3=parameters  "
         "T4=sync state  T5=local state  T6=history"
     )
-    return ascii_table(headers, rows, title) + legend
+    return ascii_table(
+        headers, rows, "Expressive power (mechanism x information type)"
+    ) + legend
 
 
-def render_kind_support(matrix: KindMatrix, title: str = "Constraint-kind support") -> str:
+def render_kind_support(matrix: KindMatrix) -> str:
     """Exclusion/priority support per mechanism."""
     headers = ["mechanism", "exclusion", "priority"]
     rows = []
@@ -82,13 +84,10 @@ def render_kind_support(matrix: KindMatrix, title: str = "Constraint-kind suppor
                 _cell(matrix[mechanism].get(ConstraintKind.PRIORITY)),
             ]
         )
-    return ascii_table(headers, rows, title)
+    return ascii_table(headers, rows, "Constraint-kind support")
 
 
-def render_modularity(
-    summary: Mapping[str, Mapping[str, bool]],
-    title: str = "Modularity requirements (section 2)",
-) -> str:
+def render_modularity(summary: Mapping[str, Mapping[str, bool]]) -> str:
     """The two §2 requirements plus enforcement, per mechanism."""
     headers = [
         "mechanism",
@@ -107,13 +106,10 @@ def render_modularity(
                 "yes" if row_data["enforced_by_mechanism"] else "NO (discipline)",
             ]
         )
-    return ascii_table(headers, rows, title)
+    return ascii_table(headers, rows, "Modularity requirements (section 2)")
 
 
-def render_coverage(
-    coverage: Mapping[str, Iterable[InformationType]],
-    title: str = "Test-problem coverage of information types (footnote 2)",
-) -> str:
+def render_coverage(coverage: Mapping[str, Iterable[InformationType]]) -> str:
     """Which information types each suite problem covers."""
     headers = ["problem"] + [t.short for t in ALL_INFORMATION_TYPES]
     rows = []
@@ -123,4 +119,6 @@ def render_coverage(
             [problem]
             + ["x" if t in covered_set else "" for t in ALL_INFORMATION_TYPES]
         )
-    return ascii_table(headers, rows, title)
+    return ascii_table(
+        headers, rows,
+        "Test-problem coverage of information types (footnote 2)")

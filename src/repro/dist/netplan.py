@@ -180,11 +180,11 @@ class NetPlan:
             raise ValueError("delay must be positive")
         return self._rule(DELAY, src, dst, nth, ticks=ticks)
 
-    def reorder(self, src: str, dst: str, nth: int = 1) -> "NetPlan":
-        """The ``nth`` message is held back until the *next* message on the
-        same link is delivered, then released right after it — a minimal
-        pairwise reordering."""
-        return self._rule(REORDER, src, dst, nth)
+    def reorder(self, src: str, dst: str) -> "NetPlan":
+        """The first message on the link is held back until the *next*
+        message on it is delivered, then released right after it — a
+        minimal pairwise reordering."""
+        return self._rule(REORDER, src, dst, 1)
 
     def _rule(self, action: str, src: str, dst: str, nth: int,
               ticks: int = 0) -> "NetPlan":

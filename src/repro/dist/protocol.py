@@ -145,13 +145,11 @@ class Node:
             yield from self.send(dst, kind, payload, term=term, seq=seq)
         return seq
 
-    def reply(self, to: Msg, kind: str, payload: Any = None,
-              term: int = 0) -> Generator:
+    def reply(self, to: Msg, kind: str, payload: Any = None) -> Generator:
         """Answer ``to``, threading its ``reply_to`` (or its ``(src,
         seq)`` identity when it carried none)."""
         req_id = to.reply_to or (to.src, to.seq)
-        yield from self.send(to.src, kind, payload, term=term,
-                             reply_to=req_id)
+        yield from self.send(to.src, kind, payload, reply_to=req_id)
 
     # ------------------------------------------------------------------
     # Receiving

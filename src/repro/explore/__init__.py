@@ -29,7 +29,7 @@ from .engine import (
     RunRecord,
     expand_record,
 )
-from .minimize import MinimizedWitness, minimize_result, minimize_witness
+from .minimize import MinimizedWitness, minimize_witness
 
 __all__ = [
     "ExplorationEngine",
@@ -38,6 +38,5 @@ __all__ = [
     "RunRecord",
     "expand_record",
     "MinimizedWitness",
-    "minimize_result",
     "minimize_witness",
 ]

@@ -59,6 +59,11 @@ class RecordingPolicy(ScriptedPolicy):
     expanded against (DESIGN.md §9).  ``claimed`` needs a ``horizon``:
     without one the prefix, where the pick is not the default, is
     snapshotted too.
+
+    :attr:`fp_seconds` accumulates the wall clock spent taking snapshots
+    (canonical-state hashing), so harness telemetry can attribute it
+    apart from scheduler stepping.  Timing is passive: decisions are the
+    same whether or not anyone reads it.
     """
 
     def __init__(
@@ -78,6 +83,7 @@ class RecordingPolicy(ScriptedPolicy):
         self.ready_pids: List[Tuple[int, ...]] = []
         self._stop = horizon
         self._local: Set[PruneKey] = set()
+        self.fp_seconds = 0.0
 
     def observe_state(self, sched) -> None:
         index = self._cursor
@@ -88,8 +94,10 @@ class RecordingPolicy(ScriptedPolicy):
         if index < self.first or (self._stop is not None
                                   and index >= self._stop):
             return
+        start = perf_counter()
         fingerprint = sched.fingerprint()
         ready = tuple(p.pid for p in sched._ready)
+        self.fp_seconds += perf_counter() - start
         self.fingerprints.append(fingerprint)
         self.ready_pids.append(ready)
         claimed = self._claimed
@@ -114,65 +122,7 @@ class RecordingPolicy(ScriptedPolicy):
         self.ready_pids = []
         self._stop = self.horizon
         self._local = set()
-
-
-class TimedRecordingPolicy(RecordingPolicy):
-    """A :class:`RecordingPolicy` that additionally accumulates the wall
-    clock spent inside :meth:`observe_state` — i.e. in canonical-state
-    fingerprint hashing — so harness telemetry can attribute fingerprint
-    time separately from scheduler stepping.  Decisions are identical to
-    the untimed policy (timing is passive), which is what keeps
-    telemetry-on results byte-identical to telemetry-off ones."""
-
-    def __init__(
-        self,
-        decisions: Optional[Sequence[int]] = None,
-        horizon: Optional[int] = None,
-        claimed: Optional[Set[PruneKey]] = None,
-    ) -> None:
-        super().__init__(decisions, horizon, claimed)
         self.fp_seconds = 0.0
-
-    def observe_state(self, sched) -> None:
-        start = perf_counter()
-        super().observe_state(sched)
-        self.fp_seconds += perf_counter() - start
-
-    def reset(self) -> None:
-        super().reset()
-        self.fp_seconds = 0.0
-
-
-def run_one_timed(
-    build_and_run: BuildAndRun,
-    prefix: Sequence[int],
-    check: Checker,
-    prune: bool,
-    telemetry,
-    max_depth: int,
-    claimed: Optional[Set[PruneKey]] = None,
-) -> RunRecord:
-    """Execute one schedule with phase-attributed wall-clock accounting:
-    ``step`` (scheduler stepping, fingerprint time subtracted),
-    ``fingerprint``, ``check`` (oracle battery), ``record`` (RunRecord
-    reduction).  The observed twin of :meth:`ExplorationEngine.run_one`;
-    ``claimed`` is passed to the :class:`RecordingPolicy`.
-    """
-    policy = (TimedRecordingPolicy(prefix, max_depth, claimed) if prune
-              else ScriptedPolicy(prefix))
-    start = perf_counter()
-    run = build_and_run(policy)
-    ran = perf_counter()
-    messages = check(run)
-    checked = perf_counter()
-    record = RunRecord.from_run(prefix, policy, messages)
-    reduced = perf_counter()
-    fp_seconds = getattr(policy, "fp_seconds", 0.0)
-    telemetry.add("step", max(0.0, (ran - start) - fp_seconds))
-    telemetry.add("fingerprint", fp_seconds)
-    telemetry.add("check", checked - ran)
-    telemetry.add("record", reduced - checked)
-    return record
 
 
 @dataclass(frozen=True)
@@ -312,8 +262,8 @@ class ExplorationEngine:
             receiving phase-attributed wall-clock accounting and progress
             counters.  Duck-typed (the explore package never imports obs):
             a sink whose class sets ``IS_NULL = True`` is normalized to
-            ``None`` here, so an unobserved search executes the identical
-            code path and pays only one ``is not None`` test per run.
+            ``None`` here.  Observed or not, a search executes the same
+            code path; an unobserved one skips only the additions.
             Telemetry is passive — results are byte-identical with or
             without it.
     """
@@ -338,11 +288,27 @@ class ExplorationEngine:
         self._seen: Optional[Set[PruneKey]] = None
 
     def run_one(self, prefix: Sequence[int], check: Checker) -> RunRecord:
-        """Execute a single schedule and reduce it to a :class:`RunRecord`."""
+        """Execute a single schedule and reduce it to a :class:`RunRecord`.
+
+        With telemetry, its wall clock is charged to the phases ``step``
+        (scheduler stepping, fingerprint time subtracted), ``fingerprint``,
+        ``check`` (oracle battery) and ``record`` (the reduction)."""
         policy = (RecordingPolicy(prefix, self.max_depth, self._seen)
                   if self.prune else ScriptedPolicy(prefix))
+        start = perf_counter()
         run = self._build_and_run(policy)
-        return RunRecord.from_run(prefix, policy, check(run))
+        ran = perf_counter()
+        messages = check(run)
+        checked = perf_counter()
+        record = RunRecord.from_run(prefix, policy, messages)
+        telemetry = self.telemetry
+        if telemetry is not None:
+            fp_seconds = getattr(policy, "fp_seconds", 0.0)
+            telemetry.add("step", max(0.0, (ran - start) - fp_seconds))
+            telemetry.add("fingerprint", fp_seconds)
+            telemetry.add("check", checked - ran)
+            telemetry.add("record", perf_counter() - checked)
+        return record
 
     def explore(
         self,
@@ -370,13 +336,7 @@ class ExplorationEngine:
             if result.runs >= self.max_runs:
                 result.exhausted = False
                 break
-            prefix = frontier.pop()
-            if telemetry is None:
-                record = self.run_one(prefix, check)
-            else:
-                record = run_one_timed(self._build_and_run, prefix, check,
-                                       self.prune, telemetry, self.max_depth,
-                                       seen)
+            record = self.run_one(frontier.pop(), check)
             result.runs += 1
             if record.messages:
                 result.violations.append((record.taken, list(record.messages)))

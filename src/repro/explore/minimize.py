@@ -29,7 +29,7 @@ shortest reproduction arrives ready to read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from ..runtime.policies import ScriptedPolicy
 from ..runtime.trace import RunResult
@@ -47,8 +47,8 @@ class MinimizedWitness:
         minimized: the locally minimal decision string.
         messages: violation messages of the minimized run.
         tests: schedules executed while shrinking.
-        locally_minimal: False only when ``max_tests`` ran out before the
-            fixpoint was reached (the witness still reproduces).
+        locally_minimal: False only when :data:`MAX_TESTS` ran out before
+            the fixpoint was reached (the witness still reproduces).
         timeline: ASCII span timeline of the minimized run.
         causal: a happens-before causal explanation of the violating run —
             the tail of its critical path (who ran, who waited on what,
@@ -69,6 +69,10 @@ class MinimizedWitness:
         return len(self.original) - len(self.minimized)
 
 
+#: Budget of candidate schedules one minimization executes.
+MAX_TESTS = 2000
+
+
 def _strip(decisions: List[int]) -> List[int]:
     """Drop trailing default choices — semantically a no-op."""
     end = len(decisions)
@@ -81,17 +85,14 @@ def minimize_witness(
     build_and_run: BuildAndRun,
     check: Checker,
     witness: Sequence[int],
-    max_tests: int = 2000,
-    timeline_width: int = 72,
 ) -> MinimizedWitness:
-    """Shrink ``witness`` to a locally minimal decision string.
+    """Shrink ``witness`` to a locally minimal decision string, executing
+    at most :data:`MAX_TESTS` candidate schedules.
 
     Args:
         build_and_run: fresh-system runner, as for the engine.
         check: the property the witness violates (non-empty = violation).
         witness: a decision string known to reproduce the violation.
-        max_tests: budget of candidate schedules to execute.
-        timeline_width: width of the replay timeline.
 
     Raises:
         ValueError: the given witness does not reproduce any violation.
@@ -112,13 +113,13 @@ def minimize_witness(
 
     current = _strip(list(original))
     converged = False
-    while not converged and tests < max_tests:
+    while not converged and tests < MAX_TESTS:
         converged = True
         # Chunk deletion, halving granularity down to single decisions.
         size = max(len(current) // 2, 1)
-        while size >= 1 and tests < max_tests:
+        while size >= 1 and tests < MAX_TESTS:
             start = 0
-            while start < len(current) and tests < max_tests:
+            while start < len(current) and tests < MAX_TESTS:
                 candidate = _strip(current[:start] + current[start + size:])
                 if len(candidate) < len(current) and reproduces(candidate):
                     current = candidate
@@ -130,7 +131,7 @@ def minimize_witness(
         for index in range(len(current)):
             if index >= len(current):  # a decrement pass shrank the string
                 break
-            while current[index] > 0 and tests < max_tests:
+            while current[index] > 0 and tests < MAX_TESTS:
                 candidate = _strip(
                     current[:index] + [current[index] - 1]
                     + current[index + 1:]
@@ -158,20 +159,6 @@ def minimize_witness(
         messages=messages,
         tests=tests,
         locally_minimal=converged,
-        timeline=ascii_timeline(spans, width=timeline_width),
+        timeline=ascii_timeline(spans),
         causal=tuple(causal_chain(compute_critical_path(final.trace))),
     )
-
-
-def minimize_result(
-    build_and_run: BuildAndRun,
-    check: Checker,
-    result,
-    max_tests: int = 2000,
-) -> Optional[MinimizedWitness]:
-    """Convenience: shrink an :class:`ExplorationResult`'s witness, or
-    return ``None`` when the search found nothing."""
-    if result.witness is None:
-        return None
-    return minimize_witness(build_and_run, check, result.witness,
-                            max_tests=max_tests)

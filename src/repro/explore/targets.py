@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..problems.readers_writers.anomaly import footnote3_workload
 from ..problems.registry import get_solution, solutions_for
 from ..problems.staged_queue import run_classes
 from ..runtime.faults import FaultPlan
@@ -60,24 +61,7 @@ def _run_readers_priority(sched: Scheduler, mechanism: str) -> RunResult:
 
 
 def _run_footnote3(sched: Scheduler, mechanism: str) -> RunResult:
-    impl = _factory("readers_priority", mechanism)(sched)
-
-    def first_writer():
-        yield from impl.write(1, work=6)
-
-    def second_writer():
-        yield
-        yield from impl.write(2, work=1)
-
-    def reader():
-        yield
-        yield
-        yield from impl.read(work=1)
-
-    sched.spawn(first_writer, name="W1")
-    sched.spawn(second_writer, name="W2")
-    sched.spawn(reader, name="R1")
-    return sched.run(on_deadlock="return", on_error="record")
+    return footnote3_workload(_factory("readers_priority", mechanism), sched)
 
 
 def _run_bounded_buffer(sched: Scheduler, mechanism: str) -> RunResult:

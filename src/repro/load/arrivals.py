@@ -54,20 +54,19 @@ def bursty(
     rate: float,
     seed: int = 0,
     burst_factor: float = 8.0,
-    burst_len: int = 16,
 ) -> Iterator[int]:
-    """On/off arrivals: ``burst_len`` clients at ``burst_factor * rate``,
+    """On/off arrivals: bursts of 16 clients at ``burst_factor * rate``,
     then one compensating silent gap, keeping the mean rate at ``rate``."""
     if rate <= 0 or burst_factor <= 1.0:
         raise ValueError("rate must be positive and burst_factor > 1")
     rng = random.Random(seed)
     # Mean gap inside a burst and the silence that restores the average.
     burst_gap = 1.0 / (rate * burst_factor)
-    silence = burst_len * (1.0 / rate - burst_gap)
+    silence = 16 * (1.0 / rate - burst_gap)
 
     def raw() -> Iterator[float]:
         while True:
-            for __ in range(burst_len):
+            for __ in range(16):
                 yield rng.expovariate(1.0 / burst_gap)
             yield silence * (0.5 + rng.random())
 

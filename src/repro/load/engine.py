@@ -134,7 +134,6 @@ def run_load(
     capacity: int = 8,
     seed: int = 0,
     window: int = 32,
-    max_windows: int = 64,
     sink: Optional[StreamingSink] = None,
     keep_windows: bool = True,
 ):
@@ -145,8 +144,7 @@ def run_load(
     so sketches are keyed per shard.
     """
     if sink is None:
-        sink = StreamingSink(window=window, max_windows=max_windows,
-                             shard_prefix=True)
+        sink = StreamingSink(window=window, shard_prefix=True)
     # Step budget scales with the swarm; per-op step costs are two orders
     # of magnitude below this, so the limit only catches genuine wedges.
     budget = max(500_000, clients * ops * 400)
@@ -229,7 +227,6 @@ def saturation_curve(
     ops: int = 1,
     capacity: int = 8,
     seed: int = 0,
-    window: int = 32,
 ) -> List[LoadPoint]:
     """Sweep client counts at a fixed arrival horizon; one
     :class:`LoadPoint` per population size."""
@@ -238,7 +235,7 @@ def saturation_curve(
         point, __ = run_load(
             mechanism, clients=clients, shards=shards, arrival=arrival,
             rate=clients / float(horizon), ops=ops, capacity=capacity,
-            seed=seed, window=window, keep_windows=False,
+            seed=seed, keep_windows=False,
         )
         points.append(point)
     return points
@@ -247,16 +244,15 @@ def saturation_curve(
 # ----------------------------------------------------------------------
 # ASCII views
 # ----------------------------------------------------------------------
-def ascii_curve(points: List[LoadPoint], value, label: str,
-                width: int = 44) -> str:
-    """One bar per sweep point: ``value(point)`` scaled to ``width``."""
+def ascii_curve(points: List[LoadPoint], value, label: str) -> str:
+    """One bar per sweep point: ``value(point)`` scaled to 44 columns."""
     if not points:
         return "(no points)"
     rows = [(p.clients, float(value(p))) for p in points]
     peak = max(v for __, v in rows) or 1.0
     lines = ["{} vs clients".format(label)]
     for clients, v in rows:
-        bar = "#" * max(1 if v else 0, int(v * width / peak))
+        bar = "#" * max(1 if v else 0, int(v * 44 / peak))
         lines.append("  %7d %10.1f %s" % (clients, v, bar))
     return "\n".join(lines)
 

@@ -80,11 +80,6 @@ class Monitor:
         """Name of the process currently inside the monitor, if any."""
         return self._active.name if self._active else None
 
-    @property
-    def entry_count(self) -> int:
-        """Number of processes waiting to enter."""
-        return len(self._entry)
-
     def _probe_entry(self) -> None:
         self._sched.probe("monitor", "{}.entry".format(self._label),
                           len(self._entry))

@@ -254,10 +254,8 @@ class HBGraph:
         self.component_of = component_of
         self._by_seq = {ev.seq: ev for ev in events}
         self._preds: Dict[int, List[HBEdge]] = {}
-        self._succs: Dict[int, List[HBEdge]] = {}
         for edge in edges:
             self._preds.setdefault(edge.dst, []).append(edge)
-            self._succs.setdefault(edge.src, []).append(edge)
 
     # ------------------------------------------------------------------
     def event(self, seq: int) -> Event:
@@ -265,9 +263,6 @@ class HBGraph:
 
     def preds(self, seq: int) -> List[HBEdge]:
         return self._preds.get(seq, [])
-
-    def succs(self, seq: int) -> List[HBEdge]:
-        return self._succs.get(seq, [])
 
     def clock(self, seq: int) -> Tuple[int, ...]:
         return self.clocks[seq]

@@ -148,18 +148,18 @@ class CriticalPathReport:
     # ------------------------------------------------------------------
     # What-if virtual speedups (causal-profiling style)
     # ------------------------------------------------------------------
-    def virtual_speedups(self, earlier: int = 1) -> Dict[str, Dict[str, int]]:
+    def virtual_speedups(self) -> Dict[str, Dict[str, int]]:
         """Per waited-on object: the estimated makespan reduction if every
-        on-path wait on it resolved ``earlier`` ticks sooner, plus the
-        upper bound (the wait vanishing entirely).  Estimates, not exact
+        on-path wait on it resolved one tick sooner, plus the upper bound
+        (the wait vanishing entirely).  Estimates, not exact
         re-simulations: shortening one chain can expose another."""
         out: Dict[str, Dict[str, int]] = {}
         for seg in self.segments:
             if seg.kind not in ("blocked", "timer") or not seg.obj:
                 continue
-            entry = out.setdefault(seg.obj, {"earlier_by": earlier,
+            entry = out.setdefault(seg.obj, {"earlier_by": 1,
                                              "saved": 0, "bound": 0})
-            entry["saved"] += min(earlier, seg.duration)
+            entry["saved"] += min(1, seg.duration)
             entry["bound"] += seg.duration
         return {obj: out[obj] for obj in sorted(out)}
 

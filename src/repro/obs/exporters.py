@@ -255,11 +255,9 @@ def jsonl_lines(
             })
 
 
-def parse_jsonl(lines: Iterable[str], with_counters: bool = False):
-    """Inverse of :func:`jsonl_lines`: rebuild ``(spans, events)`` — or
-    ``(spans, events, counters)`` with ``with_counters=True``, where
-    counters are the harness telemetry sample dicts (back-compat: the
-    default stays a 2-tuple and silently drops counter records).
+def parse_jsonl(lines: Iterable[str]):
+    """Inverse of :func:`jsonl_lines`: rebuild ``(spans, events,
+    counters)``, where counters are the harness telemetry sample dicts.
 
     Round-trips exactly for JSON-representable details; a detail that was
     stringified on export stays a string (the exporter's ``default=str``
@@ -280,9 +278,7 @@ def parse_jsonl(lines: Iterable[str], with_counters: bool = False):
             counters.append(record)
         else:
             events.append(Event.from_dict(record))
-    if with_counters:
-        return spans, events, counters
-    return spans, events
+    return spans, events, counters
 
 
 def write_jsonl(
@@ -347,14 +343,15 @@ def ascii_timeline(spans: Sequence[Span], width: int = 72) -> str:
     return "\n".join(lines)
 
 
-def ascii_contention(totals: Dict[str, int], width: int = 40) -> str:
-    """Horizontal bar chart of blocked time per object (seq units)."""
+def ascii_contention(totals: Dict[str, int]) -> str:
+    """Horizontal bar chart of blocked time per object (seq units), 40
+    columns at the peak."""
     if not totals:
         return "(no blocking observed)"
     label_width = max(len(name) for name in totals)
     peak = max(totals.values()) or 1
     lines = []
     for name, value in sorted(totals.items(), key=lambda kv: -kv[1]):
-        bar = "#" * max(1 if value else 0, value * width // peak)
+        bar = "#" * max(1 if value else 0, value * 40 // peak)
         lines.append("%-*s %6d %s" % (label_width, name, value, bar))
     return "\n".join(lines)

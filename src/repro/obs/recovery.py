@@ -181,15 +181,6 @@ class RecoveryMetrics:
         ]
         return max(samples) if samples else None
 
-    @property
-    def mean_ticks_to_restart(self) -> Optional[float]:
-        samples = [
-            s.ticks_to_restart for s in self.spans if s.restarted
-        ]
-        if not samples:
-            return None
-        return sum(samples) / float(len(samples))
-
     def render(self) -> str:
         rows = [[
             str(self.deaths), str(self.restarts), str(self.recoveries),
@@ -288,11 +279,10 @@ class PartitionRecoverySpan:
 
 def partition_recovery_spans(
     run: Union[RunResult, Trace],
-    recovery_kinds: tuple = PARTITION_RECOVERY_KINDS,
 ) -> List[PartitionRecoverySpan]:
     """One span per ``net_partition`` event, matched to its ``net_heal``
-    (same rule description) and to the first ``recovery_kinds`` event after
-    each leg's start."""
+    (same rule description) and to the first
+    :data:`PARTITION_RECOVERY_KINDS` event after each leg's start."""
     trace = _trace_of(run)
     spans: List[PartitionRecoverySpan] = []
     heals = list(trace.filter(kind="net_heal"))
@@ -302,12 +292,14 @@ def partition_recovery_spans(
              if h.detail == start.detail and h.seq > start.seq), None)
         failover = next(
             (ev for ev in trace
-             if ev.kind in recovery_kinds and ev.seq > start.seq), None)
+             if ev.kind in PARTITION_RECOVERY_KINDS
+             and ev.seq > start.seq), None)
         post_heal = None
         if heal is not None:
             post_heal = next(
                 (ev for ev in trace
-                 if ev.kind in recovery_kinds and ev.seq > heal.seq), None)
+                 if ev.kind in PARTITION_RECOVERY_KINDS
+                 and ev.seq > heal.seq), None)
         spans.append(PartitionRecoverySpan(
             partition=str(start.detail),
             start_tick=start.time,
@@ -370,11 +362,9 @@ class PartitionRecoveryMetrics:
 
 def compute_partition_mttr(
     run: Union[RunResult, Trace],
-    recovery_kinds: tuple = PARTITION_RECOVERY_KINDS,
 ) -> PartitionRecoveryMetrics:
     """Failover and post-heal MTTR from one run's trace."""
-    return PartitionRecoveryMetrics(
-        spans=partition_recovery_spans(run, recovery_kinds))
+    return PartitionRecoveryMetrics(spans=partition_recovery_spans(run))
 
 
 # ----------------------------------------------------------------------
@@ -444,18 +434,13 @@ def _service_intervals(trace: Trace) -> List[List[int]]:
     return intervals
 
 
-def compute_availability(
-    run: Union[RunResult, Trace],
-    horizon: Optional[int] = None,
-) -> Availability:
+def compute_availability(run: Union[RunResult, Trace]) -> Availability:
     """Union the holder/leader validity intervals and divide by the run
-    horizon (default: the last event's tick).  Overlapping intervals
-    count once — availability asks "did *someone* validly hold the
-    service", not "how many thought they did" (that is the exclusion
-    oracle's question)."""
+    horizon (the last event's tick).  Overlapping intervals count once —
+    availability asks "did *someone* validly hold the service", not "how
+    many thought they did" (that is the exclusion oracle's question)."""
     trace = _trace_of(run)
-    if horizon is None:
-        horizon = max((ev.time for ev in trace), default=0)
+    horizon = max((ev.time for ev in trace), default=0)
     raw = _service_intervals(trace)
     clipped = sorted(
         (max(0, s), min(e, horizon)) for s, e in raw)

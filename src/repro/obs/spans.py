@@ -142,7 +142,7 @@ def fold_spans(trace: Iterable[Event]) -> List[Span]:
     last_seq = 0
     last_time = 0
 
-    def state_of(name: str, pid: int = -1) -> _ProcState:
+    def state_of(name: str) -> _ProcState:
         return procs.setdefault(name, _ProcState())
 
     def close(span: Span, ev: Event, outcome: str = "ok",
@@ -368,14 +368,13 @@ def blocked_time_by_object(spans: Iterable[Span]) -> Dict[str, int]:
     return totals
 
 
-def max_concurrent(spans: Iterable[Span], kind: str,
-                   obj: Optional[str] = None) -> Dict[str, int]:
+def max_concurrent(spans: Iterable[Span], kind: str) -> Dict[str, int]:
     """Per object: the maximum number of simultaneously open spans of
     ``kind`` — e.g. ``kind="blocked"`` gives the deepest wait queue each
     object ever accumulated (a sweep over span endpoints)."""
     edges: Dict[str, List[Tuple[int, int]]] = {}
     for span in spans:
-        if span.kind != kind or (obj is not None and span.obj != obj):
+        if span.kind != kind:
             continue
         edges.setdefault(span.obj, []).append((span.start_seq, 1))
         edges.setdefault(span.obj, []).append((span.end_seq, -1))

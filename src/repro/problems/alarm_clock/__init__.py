@@ -22,7 +22,7 @@ DEFAULT_DELAYS = (5, 2, 9, 2, 7, 1, 4)
 
 
 def run_sleepers(factory, delays: Sequence[int] = DEFAULT_DELAYS,
-                 policy=None, sched=None):
+                 sched=None):
     """Spawn one sleeper per delay plus the ticker; returns (result, wakes).
 
     The ticker ticks once per unit of virtual time until every sleeper's
@@ -30,7 +30,7 @@ def run_sleepers(factory, delays: Sequence[int] = DEFAULT_DELAYS,
     injects a pre-built (e.g. instrumented) scheduler.
     """
     if sched is None:
-        sched = Scheduler(policy=policy)
+        sched = Scheduler()
     impl = factory(sched)
     wakes: List[int] = []
     horizon = max(delays) + 1

@@ -8,7 +8,7 @@ FIFO order.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from ...runtime.errors import ProcessFailed
 from ...runtime.policies import RandomPolicy, SchedulingPolicy
@@ -64,7 +64,6 @@ def run_producers_consumers(
 def make_verifier(
     factory: Factory,
     name: str = "buf",
-    random_seeds: Sequence[int] = (0, 1, 2, 3),
 ) -> Callable[[], List[str]]:
     """Oracle battery: integrity + no overlap + conservation, across FIFO
     and randomized schedules."""
@@ -94,7 +93,7 @@ def make_verifier(
 
     def verify() -> List[str]:
         violations = run_one("fifo")
-        for seed in random_seeds:
+        for seed in (0, 1, 2, 3):
             violations.extend(
                 run_one("random{}".format(seed), RandomPolicy(seed))
             )

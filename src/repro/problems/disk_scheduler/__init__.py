@@ -25,21 +25,20 @@ DEFAULT_PLAN: List[Tuple[int, int]] = [
 ]
 
 
-def random_plan(seed: int, requests: int = 12, tracks: int = 200,
-                start_track: int = 0) -> List[Tuple[int, int]]:
-    """Distinct random tracks with staggered arrivals."""
+def random_plan(seed: int, requests: int = 12) -> List[Tuple[int, int]]:
+    """Distinct random tracks in 1..199 (never the start track 0) with
+    staggered arrivals."""
     rng = random.Random(seed)
-    population = [t for t in range(tracks) if t != start_track]
-    chosen = rng.sample(population, requests)
+    chosen = rng.sample(range(1, 200), requests)
     return [(rng.randrange(0, 8), track) for track in chosen]
 
 
 def run_requests(factory, plan: Sequence[Tuple[int, int]] = tuple(DEFAULT_PLAN),
-                 policy=None, sched=None):
+                 sched=None):
     """One process per (delay, track) request.  ``sched`` injects a
-    pre-built (e.g. instrumented) scheduler; ``policy`` is ignored then."""
+    pre-built (e.g. instrumented) scheduler."""
     if sched is None:
-        sched = Scheduler(policy=policy)
+        sched = Scheduler()
     impl = factory(sched)
 
     def requester(delay: int, track: int):
@@ -55,7 +54,7 @@ def run_requests(factory, plan: Sequence[Tuple[int, int]] = tuple(DEFAULT_PLAN),
     return result, impl
 
 
-def make_verifier(factory, name: str = "disk", start_track: int = 0,
+def make_verifier(factory, name: str = "disk",
                   check_scan: bool = True) -> Callable[[], List[str]]:
     """Oracle battery: single occupancy always; SCAN order unless the
     solution is the FCFS baseline (``check_scan=False``)."""
@@ -73,8 +72,7 @@ def make_verifier(factory, name: str = "disk", start_track: int = 0,
             for msg in check_single_occupancy(result.trace, name, ["use"]):
                 violations.append("{}: {}".format(label, msg))
             if check_scan:
-                for msg in check_scan_order(result.trace, name,
-                                            start_track=start_track):
+                for msg in check_scan_order(result.trace, name):
                     violations.append("{}: {}".format(label, msg))
             if result.deadlocked:
                 violations.append("{}: deadlock".format(label))

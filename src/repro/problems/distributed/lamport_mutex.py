@@ -40,13 +40,12 @@ def build_lamport_mutex(
     netplan: Optional[NetPlan] = None,
     fault_plan: Optional[FaultPlan] = None,
     deadline: int = 80,
-    retry_every: int = 6,
     nodes: Optional[Sequence[str]] = None,
 ) -> RunResult:
     """Every node requests the critical section exactly once.
 
-    ``nodes`` overrides the membership (the resilience layer runs 5–9
-    node clusters); the default stays the 3-node :data:`LAMPORT_NODES`.
+    ``nodes`` overrides the membership (the resilience report runs five
+    nodes); the default stays the 3-node :data:`LAMPORT_NODES`.
     Returns the finished run; each node's result records whether it got
     in and out (``{"entered": bool, "exited": bool}``).
     """
@@ -79,7 +78,7 @@ def build_lamport_mutex(
                 if exited and done >= set(nodes):
                     break
                 try:
-                    msg = yield from node.receive(timeout=retry_every)
+                    msg = yield from node.receive(timeout=6)
                 except WaitTimeout:
                     # Reliable-channel assumption patched by retransmission:
                     # peers dedup requests by node and treat releases

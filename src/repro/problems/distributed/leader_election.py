@@ -42,14 +42,13 @@ def build_leader_election(
     netplan: Optional[NetPlan] = None,
     fault_plan: Optional[FaultPlan] = None,
     deadline: int = 120,
-    heartbeat_every: int = 5,
-    timeout_base: int = 12,
-    stagger: int = 4,
     nodes: Optional[Sequence[str]] = None,
 ) -> RunResult:
     """Run the cluster until ``deadline``; members return their final view
     (``{"term": t, "leader": bool}``).  ``nodes`` overrides the
-    membership (index = bully priority) for larger clusters."""
+    membership (index = bully priority; the resilience report runs five).
+    A leader beats every 5 ticks; member ``idx`` stands for election
+    after ``12 + 4 * idx`` ticks without hearing one."""
     sched = Scheduler(policy=policy, preemptive=True, fault_plan=fault_plan)
     net = Network(sched, netplan, latency=1)
     net.start()
@@ -64,13 +63,13 @@ def build_leader_election(
             votes = set()               # grants received for our candidacy
             is_leader = False
             last_heard = sched.now
-            my_timeout = timeout_base + idx * stagger
+            my_timeout = 12 + idx * 4
             next_beat = 0
             while sched.now < deadline:
                 now = sched.now
                 if is_leader and now >= next_beat:
                     yield from node.broadcast("beat", term=term)
-                    next_beat = sched.now + heartbeat_every
+                    next_beat = sched.now + 5
                     continue
                 if not is_leader and now - last_heard >= my_timeout:
                     term += 1

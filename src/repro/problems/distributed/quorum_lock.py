@@ -38,20 +38,16 @@ def build_quorum_lock(
     fault_plan: Optional[FaultPlan] = None,
     deadline: int = 110,
     duration: int = 18,
-    hold: int = 6,
-    retry_sleep: int = 5,
     servers: Optional[Sequence[str]] = None,
-    clients: Optional[Sequence[str]] = None,
 ) -> RunResult:
-    """Two clients each try to complete one fenced lock-hold.
+    """Two clients each try to complete one fenced lock-hold of 6 ticks.
 
-    ``servers``/``clients`` override the membership (the resilience
-    layer runs 5+ replica clusters); defaults stay the 3+2 constants.
-    A client's result records whether it ever finished a hold without
-    losing validity (``{"locked": bool, "aborts": int}``).
+    ``servers`` overrides the replica set (the resilience report runs
+    five); the default stays :data:`LOCK_SERVERS`.  A client's result
+    records whether it ever finished a hold without losing validity
+    (``{"locked": bool, "aborts": int}``).
     """
     server_ids = list(LOCK_SERVERS if servers is None else servers)
-    client_ids = list(LOCK_CLIENTS if clients is None else clients)
     sched = Scheduler(policy=policy, preemptive=True, fault_plan=fault_plan)
     net = Network(sched, netplan, latency=1)
     net.start()
@@ -81,11 +77,11 @@ def build_quorum_lock(
             while sched.now < deadline:
                 ok = yield from lease.acquire()
                 if not ok:
-                    yield from sched.sleep(retry_sleep)
+                    yield from sched.sleep(5)
                     continue
                 sched.log("cs_enter", cid)
                 held = 0
-                while held < hold and lease.valid:
+                while held < 6 and lease.valid:
                     yield from sched.sleep(1)
                     held += 1
                 if lease.valid:
@@ -102,7 +98,7 @@ def build_quorum_lock(
 
     for sid in server_ids:
         sched.spawn(server(sid), name=sid)
-    for cid in client_ids:
+    for cid in LOCK_CLIENTS:
         sched.spawn(client(cid), name=cid)
     result = sched.run(on_deadlock="return", on_error="record",
                        on_steplimit="return")

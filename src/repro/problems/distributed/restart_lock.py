@@ -1,7 +1,7 @@
 """Crash-restart under partition: the amnesiac lease holder.
 
 The combined-fault scenario the resilience layer is built around.  A
-client (``c0``) holds a quorum lease over ``servers`` replicas and writes
+client (``c0``) holds a quorum lease over five replicas and writes
 a shared :class:`~repro.resilience.fencing.FencedResource` — storage that
 stays reachable through network partitions, which is exactly why lease
 validity alone cannot protect it.  A second client (``c1``) competes for
@@ -35,7 +35,7 @@ events of the layers underneath.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ...dist import NetPlan, Network, Node, LeaseServer, QuorumLease
 from ...recover import FixedBackoff, RestartPolicy
@@ -48,29 +48,27 @@ from ...runtime.policies import ScriptedPolicy
 from ...runtime.scheduler import Scheduler
 from ...runtime.trace import RunResult
 
-#: Default cluster: five lease replicas (majority 3), two clients.
+#: The cluster: five lease replicas (majority 3), two clients.
 RESTART_SERVERS = ["s0", "s1", "s2", "s3", "s4"]
 RESTART_CLIENTS = ["c0", "c1"]
 
-
-def restart_server_names(count: int) -> List[str]:
-    return ["s{}".format(i) for i in range(count)]
+#: The run ends at ``DEADLINE``; a lease is valid ``DURATION`` ticks.  A
+#: write session is ``WRITES`` writes ``WRITE_EVERY`` ticks apart (the
+#: amnesiac resume writes ``RESUME_WRITES``); a refused acquisition
+#: retries after ``RETRY_SLEEP``.
+DEADLINE = 150
+DURATION = 20
+WRITES = 4
+RESUME_WRITES = 8
+WRITE_EVERY = 2
+RETRY_SLEEP = 4
 
 
 def build_restart_lock(
     policy: ScriptedPolicy,
     netplan: Optional[NetPlan] = None,
     fault_plan: Optional[FaultPlan] = None,
-    servers: int = 5,
     fencing: bool = True,
-    deadline: int = 150,
-    duration: int = 20,
-    writes: int = 4,
-    resume_writes: int = 8,
-    write_every: int = 2,
-    retry_sleep: int = 4,
-    c1_delay: int = 8,
-    restart_backoff: int = 2,
 ) -> RunResult:
     """Run the crash-restart-under-partition cluster to its deadline.
 
@@ -84,7 +82,6 @@ def build_restart_lock(
     net = Network(sched, netplan, latency=1)
     net.start()
     store = DurableStore()
-    server_ids = restart_server_names(servers)
     resource = FencedResource(sched, "store", enforce=fencing)
 
     def server(sid: str):
@@ -92,9 +89,9 @@ def build_restart_lock(
 
         def body():
             node = Node(net, sid, store=ns).bind(sid)
-            lease = LeaseServer(node, duration=duration, store=ns)
+            lease = LeaseServer(node, duration=DURATION, store=ns)
             while True:
-                remaining = deadline - sched.now
+                remaining = DEADLINE - sched.now
                 if remaining <= 0:
                     return
                 try:
@@ -107,7 +104,7 @@ def build_restart_lock(
 
     def c0_body(incarnation, ns):
         node = Node(net, "c0", store=ns).bind("c0")
-        lease = QuorumLease(node, server_ids, duration=duration,
+        lease = QuorumLease(node, RESTART_SERVERS, duration=DURATION,
                             timeout=3, attempts=1)
         stale_writes = 0
         aborts = 0
@@ -116,17 +113,17 @@ def build_restart_lock(
             """One fenced write session under a *valid* lease.  Returns
             True when every write landed (validity held throughout)."""
             sched.log("cs_enter", "c0")
-            for _ in range(writes):
+            for _ in range(WRITES):
                 if not lease.valid or not resource.access("c0", token):
                     return False
-                yield from sched.sleep(write_every)
+                yield from sched.sleep(WRITE_EVERY)
             return True
 
         if incarnation > 1 and ns.get("holding"):
             # Came back from the dead mid-hold.  Correct: treat validity
             # as lost (it was volatile).  First, one polite renewal —
             # enough when the crash was the only fault:
-            renew = QuorumLease(node, server_ids, duration=duration,
+            renew = QuorumLease(node, RESTART_SERVERS, duration=DURATION,
                                 timeout=3, attempts=1)
             renewed = yield from renew.acquire()
             if renewed:
@@ -140,7 +137,7 @@ def build_restart_lock(
                 # check stands between this and split-brain.
                 token = int(ns.get("token", 0))
                 sched.log("cs_enter", "c0")
-                for _ in range(resume_writes):
+                for _ in range(RESUME_WRITES):
                     if not resource.access("c0", token):
                         # Fenced out: a newer holder has written.
                         aborts += 1
@@ -148,17 +145,17 @@ def build_restart_lock(
                         ns.put("holding", False)
                         break
                     stale_writes += 1
-                    yield from sched.sleep(write_every)
+                    yield from sched.sleep(WRITE_EVERY)
                 else:
                     sched.log("cs_exit", "c0")
                     ns.put("holding", False)
                     return {"locked": True, "stale_writes": stale_writes,
                             "aborts": aborts, "incarnations": incarnation}
 
-        while sched.now < deadline:
+        while sched.now < DEADLINE:
             ok = yield from lease.acquire()
             if not ok:
-                yield from sched.sleep(retry_sleep)
+                yield from sched.sleep(RETRY_SLEEP)
                 continue
             ns.put("holding", True)
             ns.put("token", lease.token)
@@ -177,23 +174,23 @@ def build_restart_lock(
 
     def c1_body():
         node = Node(net, "c1").bind("c1")
-        lease = QuorumLease(node, server_ids, duration=duration,
+        lease = QuorumLease(node, RESTART_SERVERS, duration=DURATION,
                             timeout=3, attempts=1)
         aborts = 0
-        yield from sched.sleep(c1_delay)
-        while sched.now < deadline:
+        yield from sched.sleep(8)  # let c0 acquire first
+        while sched.now < DEADLINE:
             ok = yield from lease.acquire()
             if not ok:
-                yield from sched.sleep(retry_sleep)
+                yield from sched.sleep(RETRY_SLEEP)
                 continue
             sched.log("cs_enter", "c1")
             completed = True
-            for _ in range(writes):
+            for _ in range(WRITES):
                 if not lease.valid or not resource.access(
                         "c1", lease.token):
                     completed = False
                     break
-                yield from sched.sleep(write_every)
+                yield from sched.sleep(WRITE_EVERY)
             if completed:
                 sched.log("cs_exit", "c1")
                 yield from lease.release()
@@ -202,12 +199,12 @@ def build_restart_lock(
             sched.log("cs_abort", "c1")
         return {"locked": False, "aborts": aborts}
 
-    for sid in server_ids:
+    for sid in RESTART_SERVERS:
         sched.spawn(server(sid), name=sid)
     nsup = NodeSupervisor(
         sched, net, store,
         RestartPolicy(max_restarts=3,
-                      backoff=FixedBackoff(restart_backoff)),
+                      backoff=FixedBackoff(2)),
     )
     nsup.node("c0", c0_body)
     nsup.start()

@@ -8,9 +8,10 @@ progress.  The second writer will therefore gain access to the resource
 before the reader, though readers should have priority."
 
 :func:`footnote3_workload` spawns exactly that arrival pattern (W1 then W2
-then R1, all overlapping W1's write).  Under the Figure-1 path solution the
-strict Courtois–Heymans–Parnas oracle flags W2's write starting over R1's
-pending read; under the Courtois monitor solution the same pattern is clean.
+then R1, all overlapping W1's write); the ``footnote3`` exploration target
+runs it too.  Under the Figure-1 path solution the strict
+Courtois–Heymans–Parnas oracle flags W2's write starting over R1's pending
+read; under the Courtois monitor solution the same pattern is clean.
 :func:`find_anomaly_schedule` additionally lets the schedule explorer
 *discover* the anomaly on its own, confirming it is not an artifact of one
 hand-picked interleaving.
@@ -31,14 +32,16 @@ from .pathexpr_impl import PathReadersPriority
 Factory = Callable[[Scheduler], object]
 
 
-def footnote3_workload(factory: Factory, policy=None) -> RunResult:
-    """The footnote-3 arrival pattern: W1 writing; W2 then R1 arrive.
+def footnote3_workload(factory: Factory, sched: Scheduler) -> RunResult:
+    """The footnote-3 arrival pattern on ``sched``: W1 writing; W2 then R1
+    arrive.
 
     Spawn order plus FIFO stepping realizes the described overlap: W1's
     write is in progress when W2 passes writeattempt/requestwrite and
-    blocks at the third path; R1 then blocks at the second path.
+    blocks at the third path; R1 then blocks at the second path.  A
+    deadlock or a failed process ends the run as a result, not an
+    exception, so a search can check every schedule.
     """
-    sched = Scheduler(policy=policy)
     impl = factory(sched)
 
     def first_writer():
@@ -56,7 +59,7 @@ def footnote3_workload(factory: Factory, policy=None) -> RunResult:
     sched.spawn(first_writer, name="W1")
     sched.spawn(second_writer, name="W2")
     sched.spawn(reader, name="R1")
-    return sched.run(on_deadlock="return")
+    return sched.run(on_deadlock="return", on_error="record")
 
 
 @dataclass
@@ -89,10 +92,8 @@ def run_footnote3_comparison(explore: bool = True,
                              max_runs: int = 400) -> AnomalyReport:
     """Run E5: the scripted scenario on both solutions, plus (optionally)
     an automatic explorer search for the anomaly."""
-    path_result = footnote3_workload(lambda sched: PathReadersPriority(sched))
-    monitor_result = footnote3_workload(
-        lambda sched: MonitorReadersPriority(sched)
-    )
+    path_result = footnote3_workload(PathReadersPriority, Scheduler())
+    monitor_result = footnote3_workload(MonitorReadersPriority, Scheduler())
     report = AnomalyReport(
         path_violations=check_readers_priority_strict(
             path_result.trace, "db"
@@ -111,7 +112,7 @@ def run_footnote3_comparison(explore: bool = True,
     if explore:
         explorer = ExplorationEngine(
             lambda policy: footnote3_workload(
-                lambda sched: PathReadersPriority(sched), policy=policy
+                PathReadersPriority, Scheduler(policy=policy)
             ),
             max_runs=max_runs,
         )

@@ -80,9 +80,9 @@ def _delayed(sched: Scheduler, delay: int, impl, kind: str, index: int, work: in
     return body
 
 
-def _exclusion_violations(result: RunResult, name: str = "db") -> List[str]:
+def _exclusion_violations(result: RunResult) -> List[str]:
     violations = check_mutual_exclusion(
-        result.trace, name, exclusive_ops=["write"], shared_ops=["read"]
+        result.trace, "db", exclusive_ops=["write"], shared_ops=["read"]
     )
     if result.deadlocked:
         violations.append("deadlock: blocked={}".format(result.blocked))
@@ -92,8 +92,6 @@ def _exclusion_violations(result: RunResult, name: str = "db") -> List[str]:
 def make_verifier(
     factory: Factory,
     problem: str,
-    name: str = "db",
-    random_seeds: Sequence[int] = (0, 1, 2, 3),
 ) -> Callable[[], List[str]]:
     """Build the standard oracle battery for one readers/writers solution.
 
@@ -103,11 +101,11 @@ def make_verifier(
 
     def priority_violations(result: RunResult) -> List[str]:
         if problem == "readers_priority":
-            return check_no_overtake(result.trace, name, "read", "write")
+            return check_no_overtake(result.trace, "db", "read", "write")
         if problem == "writers_priority":
-            return check_no_overtake(result.trace, name, "write", "read")
+            return check_no_overtake(result.trace, "db", "write", "read")
         if problem == "rw_fcfs":
-            return check_fcfs(result.trace, name, ["read", "write"])
+            return check_fcfs(result.trace, "db", ["read", "write"])
         return []
 
     def verify() -> List[str]:
@@ -124,11 +122,11 @@ def make_verifier(
             except ProcessFailed as failure:
                 violations.append("{}: {}".format(label, failure))
                 continue
-            for message in _exclusion_violations(result, name):
+            for message in _exclusion_violations(result):
                 violations.append("{}: {}".format(label, message))
             for message in priority_violations(result):
                 violations.append("{}: {}".format(label, message))
-        for seed in random_seeds:
+        for seed in (0, 1, 2, 3):
             try:
                 result = run_workload(
                     factory, BURST_PLAN, policy=RandomPolicy(seed)
@@ -136,7 +134,7 @@ def make_verifier(
             except ProcessFailed as failure:
                 violations.append("random{}: {}".format(seed, failure))
                 continue
-            for message in _exclusion_violations(result, name):
+            for message in _exclusion_violations(result):
                 violations.append("random{}: {}".format(seed, message))
         return violations
 

@@ -271,17 +271,16 @@ def solutions_for(problem: Optional[str] = None,
     ]
 
 
-def build_evaluator(include_infeasible: bool = True) -> Evaluator:
+def build_evaluator() -> Evaluator:
     """An :class:`Evaluator` pre-loaded with the entire registry.
 
-    ``include_infeasible`` also loads the negative results of
+    It also loads the negative results of
     :mod:`repro.problems.infeasibility`, so the paper's "no way to express"
     findings surface as NONE cells in the expressive-power matrix.
     """
     evaluator = Evaluator()
     for entry in all_solutions():
         evaluator.add(entry.description, entry.verifier)
-    if include_infeasible:
-        for record in INFEASIBILITY_RECORDS:
-            evaluator.add(record, verifier=None)
+    for record in INFEASIBILITY_RECORDS:
+        evaluator.add(record, verifier=None)
     return evaluator

@@ -26,11 +26,11 @@ DEFAULT_PLAN: Tuple[Tuple[str, int], ...] = (
 
 
 def run_classes(factory, plan: Sequence[Tuple[str, int]] = DEFAULT_PLAN,
-                policy=None, sched=None):
+                sched=None):
     """Spawn one process per (class, delay) request.  ``sched`` injects a
-    pre-built (e.g. instrumented) scheduler; ``policy`` is ignored then."""
+    pre-built (e.g. instrumented) scheduler."""
     if sched is None:
-        sched = Scheduler(policy=policy)
+        sched = Scheduler()
     impl = factory(sched)
 
     def requester(kind: str, delay: int):

@@ -54,36 +54,29 @@ __all__ = [
     "search_restart_witness", "expected_resilience_classifications",
 ]
 
-#: Default cluster size for every scenario (≥ 5 per the acceptance bar).
+#: Cluster size of every scenario (≥ 5 per the acceptance bar).
 RESILIENCE_CLUSTER = 5
+#: Member and lease-replica names at that size.
+MEMBERS = ["n{}".format(i) for i in range(RESILIENCE_CLUSTER)]
+SERVERS = ["s{}".format(i) for i in range(RESILIENCE_CLUSTER)]
 
 # ----------------------------------------------------------------------
 # Scenario table (5-node clusters, combined-fault cells)
 # ----------------------------------------------------------------------
-def _member_names(cluster: int) -> List[str]:
-    return ["n{}".format(i) for i in range(cluster)]
-
-
-def resilience_scenarios(cluster: int = RESILIENCE_CLUSTER) -> List[Tuple]:
+def resilience_scenarios() -> List[Tuple]:
     """(name, builder, safety, success, cells) — the combined-fault table
-    at ``cluster`` nodes.  Every non-clean cell injects a crash, a
-    partition, or both; expectations encode the designed story: quorum
-    scenarios tolerate a minority crash + a healed partition, Lamport's
-    all-ack algorithm wedges when any member dies, and the restart-lock
-    pair splits on fencing alone."""
-    if cluster < 3:
-        raise ValueError("resilience scenarios need >= 3 nodes")
-    members = _member_names(cluster)
-    servers = distributed.restart_server_names(cluster)
-    majority_down = cluster - (cluster // 2 + 1)  # killable replicas
-
+    at :data:`RESILIENCE_CLUSTER` nodes.  Every non-clean cell injects a
+    crash, a partition, or both; expectations encode the designed story:
+    quorum scenarios tolerate a minority crash + a healed partition,
+    Lamport's all-ack algorithm wedges when any member dies, and the
+    restart-lock pair splits on fencing alone."""
     def lamport(policy, netplan, fault_plan):
         return distributed.build_lamport_mutex(
-            policy, netplan, fault_plan, deadline=110, nodes=members)
+            policy, netplan, fault_plan, deadline=110, nodes=MEMBERS)
 
     def lamport_ok(run: RunResult) -> bool:
         killed = {ev.obj for ev in run.trace.filter(kind="killed")}
-        alive = [n for n in members if n not in killed]
+        alive = [n for n in MEMBERS if n not in killed]
         return bool(alive) and all(
             isinstance(run.results.get(n), dict)
             and run.results[n].get("exited") for n in alive)
@@ -94,7 +87,7 @@ def resilience_scenarios(cluster: int = RESILIENCE_CLUSTER) -> List[Tuple]:
         # 3-server default to leave usable hold time.
         return distributed.build_quorum_lock(
             policy, netplan, fault_plan, deadline=160, duration=30,
-            servers=servers)
+            servers=SERVERS)
 
     def quorum_ok(run: RunResult) -> bool:
         return any(
@@ -103,7 +96,7 @@ def resilience_scenarios(cluster: int = RESILIENCE_CLUSTER) -> List[Tuple]:
 
     def election(policy, netplan, fault_plan):
         return distributed.build_leader_election(
-            policy, netplan, fault_plan, deadline=140, nodes=members)
+            policy, netplan, fault_plan, deadline=140, nodes=MEMBERS)
 
     def election_ok(run: RunResult) -> bool:
         if run.trace.first(kind="leader_elected") is None:
@@ -112,15 +105,15 @@ def resilience_scenarios(cluster: int = RESILIENCE_CLUSTER) -> List[Tuple]:
         return any(
             isinstance(run.results.get(n), dict)
             and run.results[n].get("leader")
-            for n in members if n not in killed)
+            for n in MEMBERS if n not in killed)
 
     def restart(policy, netplan, fault_plan):
         return distributed.build_restart_lock(
-            policy, netplan, fault_plan, servers=cluster, fencing=True)
+            policy, netplan, fault_plan, fencing=True)
 
     def restart_unfenced(policy, netplan, fault_plan):
         return distributed.build_restart_lock(
-            policy, netplan, fault_plan, servers=cluster, fencing=False)
+            policy, netplan, fault_plan, fencing=False)
 
     def restart_ok(run: RunResult) -> bool:
         return any(
@@ -148,8 +141,8 @@ def resilience_scenarios(cluster: int = RESILIENCE_CLUSTER) -> List[Tuple]:
             # wedges the whole ring (safe, not live) — the scenario that
             # shows why the quorum designs below exist.
             ("crash+partition",
-             NetPlan().isolate(members[0], at=1, heal_at=45),
-             FaultPlan().kill(members[1], at_time=10),
+             NetPlan().isolate(MEMBERS[0], at=1, heal_at=45),
+             FaultPlan().kill(MEMBERS[1], at_time=10),
              WEDGED, ()),
         ]),
         ("quorum_lock", quorum, check_lease_exclusion, quorum_ok, [
@@ -159,7 +152,7 @@ def resilience_scenarios(cluster: int = RESILIENCE_CLUSTER) -> List[Tuple]:
             # re-acquires after the heal.
             ("crash+partition",
              NetPlan().isolate("c0", at=2, heal_at=70),
-             FaultPlan().kill(servers[1], at_time=8),
+             FaultPlan().kill(SERVERS[1], at_time=8),
              TOLERANT, ("lease_acquired",)),
         ]),
         ("leader_election", election, check_at_most_one_leader,
@@ -168,8 +161,8 @@ def resilience_scenarios(cluster: int = RESILIENCE_CLUSTER) -> List[Tuple]:
             # Kill the sitting leader and cut another member: the
             # remaining majority elects a higher term.
             ("crash+partition",
-             NetPlan().isolate(members[1], at=20, heal_at=80),
-             FaultPlan().kill(members[0], at_time=30),
+             NetPlan().isolate(MEMBERS[1], at=20, heal_at=80),
+             FaultPlan().kill(MEMBERS[0], at_time=30),
              TOLERANT, ("leader_elected", "leader_stepdown")),
         ]),
         ("restart_lock", restart, restart_safety, restart_ok, [
@@ -193,10 +186,7 @@ def resilience_scenarios(cluster: int = RESILIENCE_CLUSTER) -> List[Tuple]:
 # ----------------------------------------------------------------------
 # The joint-search acceptance story
 # ----------------------------------------------------------------------
-def search_restart_witness(
-    cluster: int = RESILIENCE_CLUSTER,
-    budget: int = 40,
-) -> Tuple[FaultSetSearch, str]:
+def search_restart_witness() -> Tuple[FaultSetSearch, str]:
     """Search the crash × partition product space against the *unfenced*
     restart lock; then replay the minimized witness against the fenced
     variant.  Returns ``(search result, fenced label)`` — the acceptance
@@ -213,11 +203,11 @@ def search_restart_witness(
 
     def unfenced(policy, netplan, fault_plan):
         return distributed.build_restart_lock(
-            policy, netplan, fault_plan, servers=cluster, fencing=False)
+            policy, netplan, fault_plan, fencing=False)
 
     def fenced(policy, netplan, fault_plan):
         return distributed.build_restart_lock(
-            policy, netplan, fault_plan, servers=cluster, fencing=True)
+            policy, netplan, fault_plan, fencing=True)
 
     def classify(run: RunResult) -> str:
         return classify_net_run(run, safety, success)[0]
@@ -226,7 +216,7 @@ def search_restart_witness(
     cuts = [CutSpec("c0", at=a, heal_at=70) for a in (10, 12)]
     found = search_fault_sets(unfenced, classify, crashes + cuts,
                               bad_labels=(SPLIT_BRAIN,), max_faults=2,
-                              budget=budget)
+                              budget=40)
     fenced_label = ""
     if found.witness is not None:
         fp, np = found.witness_plans()
@@ -237,10 +227,7 @@ def search_restart_witness(
 # ----------------------------------------------------------------------
 # The report
 # ----------------------------------------------------------------------
-def resilience_report(
-    fast: bool = False,
-    cluster: int = RESILIENCE_CLUSTER,
-) -> Tuple[List[ScenarioResult], str]:
+def resilience_report(fast: bool = False) -> Tuple[List[ScenarioResult], str]:
     """Run every scenario × combined-fault cell; return (results, table)."""
     results = [
         explore_net_cells(
@@ -250,9 +237,9 @@ def resilience_report(
              for cell_name, netplan, fault_plan, expected, heal_kinds
              in cells],
             safety, success, engine=ExplorationEngine,
-            max_runs=1 if fast else 3, cluster=cluster)
+            max_runs=1 if fast else 3, cluster=RESILIENCE_CLUSTER)
         for name, build, safety, success, cells
-        in resilience_scenarios(cluster)]
+        in resilience_scenarios()]
     table = ascii_table(
         ["scenario", "faults", "runs", "restarts", "failover mttr",
          "post-heal mttr", "availability", "classification"],
@@ -262,17 +249,16 @@ def resilience_report(
           fmt_optional(o.availability, "{:.0%}"), o.classification]
          for res in results for o in res.outcomes],
         title="Combined-fault resilience at {} nodes (majority {}; "
-              "mttr in virtual ticks)".format(cluster, cluster // 2 + 1),
+              "mttr in virtual ticks)".format(
+                  RESILIENCE_CLUSTER, RESILIENCE_CLUSTER // 2 + 1),
     )
     return results, table
 
 
-def expected_resilience_classifications(
-    cluster: int = RESILIENCE_CLUSTER,
-) -> Dict[Tuple[str, str], str]:
+def expected_resilience_classifications() -> Dict[Tuple[str, str], str]:
     """(scenario, cell) -> predicted classification, for the tests."""
     out: Dict[Tuple[str, str], str] = {}
-    for name, __, __, __, cells in resilience_scenarios(cluster):
+    for name, __, __, __, cells in resilience_scenarios():
         for cell_name, __, __, expected, __ in cells:
             out[(name, cell_name)] = expected
     return out

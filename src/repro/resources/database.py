@@ -45,11 +45,6 @@ class Database:
         """Readers currently inside :meth:`read`."""
         return self._active_readers
 
-    @property
-    def writer_active(self) -> bool:
-        """True while a :meth:`write` is in progress."""
-        return self._writer_active
-
     # ------------------------------------------------------------------
     def read(self) -> Generator:
         """Read the value; integrity failure on overlap with a write.

@@ -91,10 +91,6 @@ class Semaphore:
         """Number of processes blocked in :meth:`p`."""
         return len(self._waiters)
 
-    def holder_names(self) -> List[str]:
-        """Recorded permit holders (diagnostic; may include the dead)."""
-        return self._sched.holders_of(self._label)
-
     # ------------------------------------------------------------------
     def p(self, timeout: Optional[int] = None) -> Generator:
         """Dijkstra's P (wait/acquire).  ``yield from sem.p()``.

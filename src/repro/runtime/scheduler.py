@@ -356,12 +356,7 @@ class Scheduler:
         self.log("spawn", proc.name, proc=proc)
         return proc
 
-    def kill(
-        self,
-        proc: SimProcess,
-        exc: Optional[BaseException] = None,
-        why: str = "",
-    ) -> None:
+    def kill(self, proc: SimProcess, why: str = "") -> None:
         """Terminate ``proc`` abruptly, running its registered cleanups.
 
         The crash sequence is: mark the process FAILED, run the cleanup
@@ -379,8 +374,7 @@ class Scheduler:
             raise SchedulerStateError(
                 "kill of already-finished process {!r}".format(proc.name)
             )
-        if exc is None:
-            exc = ProcessKilled(proc.name, why)
+        exc = ProcessKilled(proc.name, why)
         if proc in self._ready:
             self._ready.remove(proc)
         if not proc.daemon:
@@ -471,11 +465,6 @@ class Scheduler:
             holders.remove(target)
         elif fallback_oldest:
             holders.pop(0)
-
-    def holders_of(self, resource: str) -> List[str]:
-        """Names of the recorded holders of ``resource`` (may include dead
-        processes)."""
-        return [p.name for p in self._holds.get(resource, [])]
 
     def hold_count(self, resource: str, proc: SimProcess) -> int:
         """How many holds of ``resource`` are recorded for exactly ``proc``
@@ -879,34 +868,20 @@ class Scheduler:
 
 def run_processes(
     *bodies,
-    policy: Optional[SchedulingPolicy] = None,
     names: Optional[List[str]] = None,
-    on_deadlock: str = "raise",
     on_error: str = "raise",
-    on_steplimit: str = "raise",
-    max_steps: int = 500_000,
     preemptive: bool = False,
     fault_plan: Optional[FaultPlan] = None,
-    sink: Optional[Any] = None,
 ) -> RunResult:
     """Convenience wrapper: spawn each generator-returning thunk and run.
 
     Each element of ``bodies`` must be a zero-argument callable returning a
     generator (use closures or ``functools.partial`` to bind arguments).
-    All :class:`Scheduler` and :meth:`Scheduler.run` knobs are plumbed
-    through, so callers never need to hand-build a scheduler just to set
-    ``preemptive``, ``on_error``, a fault plan, or an instrumentation sink.
+    ``preemptive``, ``on_error`` and a fault plan are plumbed through, so
+    callers never need to hand-build a scheduler just to set them.
     """
-    sched = Scheduler(
-        policy=policy,
-        max_steps=max_steps,
-        preemptive=preemptive,
-        fault_plan=fault_plan,
-        sink=sink,
-    )
+    sched = Scheduler(preemptive=preemptive, fault_plan=fault_plan)
     for i, body in enumerate(bodies):
         name = names[i] if names else None
         sched.spawn(body, name=name)
-    return sched.run(
-        on_deadlock=on_deadlock, on_error=on_error, on_steplimit=on_steplimit
-    )
+    return sched.run(on_error=on_error)

@@ -253,11 +253,11 @@ class Trace:
         """The trace as plain dictionaries (for external analysis)."""
         return [ev.to_dict() for ev in self._events]
 
-    def to_json(self, indent: Optional[int] = None) -> str:
+    def to_json(self) -> str:
         """JSON export; non-serializable details are stringified."""
         import json
 
-        return json.dumps(self.to_dicts(), indent=indent, default=repr)
+        return json.dumps(self.to_dicts(), default=repr)
 
 
 class UnkeptTrace:

@@ -47,7 +47,7 @@ from .problems import (
 )
 from .problems import readers_writers as rw
 from .problems.registry import REGISTRY, get_solution, solutions_for
-from .runtime.policies import RandomPolicy, SchedulingPolicy
+from .runtime.policies import RandomPolicy
 from .runtime.scheduler import Scheduler
 from .runtime.trace import RunResult
 
@@ -142,7 +142,6 @@ def run_profile(
     problem: str,
     mechanism: str,
     seed: Optional[int] = None,
-    policy: Optional[SchedulingPolicy] = None,
     fault_plan=None,
 ) -> ProfileReport:
     """Run the canonical workload for ``(problem, mechanism)`` under full
@@ -156,8 +155,7 @@ def run_profile(
     runner = WORKLOADS.get(problem)
     if runner is None:
         raise KeyError("no profiling workload for problem {!r}".format(problem))
-    if policy is None and seed is not None:
-        policy = RandomPolicy(seed)
+    policy = None if seed is None else RandomPolicy(seed)
     sink = RecordingSink()
     sched = Scheduler(policy=policy, sink=sink, fault_plan=fault_plan)
     result = runner(entry.factory, sched)

@@ -170,12 +170,11 @@ CONCURRENCY_WORKLOAD = "two_readers_v1"
 def run_candidate_footnote3(
     candidate: Candidate,
     policy: SchedulingPolicy,
-    sink=None,
 ) -> RunResult:
     """The paper's footnote-3 arrival pattern on ``candidate``: W1 starts
     a long write, W2's write and R1's read arrive while it runs.  The
     broken Figure-1 program lets W2 overtake R1 here."""
-    sched = Scheduler(policy=policy, sink=sink)
+    sched = Scheduler(policy=policy)
     impl = SynthGuardedRW(sched, candidate)
 
     def first_writer():

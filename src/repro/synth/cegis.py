@@ -71,7 +71,6 @@ class SynthConfig:
     max_candidates: int = 600
     max_runs: int = 4000          # exploration budget per candidate
     max_depth: int = 60
-    concurrency_max_runs: int = 400
     include_serializer: bool = True
     use_cache: bool = True
     cache_root: Optional[str] = None
@@ -266,7 +265,7 @@ def synthesize(
             probe = ExplorationEngine(
                 (lambda cand: lambda policy:
                  run_candidate_two_readers(cand, policy))(candidate),
-                max_runs=config.concurrency_max_runs,
+                max_runs=400,
                 max_depth=config.max_depth, prune=True)
             overlap = probe.find_schedule(reads_overlap)
             if overlap is not None:

@@ -117,20 +117,18 @@ class RepairReport:
 def repair_footnote3(
     config: Optional[SynthConfig] = None,
     log: Optional[Callable[[str], None]] = None,
-    diagnose_max_runs: int = 2000,
-    diagnose_max_depth: int = 60,
 ) -> RepairReport:
     """Diagnose the Figure-1 anomaly, then synthesize a minimal repair."""
     say = log or (lambda message: None)
     target = get_target("footnote3", "pathexpr")
     say("diagnosing Figure 1 under the footnote-3 arrival pattern...")
-    engine = ExplorationEngine(target.runner(), max_runs=diagnose_max_runs,
-                               max_depth=diagnose_max_depth, prune=True)
+    engine = ExplorationEngine(target.runner(), max_runs=2000, max_depth=60,
+                               prune=True)
     found = engine.explore(target.checker, stop_at_first=True)
     if found.witness is None:
         raise RuntimeError(
-            "Figure-1 exploration found no violation within budget — the "
-            "anomaly demo needs a witness; raise diagnose_max_runs")
+            "Figure-1 exploration found no violation in 2000 schedules of "
+            "depth 60 — the anomaly demo needs a witness")
     witness = minimize_witness(target.runner(), target.checker,
                                found.witness)
     say("anomaly reproduced in {} run(s); witness minimized to {} "

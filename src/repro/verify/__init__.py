@@ -43,7 +43,6 @@ from .registry import (
     SYNTH_RW_BATTERY,
     battery,
     oracle,
-    oracle_names,
     register_oracle,
 )
 
@@ -52,7 +51,6 @@ __all__ = [
     "SYNTH_RW_BATTERY",
     "battery",
     "oracle",
-    "oracle_names",
     "register_oracle",
     "WAKE_KINDS",
     "Checker",

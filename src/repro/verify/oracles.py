@@ -147,26 +147,16 @@ def check_no_overtake(
     return violations
 
 
-def check_readers_priority_strict(
-    trace: Trace,
-    resource: str,
-    read_op: str = "read",
-    write_op: str = "write",
-) -> List[str]:
+def check_readers_priority_strict(trace: Trace, resource: str) -> List[str]:
     """The Courtois–Heymans–Parnas readers-priority condition: a write may
     start only when **no read request is pending** (requested but not yet
     started).  Exposes the footnote-3 anomaly on scripted schedules."""
-    return _strict_priority(trace, resource, read_op, write_op)
+    return _strict_priority(trace, resource, "read", "write")
 
 
-def check_writers_priority_strict(
-    trace: Trace,
-    resource: str,
-    read_op: str = "read",
-    write_op: str = "write",
-) -> List[str]:
+def check_writers_priority_strict(trace: Trace, resource: str) -> List[str]:
     """Mirror image: a read may start only when no write request is pending."""
-    return _strict_priority(trace, resource, write_op, read_op)
+    return _strict_priority(trace, resource, "write", "read")
 
 
 def _strict_priority(
@@ -190,15 +180,10 @@ def _strict_priority(
     return violations
 
 
-def check_alternation(
-    trace: Trace,
-    resource: str,
-    first_op: str = "put",
-    second_op: str = "get",
-) -> List[str]:
-    """``slot_alternation``: starts strictly alternate first/second/first…"""
-    objects = {_full(resource, first_op): first_op, _full(resource, second_op): second_op}
-    expected = first_op
+def check_alternation(trace: Trace, resource: str) -> List[str]:
+    """``slot_alternation``: starts strictly alternate put/get/put…"""
+    objects = {_full(resource, "put"): "put", _full(resource, "get"): "get"}
+    expected = "put"
     violations: List[str] = []
     for ev in trace.filter(kind="op_start",
                            predicate=lambda ev: ev.obj in objects):
@@ -211,7 +196,7 @@ def check_alternation(
             )
             # resynchronize to keep reports readable
             expected = op
-        expected = second_op if expected == first_op else first_op
+        expected = "get" if expected == "put" else "put"
     return violations
 
 
@@ -222,11 +207,10 @@ def check_scan_order(
     trace: Trace,
     resource: str = "disk",
     start_track: int = 0,
-    ascending: bool = True,
 ) -> List[str]:
     """Elevator discipline: every ``serve`` event must pick, from the
     requests pending at that moment, the nearest track in the current sweep
-    direction (reversing at the extremes).
+    direction (upward first, reversing at the extremes).
 
     Requests are ``request`` events whose detail carries the track (either
     the bare int or an args tuple); services are ``serve`` events with the
@@ -241,7 +225,7 @@ def check_scan_order(
 
     pending: List[int] = []
     head = start_track
-    direction_up = ascending
+    direction_up = True
     violations: List[str] = []
     # Only the bare-resource parameter stream counts: "<resource>.<op>"
     # request events are the generic op-pairing stream and would double-

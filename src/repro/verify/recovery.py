@@ -301,7 +301,7 @@ def mttr_fingerprints() -> Dict[str, dict]:
     return out
 
 
-def minimal_defeat_witness(budget: int = 200) -> FaultSetSearch:
+def minimal_defeat_witness() -> FaultSetSearch:
     """Search for a minimal crash set that defeats supervised-semaphore
     recovery, ddmin-minimized
     (:func:`repro.recover.search.search_fault_plans`).
@@ -322,7 +322,7 @@ def minimal_defeat_witness(budget: int = 200) -> FaultSetSearch:
         victims=("sup",) + workers,
         bad_labels=(WEDGED, VIOLATED),
         max_kills=2,
-        budget=budget,
+        budget=200,
     )
 
 

@@ -90,11 +90,6 @@ def oracle(name: str) -> OracleSpec:
         )
 
 
-def oracle_names() -> List[str]:
-    """Every registered oracle name, sorted."""
-    return sorted(_REGISTRY)
-
-
 def battery(*names: str) -> Checker:
     """Compose named oracles into one checker (message order follows the
     given name order).  The composition resolves names eagerly, so a typo

@@ -13,6 +13,7 @@ from repro.problems.readers_writers.anomaly import (
 )
 from repro.problems.readers_writers.monitor_impl import MonitorReadersPriority
 from repro.problems.readers_writers.pathexpr_impl import PathReadersPriority
+from repro.runtime import Scheduler
 from repro.verify import check_readers_priority_strict
 
 
@@ -20,18 +21,18 @@ from repro.verify import check_readers_priority_strict
 # E5: footnote 3
 # ----------------------------------------------------------------------
 def test_path_solution_violates_strict_readers_priority():
-    result = footnote3_workload(lambda sched: PathReadersPriority(sched))
+    result = footnote3_workload(PathReadersPriority, Scheduler())
     violations = check_readers_priority_strict(result.trace, "db")
     assert violations, "the footnote-3 anomaly should reproduce"
 
 
 def test_monitor_solution_clean_on_same_scenario():
-    result = footnote3_workload(lambda sched: MonitorReadersPriority(sched))
+    result = footnote3_workload(MonitorReadersPriority, Scheduler())
     assert check_readers_priority_strict(result.trace, "db") == []
 
 
 def test_second_writer_overtakes_reader_in_path_solution():
-    result = footnote3_workload(lambda sched: PathReadersPriority(sched))
+    result = footnote3_workload(PathReadersPriority, Scheduler())
     starts = [
         ev.pname for ev in result.trace.projection("op_start")
         if ev.obj in ("db.read", "db.write")
@@ -40,7 +41,7 @@ def test_second_writer_overtakes_reader_in_path_solution():
 
 
 def test_reader_precedes_second_writer_in_monitor_solution():
-    result = footnote3_workload(lambda sched: MonitorReadersPriority(sched))
+    result = footnote3_workload(MonitorReadersPriority, Scheduler())
     starts = [
         ev.pname for ev in result.trace.projection("op_start")
         if ev.obj in ("db.read", "db.write")

@@ -195,7 +195,7 @@ def test_causal_json_bit_identical_for_same_seed(capsys):
 def test_jsonl_round_trip_preserves_spans_and_events():
     profile = run_profile("bounded_buffer", "ccr")
     lines = list(jsonl_lines(profile.spans, profile.result.trace))
-    spans, events = parse_jsonl(lines)
+    spans, events, __ = parse_jsonl(lines)
     assert [s.to_dict() for s in spans] == \
         [s.to_dict() for s in profile.spans]
     originals = list(profile.result.trace)

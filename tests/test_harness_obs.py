@@ -132,15 +132,13 @@ def test_jsonl_counter_round_trip():
     telemetry = HarnessTelemetry()
     _explore(telemetry=telemetry)
     lines = list(jsonl_lines([], None, harness=telemetry))
-    spans, events, counters = parse_jsonl(lines, with_counters=True)
+    spans, events, counters = parse_jsonl(lines)
     assert spans == [] and events == []
     assert counters, "counter records must round-trip"
     for sample in counters:
         assert set(sample) == {"t", "runs", "frontier", "pruned",
                                "schedules_per_sec", "pruning_ratio"}
         assert sample["t"] > 0
-    # Back-compat: the 2-tuple API silently drops counter records.
-    assert parse_jsonl(lines) == ([], [])
 
 
 # ----------------------------------------------------------------------
@@ -248,8 +246,7 @@ def test_explore_cli_watch_record_export(tmp_path, capsys):
     assert record is not None and record.metrics["schedules_per_sec"] > 0
     assert os.listdir(str(store)) == [
         "explore__fcfs_resource__monitor__fifo.json"]
-    __, __, counters = parse_jsonl(
-        out.read_text().splitlines(), with_counters=True)
+    __, __, counters = parse_jsonl(out.read_text().splitlines())
     assert counters
 
 

@@ -235,9 +235,7 @@ def test_fcfs_bounds_waiting():
 # Timeline rendering
 # ----------------------------------------------------------------------
 def test_timeline_shows_anomaly_shape():
-    result = footnote3_workload(
-        lambda sched: PathReadersPriority(sched)
-    )
+    result = footnote3_workload(PathReadersPriority, Scheduler())
     chart = render_timeline(
         result.trace, {"db.read": "R", "db.write": "W"}
     )
@@ -254,7 +252,7 @@ def test_timeline_empty_trace():
 
 
 def test_timeline_width_squeeze():
-    result = footnote3_workload(lambda sched: PathReadersPriority(sched))
+    result = footnote3_workload(PathReadersPriority, Scheduler())
     chart = render_timeline(
         result.trace, {"db.read": "R", "db.write": "W"}, width=40
     )
@@ -264,7 +262,7 @@ def test_timeline_width_squeeze():
 
 
 def test_timeline_include_filter():
-    result = footnote3_workload(lambda sched: PathReadersPriority(sched))
+    result = footnote3_workload(PathReadersPriority, Scheduler())
     chart = render_timeline(
         result.trace, {"db.write": "W"}, include=["W1"]
     )

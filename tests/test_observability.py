@@ -294,7 +294,7 @@ def test_network_events_round_trip_through_jsonl():
     result = _network_run()
     spans = list(fold_spans(result.trace))
     lines = list(jsonl_lines(spans, result.trace))
-    back_spans, back_events = parse_jsonl(lines)
+    back_spans, back_events, __ = parse_jsonl(lines)
     original = [(e.seq, e.kind, e.obj) for e in result.trace
                 if e.kind.startswith(("msg_", "net_"))]
     recovered = [(e.seq, e.kind, e.obj) for e in back_events

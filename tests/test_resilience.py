@@ -372,7 +372,7 @@ class TestScenarioTable:
                          "restart_lock", "restart_lock_unfenced"]
 
     def test_expected_classifications_include_the_witness_cell(self):
-        expected = expected_resilience_classifications(5)
+        expected = expected_resilience_classifications()
         assert expected[("restart_lock", "crash+partition")] == TOLERANT
         assert expected[("restart_lock_unfenced",
                          "crash+partition")] == SPLIT_BRAIN
