@@ -562,6 +562,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             "ok": result.ok,
             "violations": len(result.violations),
             "witness": list(result.witness) if result.witness else None,
+            "decisions": result.decisions.to_dict(),
+            "runs_cut": result.runs_cut,
         }
         if telemetry is not None:
             payload["telemetry"] = telemetry.to_dict()

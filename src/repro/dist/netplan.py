@@ -23,7 +23,7 @@ Network` maps each sending process to its node, and a rule's ``src`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 #: Verdict actions a send can receive, in the order they are applied.

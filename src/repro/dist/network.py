@@ -39,7 +39,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 from ..mechanisms.channels import Channel
 from ..runtime.process import ProcessState, SimProcess
 from ..runtime.scheduler import Scheduler
-from .netplan import DELAY, DELIVER, DROP, DUPLICATE, NetPlan, REORDER
+from .netplan import DELAY, DROP, DUPLICATE, NetPlan, REORDER
 
 #: Mailboxes are modelled as unbounded: delivery discipline (including
 #: loss) belongs to the plan, not to buffer backpressure.

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..runtime.policies import ScriptedPolicy
 from ..runtime.trace import RunResult
@@ -164,6 +164,29 @@ class RunRecord:
 
 
 @dataclass
+class DecisionCounts:
+    """Where a search's scheduling decisions went, summed over its runs.
+
+    Every decision of a run is exactly one of:
+
+    * ``replayed`` — re-executing the work item's prefix (process bodies
+      are generators, so a prefix cannot be restored, only re-run);
+    * ``read`` — a decision the search reads to branch on: from the end
+      of the prefix up to the branching horizon or the claimed-key cut;
+    * ``after_cut`` — run past the cut or the horizon; the search never
+      reads it.
+    """
+
+    replayed: int = 0
+    read: int = 0
+    after_cut: int = 0
+
+    def to_dict(self) -> Dict[str, int]:
+        return {"replayed": self.replayed, "read": self.read,
+                "after_cut": self.after_cut}
+
+
+@dataclass
 class ExplorationResult:
     """Outcome of a schedule-space search.
 
@@ -177,6 +200,9 @@ class ExplorationResult:
             was already claimed (0 when pruning is off).
         states: distinct (state, choice) subtrees claimed during the search
             (0 when pruning is off).
+        decisions: :class:`DecisionCounts` over every executed run.
+        runs_cut: runs that stopped reading before the branching horizon
+            because a claimed-key cut ended them (0 when pruning is off).
         witness: decisions of the first violating schedule, if any.
     """
 
@@ -187,6 +213,21 @@ class ExplorationResult:
     exhausted: bool = True
     pruned: int = 0
     states: int = 0
+    decisions: DecisionCounts = field(default_factory=DecisionCounts)
+    runs_cut: int = 0
+
+    def count_decisions(self, record: RunRecord, max_depth: int,
+                        prune: bool) -> None:
+        """Add one executed run's decisions, from its record's lengths."""
+        total = len(record.taken)
+        replayed = min(len(record.prefix), total)
+        horizon = max(replayed, min(total, max_depth))
+        read = len(record.fingerprints) if prune else horizon - replayed
+        self.decisions.replayed += replayed
+        self.decisions.read += read
+        self.decisions.after_cut += total - replayed - read
+        if replayed + read < horizon:
+            self.runs_cut += 1
 
     @property
     def witness(self) -> Optional[Tuple[int, ...]]:
@@ -338,6 +379,7 @@ class ExplorationEngine:
                 break
             record = self.run_one(frontier.pop(), check)
             result.runs += 1
+            result.count_decisions(record, self.max_depth, self.prune)
             if record.messages:
                 result.violations.append((record.taken, list(record.messages)))
                 if stop_at_first:

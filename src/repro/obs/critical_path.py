@@ -32,7 +32,7 @@ scheduler hot path, so the E15 null-sink overhead bound is untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..runtime.trace import Event, RunResult

@@ -19,7 +19,7 @@ deterministic plain-dict mutations, so runs stay replayable.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 __all__ = ["DurableStore", "DurableNamespace"]
 

@@ -324,13 +324,16 @@ def explore_record(problem: str, mechanism: str, result: Any,
                    seed: Optional[int] = None) -> GateRecord:
     """A gateable record from one explored target: the schedule count,
     the pruned work items, wall-clock throughput from the
-    :class:`~repro.obs.harness.HarnessTelemetry`, and its phase breakdown
-    (persisted for post-hoc diffing, not gated)."""
+    :class:`~repro.obs.harness.HarnessTelemetry`, plus the decision split,
+    the cut runs and the phase breakdown (persisted for post-hoc diffing,
+    not gated)."""
     values: Dict[str, Number] = {
         "runs": result.runs,
         "pruned": result.pruned,
         "schedules_per_sec": int(round(telemetry.schedules_per_sec())),
+        "runs_cut": result.runs_cut,
     }
+    values.update(_dotted("decisions", result.decisions.to_dict()))
     values.update(_dotted("phase_seconds", {
         phase: round(seconds, 6)
         for phase, seconds in telemetry.phase_seconds.items()}))

@@ -31,7 +31,7 @@ Workloads:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..mechanisms.pathexpr.extended import GuardedPathResource
 from ..problems.base import SolutionBase
@@ -215,8 +215,8 @@ def run_candidate_two_readers(
 
 def reads_overlap(run: RunResult) -> List[str]:
     """Non-empty iff two reads were simultaneously active on ``db`` —
-    checker-shaped so it plugs into ``ExplorationEngine.find_schedule``
-    (which hunts for schedules with non-empty messages)."""
+    checker-shaped so a stop-at-first ``ExplorationEngine.explore`` hunts
+    for a schedule with non-empty messages."""
     active = 0
     for event in run.trace.filter(obj="db.read"):
         if event.kind == "op_start":

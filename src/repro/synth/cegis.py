@@ -1,8 +1,9 @@
 """The CEGIS loop: counterexample-guided search for a correct synchronizer.
 
 The loop (after Samanta's synthesis-of-synchronization blueprint, with the
-explore engine as the verifier) judges candidates smallest-first; each
-candidate passes through three gates of sharply increasing cost:
+explore engine as the verifier) judges candidates smallest-first.  A
+correct candidate must pass two conjunctive gates — footnote-3 safety and
+reader concurrency — and each candidate meets the checks cheapest first:
 
 1. **Oracle-cache lookup** (one file read) — a previous run already judged
    this exact candidate; replay the logged verdict
@@ -14,13 +15,26 @@ candidate passes through three gates of sharply increasing cost:
    candidate is well-defined because scripted policies clamp decisions to
    the live ready-set, and sound as a rejector because the battery judges
    the actual resulting run.
-3. **Full verification** (an exhaustive pruned exploration) — only
-   candidates that survive screening pay this.  Violators contribute a
-   fresh minimized counterexample to the bank; survivors face the
-   reader-concurrency probe (a correct repair must still *admit* a
-   schedule with overlapping reads — safety via serialization is not a
-   repair), for which previously-found overlap witnesses are replayed
-   before any new search is spent.
+3. **Reader concurrency** (one run per banked overlap witness, then a
+   search of at most 400 runs) — a correct repair must still *admit* a
+   schedule with overlapping reads; safety via serialization is not a
+   repair.  Overlap witnesses found on earlier candidates are replayed
+   before any new search is spent, and a candidate that admits no overlap
+   is rejected as ``no_concurrency`` without a safety search.
+4. **Safety search** (an exhaustive pruned exploration) — only candidates
+   that pass both screens pay this.  One counterexample refutes: the
+   search stops at the first violating schedule, which is the same
+   schedule a full search would report first (the DFS and its ``seen``
+   set evolve identically up to that run), so the banked witness is
+   unchanged and the verdict's ``runs`` is that schedule's 1-based index.
+   A violation found within the budget is a ``violation`` and is banked
+   ddmin-minimized; a search that finds none but hits the budget is
+   ``inconclusive``, never a pass.
+
+The first candidate in enumeration order that passes both gates wins, so
+the gate order decides only what a rejection costs, never the winner: a
+banked witness stays within ``max_depth`` and rejects only a candidate
+that really violates.
 
 Determinism: candidate order, exploration, ddmin, and screening order are
 all deterministic, so two runs with the same configuration judge the same
@@ -90,6 +104,7 @@ class SynthStats:
     cache_hits: int = 0
     cex_rejected: int = 0
     cex_replays: int = 0
+    concurrency_rejected: int = 0
     explored: int = 0
     exploration_runs: int = 0
     overlap_searches: int = 0
@@ -101,7 +116,8 @@ class SynthStats:
     @property
     def explorations_skipped(self) -> int:
         """Candidates judged without a full exploration."""
-        return self.cache_hits + self.cex_rejected
+        return (self.cache_hits + self.cex_rejected
+                + self.concurrency_rejected)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -109,6 +125,7 @@ class SynthStats:
             "cache_hits": self.cache_hits,
             "cex_rejected": self.cex_rejected,
             "cex_replays": self.cex_replays,
+            "concurrency_rejected": self.concurrency_rejected,
             "explored": self.explored,
             "exploration_runs": self.exploration_runs,
             "overlap_searches": self.overlap_searches,
@@ -140,9 +157,9 @@ def synthesize(
 ) -> SynthOutcome:
     """Search the candidate grammar for the smallest correct synchronizer.
 
-    Returns the first (therefore minimal) candidate whose footnote-3
-    exploration is exhaustively violation-free AND which admits a
-    reader-overlap schedule — or ``winner=None`` when the bounded space
+    Returns the first (therefore minimal) candidate which admits a
+    reader-overlap schedule AND whose footnote-3 exploration is
+    exhaustively violation-free — or ``winner=None`` when the bounded space
     contains no such candidate (raise ``max_size``).
     """
     config = config or SynthConfig()
@@ -216,42 +233,8 @@ def synthesize(
             })
             continue
 
-        # Gate 3: full exploration.
-        runner = (lambda cand: lambda policy:
-                  run_candidate_footnote3(cand, policy))(candidate)
-        engine = ExplorationEngine(runner, max_runs=config.max_runs,
-                                   max_depth=config.max_depth, prune=True)
-        result = engine.explore(check)
-        stats.explored += 1
-        stats.exploration_runs += result.runs
-        if not result.exhausted:
-            say("budget hit on {} — rejected as inconclusive".format(
-                candidate.describe()))
-            store(candidate, {"status": INCONCLUSIVE,
-                              "runs": result.runs})
-            continue
-        if not result.ok:
-            minimized = minimize_witness(runner, check, result.witness)
-            stats.minimize_tests += minimized.tests
-            bank_add(Counterexample(
-                decisions=minimized.minimized,
-                messages=minimized.messages,
-                source=candidate.fingerprint,
-            ))
-            say("size {} {}: violated ({} runs; banked cex of {} "
-                "decision(s))".format(
-                    candidate.size, candidate.describe(), result.runs,
-                    len(minimized.minimized)))
-            store(candidate, {
-                "status": VIOLATION,
-                "via": "exploration",
-                "witness": list(minimized.minimized),
-                "messages": list(minimized.messages),
-                "runs": result.runs,
-            })
-            continue
-
-        # Safety holds on every schedule; now demand reader concurrency.
+        # Gate 3: reader concurrency.  Banked overlap witnesses first,
+        # then a small search on the two-reader probe.
         overlap: Optional[Tuple[int, ...]] = None
         for witness in overlap_witnesses:
             run = run_candidate_two_readers(
@@ -267,13 +250,50 @@ def synthesize(
                  run_candidate_two_readers(cand, policy))(candidate),
                 max_runs=400,
                 max_depth=config.max_depth, prune=True)
-            overlap = probe.find_schedule(reads_overlap)
-            if overlap is not None:
-                overlap_witnesses.append(overlap)
-        if overlap is None:
-            say("size {} {}: safe but serializes readers — rejected".format(
-                candidate.size, candidate.describe()))
-            store(candidate, {"status": NO_CONCURRENCY,
+            found = probe.explore(reads_overlap, stop_at_first=True)
+            overlap = found.witness
+            if overlap is None:
+                stats.concurrency_rejected += 1
+                say("size {} {}: serializes readers — rejected".format(
+                    candidate.size, candidate.describe()))
+                store(candidate, {"status": NO_CONCURRENCY,
+                                  "runs": found.runs})
+                continue
+            overlap_witnesses.append(overlap)
+
+        # Gate 4: the exhaustive safety search, refuted at the first
+        # violating schedule.
+        runner = (lambda cand: lambda policy:
+                  run_candidate_footnote3(cand, policy))(candidate)
+        engine = ExplorationEngine(runner, max_runs=config.max_runs,
+                                   max_depth=config.max_depth, prune=True)
+        result = engine.explore(check, stop_at_first=True)
+        stats.explored += 1
+        stats.exploration_runs += result.runs
+        if not result.ok:
+            minimized = minimize_witness(runner, check, result.witness)
+            stats.minimize_tests += minimized.tests
+            bank_add(Counterexample(
+                decisions=minimized.minimized,
+                messages=minimized.messages,
+                source=candidate.fingerprint,
+            ))
+            say("size {} {}: violated (schedule {}; banked cex of {} "
+                "decision(s))".format(
+                    candidate.size, candidate.describe(), result.runs,
+                    len(minimized.minimized)))
+            store(candidate, {
+                "status": VIOLATION,
+                "via": "exploration",
+                "witness": list(minimized.minimized),
+                "messages": list(minimized.messages),
+                "runs": result.runs,
+            })
+            continue
+        if not result.exhausted:
+            say("budget hit on {} — rejected as inconclusive".format(
+                candidate.describe()))
+            store(candidate, {"status": INCONCLUSIVE,
                               "runs": result.runs})
             continue
 

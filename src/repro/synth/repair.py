@@ -24,7 +24,7 @@ smallest program in the grammar that does not have it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..explore.engine import ExplorationEngine
@@ -104,10 +104,11 @@ class RepairReport:
         out.append("== search ==")
         out.append(
             "  {} candidate(s): {} via cache, {} via banked "
-            "counterexample, {} explored ({} schedules)".format(
+            "counterexample, {} via the concurrency gate, {} explored ({} "
+            "schedules)".format(
                 stats.candidates_tried, stats.cache_hits,
-                stats.cex_rejected, stats.explored,
-                stats.exploration_runs))
+                stats.cex_rejected, stats.concurrency_rejected,
+                stats.explored, stats.exploration_runs))
         out.append("  counterexample bank: {} trace(s); overlap witnesses "
                    "reused {}x".format(stats.bank_size,
                                        stats.overlap_reused))

@@ -14,7 +14,6 @@ from repro.obs import (
     build_hb_graph,
     chrome_trace,
     classify_wait,
-    compute_critical_path,
     causal_chain,
     jsonl_lines,
     parse_jsonl,

@@ -4,12 +4,10 @@ application, the protocol runtime (dedup, retry), and quorum leases."""
 import pytest
 
 from repro.dist import (
-    ACQUIRE,
     DELAY,
     DELIVER,
     DROP,
     DUPLICATE,
-    GRANT,
     LeaseServer,
     NetPlan,
     Network,

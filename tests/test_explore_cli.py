@@ -99,6 +99,8 @@ def test_cli_json_matches_engine(problem, mechanism, capsys):
                          "--max-runs", str(BUDGET))
     assert payload["ok"] == direct.ok
     assert payload_tuple(payload) == result_tuple(direct)
+    assert payload["decisions"] == direct.decisions.to_dict()
+    assert payload["runs_cut"] == direct.runs_cut
 
 
 @pytest.mark.parametrize("problem,mechanism", [
@@ -113,6 +115,12 @@ def test_gate_producer_matches_engine(problem, mechanism):
     assert record.kind == "explore"
     assert (record.metrics["runs"], record.metrics["pruned"]) == (
         direct.runs, direct.pruned)
+    split = {name: record.metrics["decisions." + name]
+             for name in ("replayed", "read", "after_cut")}
+    assert split == direct.decisions.to_dict()
+    assert record.metrics["runs_cut"] == direct.runs_cut
+    # The decision split is persisted for diffing, never gated.
+    assert set(record.directions) == {"runs", "schedules_per_sec"}
 
 
 def test_cli_stop_at_first_matches_engine(capsys):
@@ -122,6 +130,42 @@ def test_cli_stop_at_first_matches_engine(capsys):
     assert payload["runs"] == 1 and payload["violations"]
     assert not payload["exhausted"]
     assert payload_tuple(payload) == result_tuple(direct)
+
+
+class RecordKeeper(ExplorationEngine):
+    """An engine that keeps every run's record, to check the counts."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.records = []
+
+    def run_one(self, prefix, check):
+        record = super().run_one(prefix, check)
+        self.records.append(record)
+        return record
+
+
+@pytest.mark.parametrize("prune", [True, False])
+def test_decision_split_partitions_every_decision(prune):
+    target = get_target("footnote3", "monitor")
+    engine = RecordKeeper(target.runner(), max_runs=120, max_depth=12,
+                          prune=prune)
+    result = engine.explore(target.checker)
+    decisions = result.decisions
+    records = engine.records
+    assert len(records) == result.runs
+    assert (decisions.replayed + decisions.read + decisions.after_cut
+            == sum(len(r.taken) for r in records))
+    assert decisions.replayed == sum(len(r.prefix) for r in records)
+    # The search reads up to the horizon of 12 at most; runs are longer.
+    assert decisions.read <= sum(12 - len(r.prefix) for r in records)
+    assert decisions.after_cut > 0
+    if prune:
+        assert decisions.read == sum(len(r.fingerprints) for r in records)
+        assert 0 < result.runs_cut < result.runs
+    else:
+        assert decisions.read == sum(12 - len(r.prefix) for r in records)
+        assert result.runs_cut == 0
 
 
 @pytest.mark.parametrize("option", ["--workers", "--seed"])

@@ -3,7 +3,7 @@ Hoare vs Mesa signalling, priority wait, urgent stack, and protocol errors."""
 
 import pytest
 
-from repro.mechanisms import Condition, Monitor
+from repro.mechanisms import Monitor
 from repro.runtime import IllegalOperationError, ProcessFailed, Scheduler
 
 

@@ -19,7 +19,6 @@ from repro.obs import (
     compute_metrics,
     fold_spans,
     jsonl_lines,
-    spans_by_kind,
 )
 from repro.suite import run_profile
 from repro.runtime.scheduler import Scheduler

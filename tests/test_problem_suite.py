@@ -6,7 +6,6 @@ import pytest
 from repro.problems import alarm_clock, bounded_buffer, disk_scheduler
 from repro.problems import fcfs_resource, one_slot_buffer, staged_queue
 from repro.problems.registry import (
-    REGISTRY,
     all_solutions,
     build_evaluator,
     get_solution,

@@ -11,7 +11,6 @@ recovery (killing the healer itself).
 import pytest
 
 from repro.obs.recovery import (
-    RecoveryMetrics,
     compute_recovery_metrics,
     recovery_spans,
 )

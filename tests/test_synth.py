@@ -10,6 +10,7 @@ import os
 
 import pytest
 
+from repro.explore import ExplorationEngine, minimize_witness
 from repro.runtime.policies import ScriptedPolicy
 from repro.synth import (
     Candidate,
@@ -100,12 +101,16 @@ def test_synthesize_finds_minimal_correct_candidate(outcome):
 
 def test_counterexamples_prune_without_exploration(outcome):
     stats = outcome.stats
-    assert stats.explored > 0
+    # The concurrency gate runs before the safety search, and one
+    # counterexample refutes, so only the winner pays a full search: one
+    # candidate is refuted at its first violating schedule.
+    assert stats.concurrency_rejected > 0
+    assert stats.explored == 2
     # The E20 acceptance bar: banked counterexamples reject at least 2x
     # as many candidates as full explorations are paid for.
     assert stats.cex_rejected >= 2 * stats.explored
-    assert stats.explorations_skipped == \
-        stats.cache_hits + stats.cex_rejected
+    assert stats.explorations_skipped == (
+        stats.cache_hits + stats.cex_rejected + stats.concurrency_rejected)
     assert stats.bank_size >= 1
 
 
@@ -123,6 +128,84 @@ def test_banked_counterexample_rejects_known_bad_candidate(outcome):
             rejected = True
             break
     assert rejected, "no banked counterexample rejects the broken program"
+
+
+def _cached(cache_root, status, via=None):
+    """``(candidate, verdict)`` for each cached verdict of ``status``."""
+    cache = OracleCache(os.path.join(str(cache_root), "oracle"))
+    out = []
+    for entry in cache.entries():
+        verdict = entry["verdict"]
+        if verdict.get("status") != status or (
+                via is not None and verdict.get("via") != via):
+            continue
+        data = entry["candidate"]
+        out.append((Candidate(
+            paths_text=data["paths"],
+            read_guard=tuple(data["read_guard"]),
+            write_guard=tuple(data["write_guard"]),
+            path_size=(data["size"] - len(data["read_guard"])
+                       - len(data["write_guard"])),
+        ), verdict))
+    return out
+
+
+def _safety_search(candidate):
+    config = SynthConfig.fast()
+
+    def runner(policy):
+        return run_candidate_footnote3(candidate, policy)
+    engine = ExplorationEngine(runner, max_runs=config.max_runs,
+                               max_depth=config.max_depth, prune=True)
+    return runner, engine
+
+
+def test_refuting_at_the_first_violation_banks_the_full_search_witness(
+        outcome, cache_root):
+    """Stopping the safety search at its first violating schedule finds
+    the witness a full search reports first, so the minimized, banked
+    counterexample is the same."""
+    refuted = _cached(cache_root, VIOLATION, via="exploration")
+    assert refuted, "the fast search must refute a candidate by exploration"
+    check = battery(*SYNTH_RW_BATTERY)
+    for candidate, verdict in refuted:
+        runner, engine = _safety_search(candidate)
+        first = engine.explore(check, stop_at_first=True)
+        full = engine.explore(check)
+        assert first.witness is not None
+        assert first.witness == full.witness
+        first_min = minimize_witness(runner, check, first.witness)
+        full_min = minimize_witness(runner, check, full.witness)
+        assert first_min.minimized == full_min.minimized
+        assert first_min.messages == full_min.messages
+        assert list(first_min.minimized) == verdict["witness"]
+
+
+def test_exploration_verdict_runs_is_the_first_violation_index(
+        outcome, cache_root):
+    """A refuted verdict's ``runs`` is the 1-based index, in a full
+    search, of the first schedule that violates."""
+    check = battery(*SYNTH_RW_BATTERY)
+    for candidate, verdict in _cached(cache_root, VIOLATION,
+                                      via="exploration"):
+        indices = []
+
+        def counting(run):
+            messages = check(run)
+            indices.append(bool(messages))
+            return messages
+        __, engine = _safety_search(candidate)
+        engine.explore(counting)
+        assert verdict["runs"] == indices.index(True) + 1
+
+
+def test_default_config_finds_the_fast_winner(tmp_path, outcome):
+    """The gate order decides what a rejection costs, never the winner."""
+    config = SynthConfig()
+    config.cache_root = str(tmp_path / "oracle")
+    found = synthesize(config)
+    assert found.winner == outcome.winner
+    assert found.stats.explored == 2
 
 
 def test_winner_admits_concurrent_readers(outcome):
@@ -144,22 +227,12 @@ def test_cache_resume_skips_all_exploration(outcome, cache_root):
 
 
 def test_cached_violations_replay_deterministically(outcome, cache_root):
-    cache = OracleCache(os.path.join(str(cache_root), "oracle"))
-    entries = [e for e in cache.entries()
-               if e["verdict"].get("status") == VIOLATION]
+    entries = _cached(cache_root, VIOLATION)
     assert entries, "synthesis must have cached violation verdicts"
-    for entry in entries[:10]:
-        data = entry["candidate"]
-        candidate = Candidate(
-            paths_text=data["paths"],
-            read_guard=tuple(data["read_guard"]),
-            write_guard=tuple(data["write_guard"]),
-            path_size=(data["size"] - len(data["read_guard"])
-                       - len(data["write_guard"])),
-        )
+    for candidate, verdict in entries[:10]:
         # Twice, to pin determinism — same witness, same messages.
-        first = replay_verdict(candidate, entry["verdict"])
-        second = replay_verdict(candidate, entry["verdict"])
+        first = replay_verdict(candidate, verdict)
+        second = replay_verdict(candidate, verdict)
         assert first and first == second
 
 

@@ -1,8 +1,6 @@
 """Unit tests for trace query helpers, the PriorityPolicy, ASCII table
 rendering, and evaluation-report edge cases."""
 
-import pytest
-
 from repro.core import (
     Component,
     ConstraintRealization,
