@@ -7,7 +7,10 @@ about its shape, and *prints* the regenerated table (visible with
 
 Benches that produce numbers worth keeping (overhead ratios, contention
 profiles) additionally :func:`persist` them to ``benchmarks/BENCH_<name>.json``
-so runs are diffable across commits without scraping pytest output.
+so runs are diffable across commits without scraping pytest output.  That
+file is tracked and holds only what the program computes; the host's
+wall-clock readings go to the untracked ``BENCH_<name>.timing.json``
+beside it, so a bench run leaves the tree clean.
 """
 
 from __future__ import annotations
@@ -30,19 +33,40 @@ def emit(title: str, body: str) -> None:
     print(body)
 
 
-def persist(name: str, payload: Dict[str, Any],
-            directory: str = _HERE) -> str:
-    """Merge ``payload`` into ``<directory>/BENCH_<name>.json`` and return
-    the path.
+#: Keys whose values are host wall-clock readings, or figures derived from
+#: them: a key ending in one of the suffixes, or named exactly.  The whole
+#: value under such a key is timing (``phase_seconds``, ``self_profile``).
+_TIMING_SUFFIXES = ("seconds", "_overhead_ratio", "schedules_per_sec")
+_TIMING_NAMES = frozenset({"ratio", "coverage", "t", "self_profile"})
 
-    Top-level keys overwrite; untouched keys survive, so several tests (or
-    several bench modules sharing one report file) can each contribute their
-    own section without clobbering the rest.  Serialization is canonical —
-    sorted keys, two-space indent, ASCII, trailing newline, non-JSON values
-    coerced through ``str`` — so re-running a bench with unchanged numbers
-    produces a byte-identical file and commits diff cleanly.
-    """
-    path = os.path.join(directory, "BENCH_{}.json".format(name))
+
+def _is_timing(key: str) -> bool:
+    return key.endswith(_TIMING_SUFFIXES) or key in _TIMING_NAMES
+
+
+def _split(value: Any) -> Tuple[Any, Any]:
+    """``(tracked, timing)`` halves of a JSON value; the timing half is
+    ``None`` where the value holds no timing key.  Lists split item by
+    item, so a timing list lines up with its tracked twin."""
+    if isinstance(value, dict):
+        tracked, timing = {}, {}
+        for key, item in value.items():
+            if _is_timing(key):
+                timing[key] = item
+                continue
+            tracked[key], timed = _split(item)
+            if timed is not None:
+                timing[key] = timed
+        return tracked, timing or None
+    if isinstance(value, list):
+        halves = [_split(item) for item in value]
+        timed = [timing for __, timing in halves]
+        return ([tracked for tracked, __ in halves],
+                timed if any(t is not None for t in timed) else None)
+    return value, None
+
+
+def _merge(path: str, payload: Dict[str, Any]) -> None:
     data: Dict[str, Any] = {}
     if os.path.exists(path):
         try:
@@ -55,6 +79,26 @@ def persist(name: str, payload: Dict[str, Any],
         json.dump(data, handle, indent=2, sort_keys=True, ensure_ascii=True,
                   default=str)
         handle.write("\n")
+
+
+def persist(name: str, payload: Dict[str, Any],
+            directory: str = _HERE) -> str:
+    """Merge ``payload`` into ``<directory>/BENCH_<name>.json`` and return
+    the path; its timing values go to ``BENCH_<name>.timing.json``.
+
+    Top-level keys overwrite; untouched keys survive, so several tests (or
+    several bench modules sharing one report file) can each contribute their
+    own section without clobbering the rest.  Serialization is canonical —
+    sorted keys, two-space indent, ASCII, trailing newline, non-JSON values
+    coerced through ``str`` — so re-running a bench with unchanged numbers
+    produces a byte-identical file and commits diff cleanly.
+    """
+    tracked, timing = _split(payload)
+    path = os.path.join(directory, "BENCH_{}.json".format(name))
+    _merge(path, tracked)
+    if timing is not None:
+        _merge(os.path.join(directory, "BENCH_{}.timing.json".format(name)),
+               timing)
     return path
 
 

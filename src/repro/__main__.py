@@ -1036,12 +1036,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="schedule budget (default 2000)")
     p_exp.add_argument("--max-depth", type=int, default=60,
                        help="branching horizon (default 60)")
-    prune = p_exp.add_mutually_exclusive_group()
-    prune.add_argument("--prune", dest="prune", action="store_true",
-                       default=True,
-                       help="equivalence pruning (default)")
-    prune.add_argument("--no-prune", dest="prune", action="store_false",
-                       help="naive first-deviation DFS")
+    p_exp.add_argument("--no-prune", dest="prune", action="store_false",
+                       help="naive first-deviation DFS instead of the "
+                       "default equivalence pruning")
     p_exp.add_argument("--stop-at-first", action="store_true",
                        help="stop at the first violating schedule")
     p_exp.add_argument("--minimize", action="store_true",

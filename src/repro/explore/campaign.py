@@ -17,13 +17,14 @@ data.  This module is the machinery they share:
 * :func:`explore_cells`, the loop: one schedule exploration per cell with
   every run classified, and for distributed cells folded by
   :func:`fold_net_run`;
-* :func:`search_fault_sets` and :func:`ddmin`: a singletons-first search
-  over fault atoms, then 1-minimization of the first defeating set.
+* :func:`search_fault_sets`: a singletons-first search over fault atoms,
+  then 1-minimization of the first defeating set by
+  :func:`~repro.explore.minimize.ddmin`.
 
 A builder runs one *fresh* system: ``build(policy, netplan, fault_plan)``.
 Callers pass the exploration engine class in.  This module imports only
-the runtime, the checker contract and :mod:`repro.dist`'s ``NetPlan``; the
-campaigns that configure it (:mod:`repro.verify.chaos`,
+the runtime, the checker contract, the minimizer and :mod:`repro.dist`'s
+``NetPlan``; the campaigns that configure it (:mod:`repro.verify.chaos`,
 :mod:`repro.verify.recovery`, :mod:`repro.verify.partition`,
 :mod:`repro.recover.search`, :mod:`repro.resilience.report`) sit above it.
 """
@@ -41,6 +42,7 @@ from ..runtime.faults import FaultPlan
 from ..runtime.policies import ScriptedPolicy
 from ..runtime.trace import RunResult, Trace
 from ..verify.detectors import Checker
+from .minimize import ddmin
 
 #: ``(policy, netplan, fault_plan) -> RunResult`` for one fresh system.
 Builder = Callable[[ScriptedPolicy, Any, Optional[FaultPlan]], RunResult]
@@ -351,7 +353,7 @@ def explore_cells(
 
 
 # ----------------------------------------------------------------------
-# Fault-set search and ddmin
+# Fault-set search
 # ----------------------------------------------------------------------
 @dataclass
 class FaultSetSearch:
@@ -398,35 +400,6 @@ class FaultSetSearch:
             "witness_net_plan": None if np is None else np.to_dict(),
             "minimize_tests": self.minimize_tests,
         }
-
-
-def ddmin(items: Sequence, still_bad: Callable[[Sequence], bool],
-          ) -> Tuple[tuple, int]:
-    """Delta-debugging minimization: ``(1-minimal subset, tests run)``.
-
-    Drops chunks of ``items`` (halves first, then finer) while
-    ``still_bad`` holds.  1-minimal: removing any single remaining item
-    makes the bad outcome disappear.  The empty set is never tested.
-    """
-    current = list(items)
-    tests = 0
-    chunks = 2
-    while len(current) >= 2:
-        size = max(1, len(current) // chunks)
-        reduced = False
-        for start in range(0, len(current), size):
-            candidate = current[:start] + current[start + size:]
-            tests += 1
-            if still_bad(candidate):
-                current = candidate
-                chunks = max(chunks - 1, 2)
-                reduced = True
-                break
-        if not reduced:
-            if size == 1:
-                break
-            chunks = min(chunks * 2, len(current))
-    return tuple(current), tests
 
 
 def search_fault_sets(

@@ -2,16 +2,19 @@
 minimal witness, then replay it through the observability layer.
 
 A witness found by exploration is as long as the search happened to make
-it; most of its decisions are incidental.  The shrinker here is delta
-debugging (ddmin) adapted to decision strings:
+it; most of its decisions are incidental.  This module holds the one
+minimizer, :func:`ddmin` (delta debugging over any sequence, also used by
+the fault-set search of :mod:`repro.explore.campaign`), and applies it to
+decision strings in three passes:
 
-* **trailing-default trim** — decisions past the last non-zero entry are
+* **trailing-default strip** — decisions past the last non-zero entry are
   exactly what :class:`~repro.runtime.policies.ScriptedPolicy` does on an
   exhausted script, so they are dropped for free, no re-run needed;
-* **chunk deletion** — remove spans of decisions at halving granularity
-  (deleting mid-string *shifts* later decisions to earlier steps; that is
-  fine, because any shorter string that still reproduces is a valid
-  witness — decision strings need not be aligned to be meaningful);
+* **ddmin over the decisions** — remove chunks of decisions, halves first
+  and then finer (deleting mid-string *shifts* later decisions to earlier
+  steps; that is fine, because any shorter string that still reproduces
+  is a valid witness — decision strings need not be aligned to be
+  meaningful);
 * **pointwise decrement** — lower each surviving decision toward the
   default choice 0, one unit at a time.
 
@@ -81,6 +84,35 @@ def _strip(decisions: List[int]) -> List[int]:
     return decisions[:end]
 
 
+def ddmin(items: Sequence, still_bad: Callable[[Sequence], bool],
+          ) -> Tuple[tuple, int]:
+    """Delta-debugging minimization: ``(1-minimal subset, tests run)``.
+
+    Drops chunks of ``items`` (halves first, then finer) while
+    ``still_bad`` holds.  1-minimal: removing any single remaining item
+    makes the bad outcome disappear.  The empty set is never tested.
+    """
+    current = list(items)
+    tests = 0
+    chunks = 2
+    while len(current) >= 2:
+        size = max(1, len(current) // chunks)
+        reduced = False
+        for start in range(0, len(current), size):
+            candidate = current[:start] + current[start + size:]
+            tests += 1
+            if still_bad(candidate):
+                current = candidate
+                chunks = max(chunks - 1, 2)
+                reduced = True
+                break
+        if not reduced:
+            if size == 1:
+                break
+            chunks = min(chunks * 2, len(current))
+    return tuple(current), tests
+
+
 def minimize_witness(
     build_and_run: BuildAndRun,
     check: Checker,
@@ -100,49 +132,41 @@ def minimize_witness(
     original = tuple(witness)
 
     tests = 0
+    capped = False
 
-    def reproduces(candidate: List[int]) -> bool:
-        nonlocal tests
+    def reproduces(candidate: Sequence[int]) -> bool:
+        nonlocal tests, capped
+        if tests >= MAX_TESTS:
+            capped = True
+            return False
         tests += 1
-        return bool(check(build_and_run(ScriptedPolicy(candidate))))
+        return bool(check(build_and_run(ScriptedPolicy(list(candidate)))))
 
-    if not reproduces(list(original)):
+    if not reproduces(original):
         raise ValueError(
             "witness {!r} does not reproduce a violation".format(original)
         )
 
     current = _strip(list(original))
-    converged = False
-    while not converged and tests < MAX_TESTS:
-        converged = True
-        # Chunk deletion, halving granularity down to single decisions.
-        size = max(len(current) // 2, 1)
-        while size >= 1 and tests < MAX_TESTS:
-            start = 0
-            while start < len(current) and tests < MAX_TESTS:
-                candidate = _strip(current[:start] + current[start + size:])
-                if len(candidate) < len(current) and reproduces(candidate):
-                    current = candidate
-                    converged = False
-                else:
-                    start += size
-            size //= 2
+    while True:
+        previous = current
+        # ddmin never tests the empty string; the decrement pass reaches it
+        # from (1,) but not from a larger single decision.
+        if len(current) == 1 and current[0] > 1 and reproduces([]):
+            current = []
+        current = _strip(list(ddmin(current, reproduces)[0]))
         # Pointwise decrement toward the default choice.
-        for index in range(len(current)):
-            if index >= len(current):  # a decrement pass shrank the string
-                break
-            while current[index] > 0 and tests < MAX_TESTS:
-                candidate = _strip(
-                    current[:index] + [current[index] - 1]
-                    + current[index + 1:]
-                )
+        index = 0
+        while index < len(current):
+            if current[index] > 0:
+                candidate = _strip(current[:index] + [current[index] - 1]
+                                   + current[index + 1:])
                 if reproduces(candidate):
                     current = candidate
-                    converged = False
-                    if index >= len(current):
-                        break
-                else:
-                    break
+                    continue
+            index += 1
+        if capped or current == previous:
+            break
 
     # Deferred: repro.obs loads 11 modules and cProfile; few callers get here.
     from ..obs import ascii_timeline, causal_chain, compute_critical_path, \
@@ -158,7 +182,7 @@ def minimize_witness(
         minimized=tuple(current),
         messages=messages,
         tests=tests,
-        locally_minimal=converged,
+        locally_minimal=not capped,
         timeline=ascii_timeline(spans),
         causal=tuple(causal_chain(compute_critical_path(final.trace))),
     )

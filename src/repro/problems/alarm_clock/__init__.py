@@ -4,15 +4,15 @@ from typing import Callable, List, Sequence
 
 from ...runtime.errors import ProcessFailed
 from ...runtime.scheduler import Scheduler
+from ...runtime.trace import RunResult
 from ...verify import check_alarm_wakeups
+from ..base import catalog_cells
+from . import ext_impls, impls
+from .ext_impls import CcrAlarmClock, CspAlarmClock
 from .impls import (
-    MONITOR_ALARM_DESCRIPTION,
     MonitorAlarmClock,
-    OPEN_PATH_ALARM_DESCRIPTION,
     OpenPathAlarmClock,
-    SEMAPHORE_ALARM_DESCRIPTION,
     SemaphoreAlarmClock,
-    SERIALIZER_ALARM_DESCRIPTION,
     SerializerAlarmClock,
 )
 
@@ -81,30 +81,32 @@ def make_verifier(factory, name: str = "alarm") -> Callable[[], List[str]]:
     return verify
 
 
+def _profile_run(factory, sched: Scheduler) -> RunResult:
+    result, __ = run_sleepers(factory, sched=sched)
+    return result
+
+
+#: This package's cells of the solution catalog (see :func:`catalog_cells`).
+CATALOG = catalog_cells(
+    (MonitorAlarmClock, impls.MONITOR_ALARM_DESCRIPTION),
+    (SerializerAlarmClock, impls.SERIALIZER_ALARM_DESCRIPTION),
+    (OpenPathAlarmClock, impls.OPEN_PATH_ALARM_DESCRIPTION),
+    (SemaphoreAlarmClock, impls.SEMAPHORE_ALARM_DESCRIPTION),
+    (CspAlarmClock, ext_impls.CSP_ALARM_DESCRIPTION),
+    (CcrAlarmClock, ext_impls.CCR_ALARM_DESCRIPTION),
+    verifier=make_verifier,
+    workload=_profile_run,
+)
+
 __all__ = [
+    "CATALOG",
+    "CcrAlarmClock",
+    "CspAlarmClock",
     "DEFAULT_DELAYS",
-    "MONITOR_ALARM_DESCRIPTION",
     "MonitorAlarmClock",
-    "OPEN_PATH_ALARM_DESCRIPTION",
     "OpenPathAlarmClock",
-    "SEMAPHORE_ALARM_DESCRIPTION",
     "SemaphoreAlarmClock",
-    "SERIALIZER_ALARM_DESCRIPTION",
     "SerializerAlarmClock",
     "make_verifier",
     "run_sleepers",
-]
-
-from .ext_impls import (
-    CCR_ALARM_DESCRIPTION,
-    CSP_ALARM_DESCRIPTION,
-    CcrAlarmClock,
-    CspAlarmClock,
-)
-
-__all__ += [
-    "CCR_ALARM_DESCRIPTION",
-    "CSP_ALARM_DESCRIPTION",
-    "CcrAlarmClock",
-    "CspAlarmClock",
 ]

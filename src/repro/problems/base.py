@@ -8,16 +8,21 @@ Every solution in :mod:`repro.problems` follows the same conventions:
   asked for (before any blocking), ``op_start`` when access is granted,
   ``op_end`` on completion — under ``<resource>.<op>`` object names, which is
   what the oracles key on;
-* its module exports a ``SolutionDescription`` named per variant, consumed
-  by the evaluation engine;
-* it registers itself in :data:`repro.problems.registry.REGISTRY`.
+* its impl module defines the variant's ``SolutionDescription``;
+* its problem package declares the catalog cell: ``CATALOG`` in the
+  package ``__init__`` pairs the class with that description, the
+  package's verifier and its profile workload (:func:`catalog_cells`), and
+  :mod:`repro.problems.registry` collects every package's ``CATALOG``.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Callable, List, Tuple
 
+from ..core import SolutionDescription
 from ..runtime.scheduler import Scheduler
+from ..runtime.trace import RunResult
 
 
 class SolutionBase:
@@ -51,3 +56,47 @@ class SolutionBase:
         widens the window in which interference would be observable."""
         for __ in range(amount):
             yield
+
+
+#: A problem package's canonical profile run: ``(factory, sched) -> RunResult``
+#: on an injected (instrumented) scheduler.
+Workload = Callable[[Any, Scheduler], RunResult]
+
+
+@dataclass(frozen=True)
+class RegisteredSolution:
+    """One catalog cell: how to build, describe, verify and profile a
+    solution.  ``factory`` is the solution class; ``factory(sched)`` builds
+    an instance, and the class names the cell's problem and mechanism."""
+
+    factory: type
+    description: SolutionDescription
+    verifier: Callable[[], List[str]]
+    workload: Workload
+    notes: str = ""
+
+    @property
+    def problem(self) -> str:
+        return self.factory.problem
+
+    @property
+    def mechanism(self) -> str:
+        return self.factory.mechanism
+
+    @property
+    def key(self) -> Tuple[str, str]:
+        return (self.problem, self.mechanism)
+
+
+def catalog_cells(*cells: tuple,
+                  verifier: Callable[[type], Callable[[], List[str]]],
+                  workload: Workload) -> Tuple[RegisteredSolution, ...]:
+    """A problem package's catalog cells.
+
+    Each cell is ``(solution class, description)``, or ``(class,
+    description, notes)``; ``verifier(cls)`` builds the class's oracle
+    battery and ``workload`` is the package's profile run.
+    """
+    return tuple(
+        RegisteredSolution(cls, description, verifier(cls), workload, *notes)
+        for cls, description, *notes in cells)

@@ -5,15 +5,15 @@ from typing import Callable, List, Sequence, Tuple
 
 from ...runtime.errors import ProcessFailed
 from ...runtime.scheduler import Scheduler
+from ...runtime.trace import RunResult
 from ...verify import check_scan_order, check_single_occupancy
+from ..base import catalog_cells
+from . import ext_impls, impls
+from .ext_impls import CcrDiskScheduler, CspDiskScheduler
 from .impls import (
-    MONITOR_DISK_DESCRIPTION,
     MonitorDiskScheduler,
-    OPEN_PATH_DISK_DESCRIPTION,
     OpenPathDiskScheduler,
-    SEMAPHORE_DISK_DESCRIPTION,
     SemaphoreDiskFcfs,
-    SERIALIZER_DISK_DESCRIPTION,
     SerializerDiskScheduler,
     scan_next,
 )
@@ -81,32 +81,37 @@ def make_verifier(factory, name: str = "disk",
     return verify
 
 
+def _profile_run(factory, sched: Scheduler) -> RunResult:
+    result, __ = run_requests(factory, sched=sched)
+    return result
+
+
+#: This package's cells of the solution catalog (see :func:`catalog_cells`).
+#: The semaphore solution is the FCFS baseline: no SCAN order to check.
+CATALOG = catalog_cells(
+    (MonitorDiskScheduler, impls.MONITOR_DISK_DESCRIPTION),
+    (SerializerDiskScheduler, impls.SERIALIZER_DISK_DESCRIPTION),
+    (OpenPathDiskScheduler, impls.OPEN_PATH_DISK_DESCRIPTION),
+    (SemaphoreDiskFcfs, impls.SEMAPHORE_DISK_DESCRIPTION,
+     "FCFS baseline, no elevator"),
+    (CspDiskScheduler, ext_impls.CSP_DISK_DESCRIPTION),
+    (CcrDiskScheduler, ext_impls.CCR_DISK_DESCRIPTION),
+    verifier=lambda cls: make_verifier(
+        cls, check_scan=cls is not SemaphoreDiskFcfs),
+    workload=_profile_run,
+)
+
 __all__ = [
+    "CATALOG",
+    "CcrDiskScheduler",
+    "CspDiskScheduler",
     "DEFAULT_PLAN",
-    "MONITOR_DISK_DESCRIPTION",
     "MonitorDiskScheduler",
-    "OPEN_PATH_DISK_DESCRIPTION",
     "OpenPathDiskScheduler",
-    "SEMAPHORE_DISK_DESCRIPTION",
     "SemaphoreDiskFcfs",
-    "SERIALIZER_DISK_DESCRIPTION",
     "SerializerDiskScheduler",
     "make_verifier",
     "random_plan",
     "run_requests",
     "scan_next",
-]
-
-from .ext_impls import (
-    CCR_DISK_DESCRIPTION,
-    CSP_DISK_DESCRIPTION,
-    CcrDiskScheduler,
-    CspDiskScheduler,
-)
-
-__all__ += [
-    "CCR_DISK_DESCRIPTION",
-    "CSP_DISK_DESCRIPTION",
-    "CcrDiskScheduler",
-    "CspDiskScheduler",
 ]

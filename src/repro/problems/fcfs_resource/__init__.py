@@ -5,14 +5,14 @@ from typing import Callable, List
 from ...runtime.errors import ProcessFailed
 from ...runtime.scheduler import Scheduler
 from ...verify import check_fcfs, check_single_occupancy
+from .. import eventcount_impls
+from ..base import catalog_cells
+from . import ext_impls, impls
+from .ext_impls import CcrFcfsResource, CspFcfsResource
 from .impls import (
-    MONITOR_FCFS_DESCRIPTION,
     MonitorFcfsResource,
-    PATH_FCFS_DESCRIPTION,
     PathFcfsResource,
-    SEMAPHORE_FCFS_DESCRIPTION,
     SemaphoreFcfsResource,
-    SERIALIZER_FCFS_DESCRIPTION,
     SerializerFcfsResource,
 )
 
@@ -61,29 +61,29 @@ def make_verifier(factory, name: str = "res") -> Callable[[], List[str]]:
     return verify
 
 
+#: This package's cells of the solution catalog (see :func:`catalog_cells`).
+CATALOG = catalog_cells(
+    (SemaphoreFcfsResource, impls.SEMAPHORE_FCFS_DESCRIPTION),
+    (MonitorFcfsResource, impls.MONITOR_FCFS_DESCRIPTION),
+    (SerializerFcfsResource, impls.SERIALIZER_FCFS_DESCRIPTION),
+    (PathFcfsResource, impls.PATH_FCFS_DESCRIPTION),
+    (CspFcfsResource, ext_impls.CSP_FCFS_DESCRIPTION),
+    (CcrFcfsResource, ext_impls.CCR_FCFS_DESCRIPTION),
+    (eventcount_impls.EventCountFcfsResource,
+     eventcount_impls.EVENTCOUNT_FCFS_DESCRIPTION),
+    verifier=make_verifier,
+    workload=lambda factory, sched: run_contenders(
+        factory, contenders=6, rounds=2, sched=sched),
+)
+
 __all__ = [
-    "MONITOR_FCFS_DESCRIPTION",
+    "CATALOG",
+    "CcrFcfsResource",
+    "CspFcfsResource",
     "MonitorFcfsResource",
-    "PATH_FCFS_DESCRIPTION",
     "PathFcfsResource",
-    "SEMAPHORE_FCFS_DESCRIPTION",
     "SemaphoreFcfsResource",
-    "SERIALIZER_FCFS_DESCRIPTION",
     "SerializerFcfsResource",
     "make_verifier",
     "run_contenders",
-]
-
-from .ext_impls import (
-    CCR_FCFS_DESCRIPTION,
-    CSP_FCFS_DESCRIPTION,
-    CcrFcfsResource,
-    CspFcfsResource,
-)
-
-__all__ += [
-    "CCR_FCFS_DESCRIPTION",
-    "CSP_FCFS_DESCRIPTION",
-    "CcrFcfsResource",
-    "CspFcfsResource",
 ]

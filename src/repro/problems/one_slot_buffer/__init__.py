@@ -5,15 +5,16 @@ from typing import Callable, List
 from ...runtime.errors import ProcessFailed
 from ...runtime.policies import RandomPolicy
 from ...runtime.scheduler import Scheduler
+from ...runtime.trace import RunResult
 from ...verify import check_alternation
+from .. import eventcount_impls
+from ..base import catalog_cells
+from . import ext_impls, impls
+from .ext_impls import CcrOneSlotBuffer, CspOneSlotBuffer
 from .impls import (
-    MONITOR_ONE_SLOT_DESCRIPTION,
     MonitorOneSlotBuffer,
-    PATH_ONE_SLOT_DESCRIPTION,
     PathOneSlotBuffer,
-    SEMAPHORE_ONE_SLOT_DESCRIPTION,
     SemaphoreOneSlotBuffer,
-    SERIALIZER_ONE_SLOT_DESCRIPTION,
     SerializerOneSlotBuffer,
 )
 
@@ -82,29 +83,34 @@ def make_verifier(
     return verify
 
 
+def _profile_run(factory, sched: Scheduler) -> RunResult:
+    result, __ = run_ping_pong(factory, rounds=12, producers=3, consumers=3,
+                               sched=sched)
+    return result
+
+
+#: This package's cells of the solution catalog (see :func:`catalog_cells`).
+CATALOG = catalog_cells(
+    (SemaphoreOneSlotBuffer, impls.SEMAPHORE_ONE_SLOT_DESCRIPTION),
+    (MonitorOneSlotBuffer, impls.MONITOR_ONE_SLOT_DESCRIPTION),
+    (SerializerOneSlotBuffer, impls.SERIALIZER_ONE_SLOT_DESCRIPTION),
+    (PathOneSlotBuffer, impls.PATH_ONE_SLOT_DESCRIPTION),
+    (CspOneSlotBuffer, ext_impls.CSP_ONE_SLOT_DESCRIPTION),
+    (CcrOneSlotBuffer, ext_impls.CCR_ONE_SLOT_DESCRIPTION),
+    (eventcount_impls.EventCountOneSlotBuffer,
+     eventcount_impls.EVENTCOUNT_ONE_SLOT_DESCRIPTION),
+    verifier=make_verifier,
+    workload=_profile_run,
+)
+
 __all__ = [
-    "MONITOR_ONE_SLOT_DESCRIPTION",
+    "CATALOG",
+    "CcrOneSlotBuffer",
+    "CspOneSlotBuffer",
     "MonitorOneSlotBuffer",
-    "PATH_ONE_SLOT_DESCRIPTION",
     "PathOneSlotBuffer",
-    "SEMAPHORE_ONE_SLOT_DESCRIPTION",
     "SemaphoreOneSlotBuffer",
-    "SERIALIZER_ONE_SLOT_DESCRIPTION",
     "SerializerOneSlotBuffer",
     "make_verifier",
     "run_ping_pong",
-]
-
-from .ext_impls import (
-    CCR_ONE_SLOT_DESCRIPTION,
-    CSP_ONE_SLOT_DESCRIPTION,
-    CcrOneSlotBuffer,
-    CspOneSlotBuffer,
-)
-
-__all__ += [
-    "CCR_ONE_SLOT_DESCRIPTION",
-    "CSP_ONE_SLOT_DESCRIPTION",
-    "CcrOneSlotBuffer",
-    "CspOneSlotBuffer",
 ]

@@ -5,10 +5,12 @@ mechanisms.  The path-expression solutions are the paper's Figures 1 and 2,
 preserved warts and all (footnote-3 anomaly included).
 """
 
+from ..base import catalog_cells
+from . import (ccr_impl, csp_impl, monitor_impl, pathexpr_impl,
+               semaphore_impl, serializer_impl)
+from .ccr_impl import CcrReadersPriority, CcrRWFcfs, CcrWritersPriority
+from .csp_impl import CspReadersPriority, CspRWFcfs, CspWritersPriority
 from .monitor_impl import (
-    MONITOR_READERS_PRIORITY_DESCRIPTION,
-    MONITOR_RW_FCFS_DESCRIPTION,
-    MONITOR_WRITERS_PRIORITY_DESCRIPTION,
     MonitorReadersPriority,
     MonitorRWFcfs,
     MonitorWritersPriority,
@@ -17,23 +19,12 @@ from .pathexpr_impl import (
     FCFS_PATHS,
     FIGURE1_PATHS,
     FIGURE2_PATHS,
-    PATH_READERS_PRIORITY_DESCRIPTION,
-    PATH_RW_FCFS_DESCRIPTION,
-    PATH_WRITERS_PRIORITY_DESCRIPTION,
     PathReadersPriority,
     PathRWFcfs,
     PathWritersPriority,
 )
-from .semaphore_impl import (
-    READERS_PRIORITY_DESCRIPTION as SEMAPHORE_READERS_PRIORITY_DESCRIPTION,
-    SemaphoreReadersPriority,
-    SemaphoreWritersPriority,
-    WRITERS_PRIORITY_DESCRIPTION as SEMAPHORE_WRITERS_PRIORITY_DESCRIPTION,
-)
+from .semaphore_impl import SemaphoreReadersPriority, SemaphoreWritersPriority
 from .serializer_impl import (
-    SERIALIZER_READERS_PRIORITY_DESCRIPTION,
-    SERIALIZER_RW_FCFS_DESCRIPTION,
-    SERIALIZER_WRITERS_PRIORITY_DESCRIPTION,
     SerializerReadersPriority,
     SerializerRWFcfs,
     SerializerWritersPriority,
@@ -46,29 +37,56 @@ from .workloads import (
     staggered_plan,
 )
 
+#: This package's cells of the solution catalog (see :func:`catalog_cells`):
+#: the three problems share one workload, and the class's problem picks the
+#: ordering oracle.
+CATALOG = catalog_cells(
+    (SemaphoreReadersPriority, semaphore_impl.READERS_PRIORITY_DESCRIPTION),
+    (MonitorReadersPriority,
+     monitor_impl.MONITOR_READERS_PRIORITY_DESCRIPTION),
+    (SerializerReadersPriority,
+     serializer_impl.SERIALIZER_READERS_PRIORITY_DESCRIPTION),
+    (PathReadersPriority, pathexpr_impl.PATH_READERS_PRIORITY_DESCRIPTION),
+    (SemaphoreWritersPriority, semaphore_impl.WRITERS_PRIORITY_DESCRIPTION),
+    (MonitorWritersPriority,
+     monitor_impl.MONITOR_WRITERS_PRIORITY_DESCRIPTION),
+    (SerializerWritersPriority,
+     serializer_impl.SERIALIZER_WRITERS_PRIORITY_DESCRIPTION),
+    (PathWritersPriority, pathexpr_impl.PATH_WRITERS_PRIORITY_DESCRIPTION),
+    (MonitorRWFcfs, monitor_impl.MONITOR_RW_FCFS_DESCRIPTION),
+    (SerializerRWFcfs, serializer_impl.SERIALIZER_RW_FCFS_DESCRIPTION),
+    (PathRWFcfs, pathexpr_impl.PATH_RW_FCFS_DESCRIPTION),
+    # §6 extension mechanisms (experiment E11):
+    (CspReadersPriority, csp_impl.CSP_READERS_PRIORITY_DESCRIPTION),
+    (CspWritersPriority, csp_impl.CSP_WRITERS_PRIORITY_DESCRIPTION),
+    (CspRWFcfs, csp_impl.CSP_RW_FCFS_DESCRIPTION),
+    (CcrReadersPriority, ccr_impl.CCR_READERS_PRIORITY_DESCRIPTION),
+    (CcrWritersPriority, ccr_impl.CCR_WRITERS_PRIORITY_DESCRIPTION),
+    (CcrRWFcfs, ccr_impl.CCR_RW_FCFS_DESCRIPTION),
+    verifier=lambda cls: make_verifier(cls, cls.problem),
+    workload=lambda factory, sched: run_workload(factory, BURST_PLAN,
+                                                 sched=sched),
+)
+
 __all__ = [
     "BURST_PLAN",
+    "CATALOG",
+    "CcrRWFcfs",
+    "CcrReadersPriority",
+    "CcrWritersPriority",
+    "CspRWFcfs",
+    "CspReadersPriority",
+    "CspWritersPriority",
     "FCFS_PATHS",
     "FIGURE1_PATHS",
     "FIGURE2_PATHS",
-    "MONITOR_READERS_PRIORITY_DESCRIPTION",
-    "MONITOR_RW_FCFS_DESCRIPTION",
-    "MONITOR_WRITERS_PRIORITY_DESCRIPTION",
     "MonitorRWFcfs",
     "MonitorReadersPriority",
     "MonitorWritersPriority",
-    "PATH_READERS_PRIORITY_DESCRIPTION",
-    "PATH_RW_FCFS_DESCRIPTION",
-    "PATH_WRITERS_PRIORITY_DESCRIPTION",
     "PHASED_PLAN",
     "PathRWFcfs",
     "PathReadersPriority",
     "PathWritersPriority",
-    "SEMAPHORE_READERS_PRIORITY_DESCRIPTION",
-    "SEMAPHORE_WRITERS_PRIORITY_DESCRIPTION",
-    "SERIALIZER_READERS_PRIORITY_DESCRIPTION",
-    "SERIALIZER_RW_FCFS_DESCRIPTION",
-    "SERIALIZER_WRITERS_PRIORITY_DESCRIPTION",
     "SemaphoreReadersPriority",
     "SemaphoreWritersPriority",
     "SerializerRWFcfs",
@@ -77,36 +95,4 @@ __all__ = [
     "make_verifier",
     "run_workload",
     "staggered_plan",
-]
-
-from .ccr_impl import (
-    CCR_RW_FCFS_DESCRIPTION,
-    CCR_READERS_PRIORITY_DESCRIPTION,
-    CCR_WRITERS_PRIORITY_DESCRIPTION,
-    CcrRWFcfs,
-    CcrReadersPriority,
-    CcrWritersPriority,
-)
-from .csp_impl import (
-    CSP_RW_FCFS_DESCRIPTION,
-    CSP_READERS_PRIORITY_DESCRIPTION,
-    CSP_WRITERS_PRIORITY_DESCRIPTION,
-    CspRWFcfs,
-    CspReadersPriority,
-    CspWritersPriority,
-)
-
-__all__ += [
-    "CCR_READERS_PRIORITY_DESCRIPTION",
-    "CCR_RW_FCFS_DESCRIPTION",
-    "CCR_WRITERS_PRIORITY_DESCRIPTION",
-    "CSP_READERS_PRIORITY_DESCRIPTION",
-    "CSP_RW_FCFS_DESCRIPTION",
-    "CSP_WRITERS_PRIORITY_DESCRIPTION",
-    "CcrRWFcfs",
-    "CcrReadersPriority",
-    "CcrWritersPriority",
-    "CspRWFcfs",
-    "CspReadersPriority",
-    "CspWritersPriority",
 ]

@@ -5,13 +5,13 @@ from typing import Callable, List, Sequence, Tuple
 from ...runtime.errors import ProcessFailed
 from ...runtime.scheduler import Scheduler
 from ...verify import check_class_priority_two_stage, check_single_occupancy
+from ..base import catalog_cells
+from . import ext_impls, impls
+from .ext_impls import CcrStagedQueue, CspStagedQueue
 from .impls import (
-    MONITOR_STAGED_DESCRIPTION,
     MonitorSingleQueue,
     MonitorStagedQueue,
-    OPEN_PATH_STAGED_DESCRIPTION,
     OpenPathStagedQueue,
-    SERIALIZER_STAGED_DESCRIPTION,
     SerializerStagedQueue,
 )
 
@@ -73,29 +73,27 @@ def make_verifier(factory, name: str = "res") -> Callable[[], List[str]]:
     return verify
 
 
+#: This package's cells of the solution catalog (see :func:`catalog_cells`).
+#: ``MonitorSingleQueue`` is experiment E8's naive contrast, not a cell.
+CATALOG = catalog_cells(
+    (MonitorStagedQueue, impls.MONITOR_STAGED_DESCRIPTION),
+    (SerializerStagedQueue, impls.SERIALIZER_STAGED_DESCRIPTION),
+    (OpenPathStagedQueue, impls.OPEN_PATH_STAGED_DESCRIPTION),
+    (CspStagedQueue, ext_impls.CSP_STAGED_DESCRIPTION),
+    (CcrStagedQueue, ext_impls.CCR_STAGED_DESCRIPTION),
+    verifier=make_verifier,
+    workload=lambda factory, sched: run_classes(factory, sched=sched),
+)
+
 __all__ = [
+    "CATALOG",
+    "CcrStagedQueue",
+    "CspStagedQueue",
     "DEFAULT_PLAN",
-    "MONITOR_STAGED_DESCRIPTION",
     "MonitorSingleQueue",
     "MonitorStagedQueue",
-    "OPEN_PATH_STAGED_DESCRIPTION",
     "OpenPathStagedQueue",
-    "SERIALIZER_STAGED_DESCRIPTION",
     "SerializerStagedQueue",
     "make_verifier",
     "run_classes",
-]
-
-from .ext_impls import (
-    CCR_STAGED_DESCRIPTION,
-    CSP_STAGED_DESCRIPTION,
-    CcrStagedQueue,
-    CspStagedQueue,
-)
-
-__all__ += [
-    "CCR_STAGED_DESCRIPTION",
-    "CSP_STAGED_DESCRIPTION",
-    "CcrStagedQueue",
-    "CspStagedQueue",
 ]

@@ -1,17 +1,16 @@
-"""The evaluation suite's application layer: canonical workloads per
-(problem, mechanism), the profile and causal runners, and the producers
-of the run store's gate records.
+"""The evaluation suite's application layer: the profile and causal
+runners, and the producers of the run store's gate records.
 
 :func:`run_profile` builds an instrumented :class:`Scheduler` (a
 :class:`~repro.obs.sink.RecordingSink` attached), injects it into the
-problem's standard workload via the ``sched=`` parameter every run helper
-accepts, and folds the resulting trace into spans and metrics — one call
+catalog entry's profile workload (declared with the entry by its problem
+package), and folds the resulting trace into spans and metrics — one call
 yields everything the CLI ``profile`` / ``metrics`` commands print or
 export.
 
-The workload per problem is the same one the oracles and benchmarks use
-(the registry's canonical shape), so profiles are directly comparable with
-correctness results.  ``seed`` switches the scheduler to a seeded
+The workload per problem has the same shape the oracles and benchmarks
+use, so profiles are directly comparable with correctness results.
+``seed`` switches the scheduler to a seeded
 :class:`~repro.runtime.policies.RandomPolicy` to profile a perturbed
 interleaving; the default is the deterministic FIFO schedule.
 
@@ -37,69 +36,10 @@ from .obs.metrics import RunMetrics, compute_metrics
 from .obs.runstore import GateRecord, Number
 from .obs.sink import RecordingSink
 from .obs.spans import Span, blocked_time_by_object, fold_spans
-from .problems import (
-    alarm_clock,
-    bounded_buffer,
-    disk_scheduler,
-    fcfs_resource,
-    one_slot_buffer,
-    staged_queue,
-)
-from .problems import readers_writers as rw
-from .problems.registry import REGISTRY, get_solution, solutions_for
+from .problems.registry import get_solution, solutions_for
 from .runtime.policies import RandomPolicy
 from .runtime.scheduler import Scheduler
 from .runtime.trace import RunResult
-
-
-def _run_bounded_buffer(factory, sched: Scheduler) -> RunResult:
-    result, __, __ = bounded_buffer.run_producers_consumers(
-        factory, producers=3, consumers=3, items_each=4, sched=sched)
-    return result
-
-
-def _run_one_slot(factory, sched: Scheduler) -> RunResult:
-    result, __ = one_slot_buffer.run_ping_pong(
-        factory, rounds=12, producers=3, consumers=3, sched=sched)
-    return result
-
-
-def _run_fcfs(factory, sched: Scheduler) -> RunResult:
-    return fcfs_resource.run_contenders(
-        factory, contenders=6, rounds=2, sched=sched)
-
-
-def _run_rw(factory, sched: Scheduler) -> RunResult:
-    return rw.run_workload(factory, rw.BURST_PLAN, sched=sched)
-
-
-def _run_disk(factory, sched: Scheduler) -> RunResult:
-    result, __ = disk_scheduler.run_requests(factory, sched=sched)
-    return result
-
-
-def _run_alarm(factory, sched: Scheduler) -> RunResult:
-    result, __ = alarm_clock.run_sleepers(factory, sched=sched)
-    return result
-
-
-def _run_staged(factory, sched: Scheduler) -> RunResult:
-    return staged_queue.run_classes(factory, sched=sched)
-
-
-#: problem name -> runner(factory, sched) -> RunResult.  Readers/writers
-#: problems share one workload shape.
-WORKLOADS: Dict[str, Callable[[Any, Scheduler], RunResult]] = {
-    "bounded_buffer": _run_bounded_buffer,
-    "one_slot_buffer": _run_one_slot,
-    "fcfs_resource": _run_fcfs,
-    "readers_priority": _run_rw,
-    "writers_priority": _run_rw,
-    "rw_fcfs": _run_rw,
-    "disk_scheduler": _run_disk,
-    "alarm_clock": _run_alarm,
-    "staged_queue": _run_staged,
-}
 
 
 @dataclass
@@ -129,13 +69,10 @@ class ProfileReport:
 
 
 def profileable() -> List[str]:
-    """``problem/mechanism`` labels with both a registry entry and a
-    workload runner."""
-    return [
-        "{}/{}".format(entry.problem, entry.mechanism)
-        for entry in sorted(REGISTRY.values(), key=lambda e: e.key)
-        if entry.problem in WORKLOADS
-    ]
+    """``problem/mechanism`` label of every catalog entry (each declares
+    its profile workload)."""
+    return ["{}/{}".format(entry.problem, entry.mechanism)
+            for entry in solutions_for()]
 
 
 def run_profile(
@@ -152,13 +89,10 @@ def run_profile(
     manufactures a synthetic slowdown to prove the gate trips.
     """
     entry = get_solution(problem, mechanism)
-    runner = WORKLOADS.get(problem)
-    if runner is None:
-        raise KeyError("no profiling workload for problem {!r}".format(problem))
     policy = None if seed is None else RandomPolicy(seed)
     sink = RecordingSink()
     sched = Scheduler(policy=policy, sink=sink, fault_plan=fault_plan)
-    result = runner(entry.factory, sched)
+    result = entry.workload(entry.factory, sched)
     spans = fold_spans(result.trace)
     metrics = compute_metrics(result, spans, sink)
     return ProfileReport(
@@ -214,12 +148,8 @@ def metrics_suite(
     """Profile every registered (problem, mechanism) pair matching the
     filters — the cross-mechanism comparison ``python -m repro metrics``
     tabulates."""
-    reports = []
-    for entry in solutions_for(problem, mechanism):
-        if entry.problem not in WORKLOADS:
-            continue
-        reports.append(run_profile(entry.problem, entry.mechanism, seed=seed))
-    return reports
+    return [run_profile(entry.problem, entry.mechanism, seed=seed)
+            for entry in solutions_for(problem, mechanism)]
 
 
 def comparison_table(reports: List[ProfileReport]) -> str:
@@ -343,8 +273,7 @@ def explore_record(problem: str, mechanism: str, result: Any,
 
 def _causal_targets(*, problem, mechanism, **_options) -> List[str]:
     return ["{}/{}".format(entry.problem, entry.mechanism)
-            for entry in solutions_for(problem, mechanism)
-            if entry.problem in WORKLOADS]
+            for entry in solutions_for(problem, mechanism)]
 
 
 def _measure_causal(target: str, seed: Optional[int], *, fault_plan,

@@ -287,6 +287,45 @@ def test_minimizer_shrinks_footnote3_witness_to_local_minimum():
             )
 
 
+def _strip(decisions):
+    decisions = list(decisions)
+    while decisions and decisions[-1] == 0:
+        decisions.pop()
+    return tuple(decisions)
+
+
+def _contains(decisions, pattern):
+    it = iter(decisions)
+    return all(any(d == p for d in it) for p in pattern)
+
+
+@pytest.mark.parametrize("witness,violates,expected", [
+    # Two load-bearing decisions buried in noise.
+    ((5, 0, 4, 2, 0, 3, 1, 7), lambda d: _contains(d, (4, 3)), (4, 3)),
+    # A single decision whose deletion (the empty string) reproduces while
+    # its decrement does not: ddmin never tests the empty string.
+    ((3,), lambda d: sum(d) in (0, 3), ()),
+])
+def test_minimized_decisions_have_no_deletable_decision(
+        witness, violates, expected):
+    target = get_target("bounded_buffer", "monitor")
+    scripts = []
+
+    def build_and_run(policy):
+        scripts.append(_strip(policy.decisions))
+        return target.build_and_run(policy)
+
+    def check(result):
+        return ["synthetic violation"] if violates(scripts[-1]) else []
+
+    shrunk = minimize_witness(build_and_run, check, witness)
+    assert shrunk.minimized == expected
+    assert shrunk.locally_minimal
+    dec = list(shrunk.minimized)
+    for index in range(len(dec)):
+        assert not violates(_strip(dec[:index] + dec[index + 1:]))
+
+
 def test_minimizer_rejects_non_reproducing_witness():
     target = get_target("bounded_buffer", "monitor")
     with pytest.raises(ValueError):

@@ -94,10 +94,13 @@ def test_mechanism_classes_importable_from_one_place():
 
 
 def test_every_solution_class_declares_identity():
-    from repro.problems.registry import all_solutions
+    from repro.problems.registry import PACKAGES, REGISTRY
 
-    for entry in all_solutions():
-        sched_free_cls = type(entry.factory.__closure__ and None)
-        del sched_free_cls
-        assert entry.description.problem == entry.problem
-        assert entry.description.mechanism == entry.mechanism
+    cells = [entry for package in PACKAGES for entry in package.CATALOG]
+    for entry in cells:
+        identity = (entry.factory.problem, entry.factory.mechanism)
+        assert identity == (entry.description.problem,
+                            entry.description.mechanism)
+        assert REGISTRY[identity] is entry
+    # No (problem, mechanism) key is declared twice.
+    assert len(cells) == len(REGISTRY)

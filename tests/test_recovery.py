@@ -24,7 +24,8 @@ from repro.recover import (
     Supervisor,
     retry_with_backoff,
 )
-from repro.explore.campaign import KillSpec, compile_faults, ddmin
+from repro.explore.campaign import KillSpec, compile_faults
+from repro.explore.minimize import ddmin
 from repro.runtime import (
     FaultPlan,
     Mutex,

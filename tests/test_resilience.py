@@ -18,10 +18,10 @@ from repro.explore.campaign import (
     CrashSpec,
     CutSpec,
     compile_faults,
-    ddmin,
     describe_faults,
     search_fault_sets,
 )
+from repro.explore.minimize import ddmin
 from repro.resilience import (
     QUARANTINE,
     REPLAY,
