@@ -4,9 +4,10 @@ Two claims worth pinning down with numbers:
 
 * **The null sink is free.**  ``Scheduler(sink=NullSink())`` normalizes to
   the uninstrumented fast path (``sink=None``), so turning instrumentation
-  *off* must cost nothing.  Asserted at < 5% on a hot workload using
-  min-of-N wall-clock times (the minimum is the noise-robust estimator for
-  a deterministic workload).
+  *off* must cost nothing.  Asserted at < 5% on a hot workload: the
+  median ratio over interleaved bare/null pairs of runs
+  (:func:`~conftest.paired_ratio`), each run tens of milliseconds long, so
+  a drift in host speed lands on both sides alike.
 * **Full recording is cheap enough to leave on.**  The
   :class:`~repro.obs.sink.RecordingSink` ratio is reported (not asserted —
   it legitimately pays for per-event dispatch and gauge samples).
@@ -18,7 +19,7 @@ handoffs, switches, hottest object) to ``BENCH_observability.json``.
 
 from time import perf_counter
 
-from conftest import emit, persist
+from conftest import emit, paired_ratio, persist
 
 from repro.obs import NullSink, RecordingSink
 from repro.problems import bounded_buffer
@@ -26,9 +27,11 @@ from repro.problems.registry import get_solution, solutions_for
 from repro.runtime.scheduler import Scheduler
 from repro.suite import run_profile
 
-#: Hot workload: enough items that scheduler-loop cost dominates setup.
-_LOAD = dict(producers=4, consumers=4, items_each=25)
-_REPEATS = 7
+#: Hot workload: enough items that scheduler-loop cost dominates setup,
+#: and long enough (~40 ms a run on a 2-vCPU host) that 5% is well above
+#: timer noise.
+_LOAD = dict(producers=4, consumers=4, items_each=250)
+_PAIRS = 15
 
 
 def _run_once(sink) -> float:
@@ -39,18 +42,16 @@ def _run_once(sink) -> float:
     return perf_counter() - start
 
 
-def _best_of(make_sink) -> float:
-    return min(_run_once(make_sink()) for _ in range(_REPEATS))
-
-
 def test_e15_null_sink_is_free():
-    bare = _best_of(lambda: None)
-    null = _best_of(NullSink)
-    recording = _best_of(RecordingSink)
-    null_ratio = null / bare
-    recording_ratio = recording / bare
+    def bare_run():
+        return _run_once(None)
+
+    null_ratio, bare, null = paired_ratio(
+        _PAIRS, bare_run, lambda: _run_once(NullSink()))
+    recording_ratio, __, recording = paired_ratio(
+        _PAIRS, bare_run, lambda: _run_once(RecordingSink()))
     report = {
-        "load": dict(_LOAD, repeats=_REPEATS),
+        "load": dict(_LOAD, pairs=_PAIRS),
         "bare_seconds": round(bare, 6),
         "null_sink_seconds": round(null, 6),
         "recording_sink_seconds": round(recording, 6),

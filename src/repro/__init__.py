@@ -15,11 +15,12 @@ The library's core layers (bottom-up):
 * :mod:`repro.resources` — unsynchronized shared resources with built-in
   race detection, and the paper's section-2 protected-resource structure.
 * :mod:`repro.verify` — the checker layer: trace oracles, liveness
-  queries, the oracle registry and the mechanism-level detectors, which
-  import only :mod:`repro.runtime`.
+  queries, the cross-problem oracle registry and the mechanism-level
+  detectors, which import only :mod:`repro.runtime`.
 * :mod:`repro.problems` — the paper's test-problem suite (footnote 2 plus
-  the 4.2/5.2 probes), each problem solved under every mechanism,
-  registered in :mod:`repro.problems.registry`.
+  the 4.2/5.2 probes), each problem solved under every mechanism and
+  judged by one oracle battery per problem, registered in
+  :mod:`repro.problems.registry`.
 
 The search (:mod:`repro.explore`) and the recovery, distribution and
 resilience runtimes sit between the checker layer and the problems that

@@ -15,9 +15,10 @@ Two modules sit higher and are imported by their full path:
 * :mod:`repro.explore.campaign` — the fault-campaign engine behind
   ``repro robustness|recover|partition|resilience``: fault cells explored
   and classified, fault-set search, and ddmin.
-* :mod:`repro.explore.targets` — named (problem, mechanism) workloads the
-  CLI, the regression gate and the benchmarks resolve by string; it sits
-  above :mod:`repro.problems`.
+* :mod:`repro.explore.targets` — named (problem, mechanism) pairs over
+  the problem packages' explore workloads, which the CLI, the regression
+  gate and the benchmarks resolve by string; it sits above
+  :mod:`repro.problems`.
 
 Entry point: ``python -m repro explore <problem> <mechanism>``.
 """

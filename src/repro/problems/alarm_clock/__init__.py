@@ -6,7 +6,7 @@ from ...runtime.errors import ProcessFailed
 from ...runtime.scheduler import Scheduler
 from ...runtime.trace import RunResult
 from ...verify import check_alarm_wakeups
-from ..base import catalog_cells
+from ..base import ExploreWorkload, catalog_cells, explore_check
 from . import ext_impls, impls
 from .ext_impls import CcrAlarmClock, CspAlarmClock
 from .impls import (
@@ -53,8 +53,14 @@ def run_sleepers(factory, delays: Sequence[int] = DEFAULT_DELAYS,
     return result, wakes
 
 
-def make_verifier(factory, name: str = "alarm") -> Callable[[], List[str]]:
-    """Oracle battery: every sleeper wakes exactly at its deadline."""
+def trace_battery(run: RunResult) -> List[str]:
+    """The alarm clock's trace properties: every sleeper wakes exactly at
+    its deadline."""
+    return check_alarm_wakeups(run.trace, "alarm")
+
+
+def make_verifier(factory) -> Callable[[], List[str]]:
+    """The trace battery, deadlock freedom and deadline wake order."""
 
     def verify() -> List[str]:
         violations: List[str] = []
@@ -68,7 +74,7 @@ def make_verifier(factory, name: str = "alarm") -> Callable[[], List[str]]:
             except ProcessFailed as failure:
                 violations.append("{}: {}".format(label, failure))
                 continue
-            for msg in check_alarm_wakeups(result.trace, name):
+            for msg in trace_battery(result):
                 violations.append("{}: {}".format(label, msg))
             if result.deadlocked:
                 violations.append("{}: deadlock".format(label))
@@ -79,6 +85,42 @@ def make_verifier(factory, name: str = "alarm") -> Callable[[], List[str]]:
         return violations
 
     return verify
+
+
+def run_explore(factory, sched: Scheduler) -> RunResult:
+    """Explore workload: sleepers for 2, 2 and 1 ticks plus the ticker.
+    Inlined (rather than :func:`run_sleepers`) so the wake list is a
+    fingerprint provider *before* the run."""
+    impl = factory(sched)
+    delays = (2, 2, 1)
+    wakes: List[int] = []
+    sched.add_fingerprint_provider(lambda: wakes)
+    horizon = max(delays) + 1
+
+    def sleeper(n):
+        def body():
+            yield from impl.wakeme(n)
+            wakes.append(n)
+        return body
+
+    def ticker():
+        for __ in range(horizon):
+            yield from sched.sleep(1)
+            yield from impl.tick()
+
+    for index, n in enumerate(delays):
+        sched.spawn(sleeper(n), name="S{}_{}".format(index, n))
+    sched.spawn(ticker, name="ticker")
+    result = sched.run(on_deadlock="return", on_error="record")
+    result.results["wakes"] = list(wakes)
+    return result
+
+
+def _wake_order(run: RunResult) -> List[str]:
+    wakes = run.results.get("wakes", [])
+    if not run.deadlocked and wakes != sorted(wakes):
+        return ["wake order {!r} not by deadline".format(wakes)]
+    return []
 
 
 def _profile_run(factory, sched: Scheduler) -> RunResult:
@@ -98,15 +140,21 @@ CATALOG = catalog_cells(
     workload=_profile_run,
 )
 
+#: This package's exhaustible explore workload (see :class:`ExploreWorkload`).
+EXPLORE = (ExploreWorkload("alarm_clock", "alarm_clock", run_explore,
+                           explore_check(trace_battery, _wake_order)),)
+
 __all__ = [
     "CATALOG",
     "CcrAlarmClock",
     "CspAlarmClock",
     "DEFAULT_DELAYS",
+    "EXPLORE",
     "MonitorAlarmClock",
     "OpenPathAlarmClock",
     "SemaphoreAlarmClock",
     "SerializerAlarmClock",
     "make_verifier",
     "run_sleepers",
+    "trace_battery",
 ]

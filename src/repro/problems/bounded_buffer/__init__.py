@@ -3,7 +3,8 @@
 from ...runtime.scheduler import Scheduler
 from ...runtime.trace import RunResult
 from .. import eventcount_impls
-from ..base import catalog_cells
+from ..base import (ExploreWorkload, catalog_cells, consumed_both,
+                    explore_check, run_two_producers)
 from . import ext_impls, impls
 from .ext_impls import CcrBoundedBuffer, CspBoundedBuffer
 from .impls import (
@@ -12,7 +13,7 @@ from .impls import (
     SemaphoreBoundedBuffer,
     SerializerBoundedBuffer,
 )
-from .workloads import make_verifier, run_producers_consumers
+from .workloads import make_verifier, run_producers_consumers, trace_battery
 
 
 def _profile_run(factory, sched: Scheduler) -> RunResult:
@@ -35,14 +36,22 @@ CATALOG = catalog_cells(
     workload=_profile_run,
 )
 
+#: This package's exhaustible explore workload (see :class:`ExploreWorkload`).
+EXPLORE = (ExploreWorkload(
+    "bounded_buffer", "bounded_buffer",
+    lambda factory, sched: run_two_producers(factory, sched, "C"),
+    explore_check(trace_battery, consumed_both("buffer"))),)
+
 __all__ = [
     "CATALOG",
     "CcrBoundedBuffer",
     "CspBoundedBuffer",
+    "EXPLORE",
     "MonitorBoundedBuffer",
     "OpenPathBoundedBuffer",
     "SemaphoreBoundedBuffer",
     "SerializerBoundedBuffer",
     "make_verifier",
     "run_producers_consumers",
+    "trace_battery",
 ]

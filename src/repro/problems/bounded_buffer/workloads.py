@@ -1,9 +1,9 @@
-"""Workloads and verifier for the bounded buffer.
+"""Workloads, oracle battery and verifier for the bounded buffer.
 
 The correctness story is carried by the resource itself (overflow/underflow/
-overlap raise :class:`ResourceIntegrityError`) plus two trace/data checks:
-operations never overlap, and consumers drain exactly the produced items in
-FIFO order.
+overlap raise :class:`ResourceIntegrityError`) plus two checks: the trace
+battery (:func:`trace_battery`: operations never overlap) and conservation
+(consumers drain exactly the produced items).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from typing import Callable, List, Optional
 from ...runtime.errors import ProcessFailed
 from ...runtime.policies import RandomPolicy, SchedulingPolicy
 from ...runtime.scheduler import Scheduler
+from ...runtime.trace import RunResult
 from ...verify import check_mutual_exclusion
 
 Factory = Callable[[Scheduler], object]
@@ -61,12 +62,16 @@ def run_producers_consumers(
     return result, produced, consumed
 
 
-def make_verifier(
-    factory: Factory,
-    name: str = "buf",
-) -> Callable[[], List[str]]:
-    """Oracle battery: integrity + no overlap + conservation, across FIFO
-    and randomized schedules."""
+def trace_battery(run: RunResult) -> List[str]:
+    """The bounded buffer's trace properties: ``put`` and ``get`` never
+    overlap."""
+    return check_mutual_exclusion(run.trace, "buf",
+                                  exclusive_ops=["put", "get"])
+
+
+def make_verifier(factory: Factory) -> Callable[[], List[str]]:
+    """The trace battery + integrity + conservation, across FIFO and
+    randomized schedules."""
 
     def run_one(label: str, policy=None) -> List[str]:
         try:
@@ -76,10 +81,7 @@ def make_verifier(
         except ProcessFailed as failure:
             return ["{}: {}".format(label, failure)]
         violations = [
-            "{}: {}".format(label, msg)
-            for msg in check_mutual_exclusion(
-                result.trace, name, exclusive_ops=["put", "get"]
-            )
+            "{}: {}".format(label, msg) for msg in trace_battery(result)
         ]
         if result.deadlocked:
             violations.append(

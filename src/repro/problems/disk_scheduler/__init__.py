@@ -101,11 +101,15 @@ CATALOG = catalog_cells(
     workload=_profile_run,
 )
 
+#: No explore workload: the disk scheduler is judged by its verifier alone.
+EXPLORE = ()
+
 __all__ = [
     "CATALOG",
     "CcrDiskScheduler",
     "CspDiskScheduler",
     "DEFAULT_PLAN",
+    "EXPLORE",
     "MonitorDiskScheduler",
     "OpenPathDiskScheduler",
     "SemaphoreDiskFcfs",

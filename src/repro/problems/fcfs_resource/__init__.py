@@ -4,9 +4,10 @@ from typing import Callable, List
 
 from ...runtime.errors import ProcessFailed
 from ...runtime.scheduler import Scheduler
+from ...runtime.trace import RunResult
 from ...verify import check_fcfs, check_single_occupancy
 from .. import eventcount_impls
-from ..base import catalog_cells
+from ..base import ExploreWorkload, catalog_cells, explore_check
 from . import ext_impls, impls
 from .ext_impls import CcrFcfsResource, CspFcfsResource
 from .impls import (
@@ -39,8 +40,15 @@ def run_contenders(factory, contenders: int = 6, rounds: int = 2,
     return sched.run(on_deadlock="return")
 
 
-def make_verifier(factory, name: str = "res") -> Callable[[], List[str]]:
-    """Oracle battery: single occupancy + strict FCFS."""
+def trace_battery(run: RunResult) -> List[str]:
+    """The FCFS resource's trace properties: strict arrival-order service
+    and single occupancy."""
+    return (check_fcfs(run.trace, "res", ["use"])
+            + check_single_occupancy(run.trace, "res", ["use"]))
+
+
+def make_verifier(factory) -> Callable[[], List[str]]:
+    """The trace battery and deadlock freedom, staggered and burst."""
 
     def verify() -> List[str]:
         violations: List[str] = []
@@ -50,15 +58,25 @@ def make_verifier(factory, name: str = "res") -> Callable[[], List[str]]:
             except ProcessFailed as failure:
                 violations.append("{}: {}".format(label, failure))
                 continue
-            for msg in check_single_occupancy(result.trace, name, ["use"]):
-                violations.append("{}: {}".format(label, msg))
-            for msg in check_fcfs(result.trace, name, ["use"]):
+            for msg in trace_battery(result):
                 violations.append("{}: {}".format(label, msg))
             if result.deadlocked:
                 violations.append("{}: deadlock".format(label))
         return violations
 
     return verify
+
+
+def run_explore(factory, sched: Scheduler) -> RunResult:
+    """Explore workload: three contenders use the resource once each."""
+    impl = factory(sched)
+
+    def contender():
+        yield from impl.use(work=2)
+
+    for i in range(3):
+        sched.spawn(contender, name="U{}".format(i))
+    return sched.run(on_deadlock="return", on_error="record")
 
 
 #: This package's cells of the solution catalog (see :func:`catalog_cells`).
@@ -76,14 +94,20 @@ CATALOG = catalog_cells(
         factory, contenders=6, rounds=2, sched=sched),
 )
 
+#: This package's exhaustible explore workload (see :class:`ExploreWorkload`).
+EXPLORE = (ExploreWorkload("fcfs_resource", "fcfs_resource", run_explore,
+                           explore_check(trace_battery)),)
+
 __all__ = [
     "CATALOG",
     "CcrFcfsResource",
     "CspFcfsResource",
+    "EXPLORE",
     "MonitorFcfsResource",
     "PathFcfsResource",
     "SemaphoreFcfsResource",
     "SerializerFcfsResource",
     "make_verifier",
     "run_contenders",
+    "trace_battery",
 ]

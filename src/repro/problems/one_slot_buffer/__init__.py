@@ -8,7 +8,8 @@ from ...runtime.scheduler import Scheduler
 from ...runtime.trace import RunResult
 from ...verify import check_alternation
 from .. import eventcount_impls
-from ..base import catalog_cells
+from ..base import (ExploreWorkload, catalog_cells, consumed_both,
+                    explore_check, run_two_producers)
 from . import ext_impls, impls
 from .ext_impls import CcrOneSlotBuffer, CspOneSlotBuffer
 from .impls import (
@@ -51,11 +52,14 @@ def run_ping_pong(factory, rounds: int = 6, producers: int = 2,
     return result, consumed
 
 
-def make_verifier(
-    factory,
-    name: str = "slot",
-) -> Callable[[], List[str]]:
-    """Oracle battery: strict put/get alternation across schedules."""
+def trace_battery(run: RunResult) -> List[str]:
+    """The one-slot buffer's trace properties: ``put`` and ``get`` strictly
+    alternate."""
+    return check_alternation(run.trace, "slot")
+
+
+def make_verifier(factory) -> Callable[[], List[str]]:
+    """The trace battery and deadlock freedom across schedules."""
 
     def run_one(label, policy=None) -> List[str]:
         try:
@@ -63,8 +67,7 @@ def make_verifier(
         except ProcessFailed as failure:
             return ["{}: {}".format(label, failure)]
         violations = [
-            "{}: {}".format(label, msg)
-            for msg in check_alternation(result.trace, name)
+            "{}: {}".format(label, msg) for msg in trace_battery(result)
         ]
         if result.deadlocked:
             violations.append(
@@ -103,14 +106,22 @@ CATALOG = catalog_cells(
     workload=_profile_run,
 )
 
+#: This package's exhaustible explore workload (see :class:`ExploreWorkload`).
+EXPLORE = (ExploreWorkload(
+    "one_slot_buffer", "one_slot_buffer",
+    lambda factory, sched: run_two_producers(factory, sched, "Cons"),
+    explore_check(trace_battery, consumed_both("slot"))),)
+
 __all__ = [
     "CATALOG",
     "CcrOneSlotBuffer",
     "CspOneSlotBuffer",
+    "EXPLORE",
     "MonitorOneSlotBuffer",
     "PathOneSlotBuffer",
     "SemaphoreOneSlotBuffer",
     "SerializerOneSlotBuffer",
     "make_verifier",
     "run_ping_pong",
+    "trace_battery",
 ]

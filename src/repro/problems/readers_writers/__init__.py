@@ -5,9 +5,11 @@ mechanisms.  The path-expression solutions are the paper's Figures 1 and 2,
 preserved warts and all (footnote-3 anomaly included).
 """
 
-from ..base import catalog_cells
+from ...verify import oracle
+from ..base import ExploreWorkload, catalog_cells, explore_check
 from . import (ccr_impl, csp_impl, monitor_impl, pathexpr_impl,
                semaphore_impl, serializer_impl)
+from .anomaly import footnote3_workload
 from .ccr_impl import CcrReadersPriority, CcrRWFcfs, CcrWritersPriority
 from .csp_impl import CspReadersPriority, CspRWFcfs, CspWritersPriority
 from .monitor_impl import (
@@ -33,8 +35,10 @@ from .workloads import (
     BURST_PLAN,
     PHASED_PLAN,
     make_verifier,
+    run_reader_writer,
     run_workload,
     staggered_plan,
+    trace_battery,
 )
 
 #: This package's cells of the solution catalog (see :func:`catalog_cells`):
@@ -68,6 +72,18 @@ CATALOG = catalog_cells(
                                                  sched=sched),
 )
 
+#: This package's exhaustible explore workloads (see
+#: :class:`ExploreWorkload`), both over the readers-priority solutions.
+#: ``footnote3`` is the paper's E5 anomaly as a search problem: the
+#: Figure-1 arrival pattern judged by the strict Courtois–Heymans–Parnas
+#: oracle alone.
+EXPLORE = (
+    ExploreWorkload("readers_priority", "readers_priority",
+                    run_reader_writer, explore_check(trace_battery)),
+    ExploreWorkload("footnote3", "readers_priority", footnote3_workload,
+                    oracle("footnote3_strict")),
+)
+
 __all__ = [
     "BURST_PLAN",
     "CATALOG",
@@ -77,6 +93,7 @@ __all__ = [
     "CspRWFcfs",
     "CspReadersPriority",
     "CspWritersPriority",
+    "EXPLORE",
     "FCFS_PATHS",
     "FIGURE1_PATHS",
     "FIGURE2_PATHS",
@@ -93,6 +110,8 @@ __all__ = [
     "SerializerReadersPriority",
     "SerializerWritersPriority",
     "make_verifier",
+    "run_reader_writer",
     "run_workload",
     "staggered_plan",
+    "trace_battery",
 ]

@@ -5,14 +5,18 @@ A *plan* is a list of ``(kind, delay, work)`` steps — ``kind`` is ``"R"`` or
 section length.  :func:`run_workload` spawns one process per step against a
 fresh solution instance and returns the run result.
 
-:func:`make_verifier` packages the oracle battery the evaluation engine
-runs per solution:
+The family's trace battery, :data:`trace_battery`, is exclusion safety on
+the ``db`` resource: the registry's ``rw_exclusion`` oracle, which
+synthesis checks its repair candidates against too.  :func:`make_verifier`
+runs it per solution:
 
-* deterministic (FIFO policy) runs: exclusion safety **and** the problem's
+* deterministic (FIFO policy) runs: the battery **and** the problem's
   priority/ordering oracle;
-* randomized-policy runs (several seeds): exclusion safety only — priority
+* randomized-policy runs (several seeds): the battery only — priority
   oracles need controlled request timing, as discussed in the oracle module
   docstring — plus resource-integrity errors surfacing as violations.
+
+:func:`run_reader_writer` is the family's exhaustible explore workload.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from ...runtime.errors import ProcessFailed
 from ...runtime.policies import RandomPolicy, SchedulingPolicy
 from ...runtime.scheduler import Scheduler
 from ...runtime.trace import RunResult
-from ...verify import check_fcfs, check_mutual_exclusion, check_no_overtake
+from ...verify import check_fcfs, check_no_overtake, oracle
 
 Step = Tuple[str, int, int]
 Factory = Callable[[Scheduler], object]
@@ -80,13 +84,30 @@ def _delayed(sched: Scheduler, delay: int, impl, kind: str, index: int, work: in
     return body
 
 
+#: The family's trace properties: writers exclusive, readers shared, on db.
+trace_battery = oracle("rw_exclusion")
+
+
 def _exclusion_violations(result: RunResult) -> List[str]:
-    violations = check_mutual_exclusion(
-        result.trace, "db", exclusive_ops=["write"], shared_ops=["read"]
-    )
+    violations = trace_battery(result)
     if result.deadlocked:
         violations.append("deadlock: blocked={}".format(result.blocked))
     return violations
+
+
+def run_reader_writer(factory: Factory, sched: Scheduler) -> RunResult:
+    """Explore workload: one reader ``R`` and one writer ``W``."""
+    impl = factory(sched)
+
+    def reader():
+        yield from impl.read(work=1)
+
+    def writer():
+        yield from impl.write(1, work=1)
+
+    sched.spawn(reader, name="R")
+    sched.spawn(writer, name="W")
+    return sched.run(on_deadlock="return", on_error="record")
 
 
 def make_verifier(

@@ -1,9 +1,12 @@
 """The solution registry: every (problem × mechanism) implementation, its
 machine-readable description, and its oracle battery — the input to the
-evaluation engine and the benchmarks.
+evaluation engine and the benchmarks — plus every exhaustible explore
+workload, the input to :mod:`repro.explore.targets`.
 
 Each problem package declares its own cells as ``CATALOG`` (see
-:func:`repro.problems.base.catalog_cells`); this module only collects them.
+:func:`repro.problems.base.catalog_cells`) and its explore workloads as
+``EXPLORE`` (see :class:`repro.problems.base.ExploreWorkload`); this module
+only collects them.
 ``build_evaluator()`` assembles the complete §5-style evaluation in one
 call::
 
@@ -19,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core import Evaluator
 from . import alarm_clock, bounded_buffer, disk_scheduler, fcfs_resource
 from . import one_slot_buffer, readers_writers, staged_queue
-from .base import RegisteredSolution
+from .base import ExploreWorkload, RegisteredSolution
 from .infeasibility import INFEASIBILITY_RECORDS
 
 #: The packages that declare catalog cells; the eventcount solutions are
@@ -30,6 +33,11 @@ PACKAGES = (readers_writers, bounded_buffer, one_slot_buffer, fcfs_resource,
 #: Every registered solution, keyed by (problem, mechanism).
 REGISTRY: Dict[Tuple[str, str], RegisteredSolution] = {
     entry.key: entry for package in PACKAGES for entry in package.CATALOG}
+
+#: Every exhaustible explore workload, keyed by name.
+EXPLORE: Dict[str, ExploreWorkload] = {
+    workload.name: workload
+    for package in PACKAGES for workload in package.EXPLORE}
 
 
 def all_solutions() -> List[RegisteredSolution]:

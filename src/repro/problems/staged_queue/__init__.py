@@ -4,8 +4,9 @@ from typing import Callable, List, Sequence, Tuple
 
 from ...runtime.errors import ProcessFailed
 from ...runtime.scheduler import Scheduler
+from ...runtime.trace import RunResult
 from ...verify import check_class_priority_two_stage, check_single_occupancy
-from ..base import catalog_cells
+from ..base import ExploreWorkload, catalog_cells, explore_check
 from . import ext_impls, impls
 from .ext_impls import CcrStagedQueue, CspStagedQueue
 from .impls import (
@@ -48,24 +49,24 @@ def run_classes(factory, plan: Sequence[Tuple[str, int]] = DEFAULT_PLAN,
     return sched.run(on_deadlock="return")
 
 
-def make_verifier(factory, name: str = "res") -> Callable[[], List[str]]:
-    """Oracle battery: single occupancy + class priority + FCFS per class."""
+def trace_battery(run: RunResult) -> List[str]:
+    """The staged queue's trace properties: class A before class B, FCFS
+    within each class, and single occupancy."""
+    return (check_class_priority_two_stage(run.trace, "res", "acquire_a",
+                                           "acquire_b")
+            + check_single_occupancy(run.trace, "res",
+                                     ["acquire_a", "acquire_b"]))
+
+
+def make_verifier(factory) -> Callable[[], List[str]]:
+    """The trace battery and deadlock freedom on :data:`DEFAULT_PLAN`."""
 
     def verify() -> List[str]:
-        violations: List[str] = []
         try:
             result = run_classes(factory)
         except ProcessFailed as failure:
             return [str(failure)]
-        violations.extend(
-            check_single_occupancy(result.trace, name,
-                                   ["acquire_a", "acquire_b"])
-        )
-        violations.extend(
-            check_class_priority_two_stage(
-                result.trace, name, "acquire_a", "acquire_b"
-            )
-        )
+        violations = trace_battery(result)
         if result.deadlocked:
             violations.append("deadlock")
         return violations
@@ -85,15 +86,24 @@ CATALOG = catalog_cells(
     workload=lambda factory, sched: run_classes(factory, sched=sched),
 )
 
+#: This package's exhaustible explore workload (see :class:`ExploreWorkload`).
+EXPLORE = (ExploreWorkload(
+    "staged_queue", "staged_queue",
+    lambda factory, sched: run_classes(
+        factory, plan=(("B", 0), ("A", 0), ("B", 0)), sched=sched),
+    explore_check(trace_battery)),)
+
 __all__ = [
     "CATALOG",
     "CcrStagedQueue",
     "CspStagedQueue",
     "DEFAULT_PLAN",
+    "EXPLORE",
     "MonitorSingleQueue",
     "MonitorStagedQueue",
     "OpenPathStagedQueue",
     "SerializerStagedQueue",
     "make_verifier",
     "run_classes",
+    "trace_battery",
 ]

@@ -1,5 +1,5 @@
-"""The checker layer (S9): trace oracles, liveness queries, the oracle
-registry and the mechanism-level detectors.
+"""The checker layer (S9): trace oracles, liveness queries, the
+cross-problem oracle registry and the mechanism-level detectors.
 
 These four modules read a finished run (:class:`~repro.runtime.trace.
 RunResult`) and import nothing above :mod:`repro.runtime`; the one run
@@ -16,6 +16,7 @@ from .detectors import (
     ConflictingAccessChecker,
     LostWakeupChecker,
     compose_checkers,
+    exclusion_oracle,
 )
 from .liveness import (
     Wait,
@@ -38,25 +39,18 @@ from .oracles import (
     check_single_occupancy,
     check_writers_priority_strict,
 )
-from .registry import (
-    OracleSpec,
-    SYNTH_RW_BATTERY,
-    battery,
-    oracle,
-    register_oracle,
-)
+from .registry import SYNTH_RW_BATTERY, battery, oracle
 
 __all__ = [
-    "OracleSpec",
     "SYNTH_RW_BATTERY",
     "battery",
     "oracle",
-    "register_oracle",
     "WAKE_KINDS",
     "Checker",
     "ConflictingAccessChecker",
     "LostWakeupChecker",
     "compose_checkers",
+    "exclusion_oracle",
     "Wait",
     "WaitSummary",
     "check_bounded_waiting",

@@ -52,7 +52,7 @@ from ..runtime.policies import ScriptedPolicy
 from ..runtime.primitives import Mutex, Semaphore
 from ..runtime.scheduler import Scheduler
 from ..runtime.trace import RunResult
-from .detectors import Checker
+from .detectors import Checker, exclusion_oracle
 
 #: A builder runs one *fresh* system under (policy, fault plan) and returns
 #: the result; it must use ``on_deadlock="return"`` / ``on_error="record"``
@@ -230,15 +230,17 @@ LOCKS = {
 
 
 def lock_scenario(mechanism: str, **options) -> ChaosBuilder:
-    """Three processes make one guarded pass each around a ``cs`` event."""
+    """Three processes make one guarded pass each around a ``cs``
+    enter/exit interval."""
     obj, make = LOCKS[mechanism]
 
     def build(policy, plan):
         sched = Scheduler(policy=policy, preemptive=True, fault_plan=plan)
 
         def critical():
-            sched.log("cs", obj)
+            sched.log("cs", obj, "enter")
             yield from sched.checkpoint()
+            sched.log("cs", obj, "exit")
 
         __, one_pass = make(sched, critical, **options)
         for i in range(3):
@@ -280,30 +282,16 @@ def _channel_scenario() -> ChaosBuilder:
     return build
 
 
-def _cs_exclusion_check(run: RunResult) -> List[str]:
-    """No two ``cs`` log events may be adjacent without an intervening
-    possession change — approximated here as: survivors all reached the
-    critical section at most once (each worker does one pass)."""
-    seen: dict = {}
-    for ev in run.trace.filter(kind="cs"):
-        seen[ev.pname] = seen.get(ev.pname, 0) + 1
-    return [
-        "{} entered the critical region {} times".format(name, count)
-        for name, count in seen.items()
-        if count > 1
-    ]
-
-
 #: (row name, builder factory, victim, oracle, expected classification)
 SCENARIOS = [
     ("semaphore", lambda: lock_scenario("semaphore", crash_release=False),
-     "P0", _cs_exclusion_check, DEADLOCKING),
+     "P0", exclusion_oracle("s"), DEADLOCKING),
     ("semaphore+crash_release",
      lambda: lock_scenario("semaphore", crash_release=True), "P0",
-     _cs_exclusion_check, CONTAINING),
+     exclusion_oracle("s"), CONTAINING),
 ] + [
     (mechanism, lambda m=mechanism: lock_scenario(m), "P0",
-     _cs_exclusion_check, CONTAINING)
+     exclusion_oracle(LOCKS[mechanism][0]), CONTAINING)
     for mechanism in ("mutex", "monitor", "serializer", "ccr", "pathexpr")
 ] + [
     ("channel", _channel_scenario, "P0", None, PROPAGATING),

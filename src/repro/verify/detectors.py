@@ -1,5 +1,6 @@
-"""The run-checker contract and two pluggable detectors: race
-(conflicting-access) and lost-wakeup detection over explored schedules.
+"""The run-checker contract, two pluggable detectors — race
+(conflicting-access) and lost-wakeup detection over explored schedules —
+and the fault campaigns' critical-region exclusion oracle.
 
 A :data:`Checker` is ``check(run) -> List[str]`` (empty = ok), the
 contract every trace oracle satisfies — so detectors, oracles, and ad-hoc
@@ -18,11 +19,15 @@ can exhibit:
   even though a wakeup-capable event on what it waits for happened *after*
   it blocked: the classic missed-signal bug (signal consumed by nobody,
   V dropped, notify before wait).
+
+:func:`exclusion_oracle` checks the ``cs`` enter/exit intervals that the
+chaos and recovery campaigns' lock scenarios log, closing a dead holder's
+interval at its death.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Sequence
+from typing import Callable, Dict, Iterable, List, Sequence
 
 from ..runtime.trace import RunResult
 from .oracles import check_mutual_exclusion
@@ -139,3 +144,45 @@ class LostWakeupChecker:
 
     def __repr__(self) -> str:
         return "LostWakeupChecker(ignore={!r})".format(sorted(self.ignore))
+
+
+def exclusion_oracle(obj: str) -> Checker:
+    """A mutual-exclusion checker that survives restarts.
+
+    Workers bracket their critical region with ``log("cs", obj, "enter")``
+    / ``log("cs", obj, "exit")``.  The oracle scans the trace once keeping
+    the set of *open* intervals keyed by pid; a second concurrent open is a
+    violation.  A process that dies inside the region never logs its exit —
+    its ``killed``/``failed`` event closes the interval instead (the
+    corpse is no longer *in* the region; whether its possession was safely
+    reclaimed is exactly what the overlap check then verifies against the
+    next entrant).
+    """
+
+    def check(run: RunResult) -> List[str]:
+        open_by_pid: Dict[int, str] = {}
+        messages: List[str] = []
+        for ev in run.trace:
+            if ev.kind in ("killed", "failed"):
+                for pid in [
+                    pid for pid, name in open_by_pid.items()
+                    if pid == ev.pid or name == ev.obj
+                ]:
+                    del open_by_pid[pid]
+                continue
+            if ev.kind != "cs" or ev.obj != obj:
+                continue
+            if ev.detail == "enter":
+                if open_by_pid and ev.pid not in open_by_pid:
+                    inside = ", ".join(sorted(open_by_pid.values()))
+                    messages.append(
+                        "{} entered {} while {} inside".format(
+                            ev.pname, obj, inside
+                        )
+                    )
+                open_by_pid[ev.pid] = ev.pname
+            elif ev.detail == "exit":
+                open_by_pid.pop(ev.pid, None)
+        return messages
+
+    return check

@@ -26,10 +26,10 @@ explores the same kill cells as the chaos campaign
   count toward the verdict.
 
 The safety oracle here must hold *across restart boundaries*:
-:func:`exclusion_oracle` checks interval overlap of ``cs``-enter/exit
-events (closing a dead owner's interval at its death event), because the
-chaos layer's entered-at-most-once check would misfire the moment a
-restarted incarnation legitimately re-enters.
+:func:`~repro.verify.detectors.exclusion_oracle` checks interval overlap
+of ``cs``-enter/exit events (closing a dead owner's interval at its death
+event), so a restarted incarnation may legitimately re-enter.  The chaos
+campaign checks its lock rows with the same oracle.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from ..runtime.policies import ScriptedPolicy
 from ..runtime.scheduler import Scheduler
 from ..runtime.trace import RunResult
 from .chaos import LOCKS, ChaosBuilder, enumerate_fault_points, explore_kills
-from .detectors import Checker
+from .detectors import Checker, exclusion_oracle
 
 RECOVERED = "recovered"
 DEGRADED = "degraded"
@@ -63,50 +63,8 @@ _PARTIAL_KINDS = ("restart_giveup", "escalate", "degrade")
 
 
 # ----------------------------------------------------------------------
-# Oracles
+# Classification
 # ----------------------------------------------------------------------
-def exclusion_oracle(obj: str) -> Checker:
-    """A mutual-exclusion checker that survives restarts.
-
-    Workers bracket their critical region with ``log("cs", obj, "enter")``
-    / ``log("cs", obj, "exit")``.  The oracle scans the trace once keeping
-    the set of *open* intervals keyed by pid; a second concurrent open is a
-    violation.  A process that dies inside the region never logs its exit —
-    its ``killed``/``failed`` event closes the interval instead (the
-    corpse is no longer *in* the region; whether its possession was safely
-    reclaimed is exactly what the overlap check then verifies against the
-    next entrant).
-    """
-
-    def check(run: RunResult) -> List[str]:
-        open_by_pid: Dict[int, str] = {}
-        messages: List[str] = []
-        for ev in run.trace:
-            if ev.kind in ("killed", "failed"):
-                for pid in [
-                    pid for pid, name in open_by_pid.items()
-                    if pid == ev.pid or name == ev.obj
-                ]:
-                    del open_by_pid[pid]
-                continue
-            if ev.kind != "cs" or ev.obj != obj:
-                continue
-            if ev.detail == "enter":
-                if open_by_pid and ev.pid not in open_by_pid:
-                    inside = ", ".join(sorted(open_by_pid.values()))
-                    messages.append(
-                        "{} entered {} while {} inside".format(
-                            ev.pname, obj, inside
-                        )
-                    )
-                open_by_pid[ev.pid] = ev.pname
-            elif ev.detail == "exit":
-                open_by_pid.pop(ev.pid, None)
-        return messages
-
-    return check
-
-
 def classify_recovery_run(
     run: RunResult,
     victims: Sequence[str],

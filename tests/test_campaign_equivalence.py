@@ -188,13 +188,13 @@ RESILIENCE_CELLS = {
 
 #: blake2b-128 of one FIFO run's event stream per scenario or cell.
 STREAMS = {
-    "chaos/semaphore": "0e09ff83d605cb75ee3da735364b4f17",
-    "chaos/semaphore+crash_release": "19b5fb90e3d283bd6760616bee592a82",
-    "chaos/mutex": "998f366c84e5d2e0df853963c77ab830",
-    "chaos/monitor": "29ee6fe264b1ba4ec9c3918e59f52f9d",
-    "chaos/serializer": "f310ba15c4b577908b32f84227b96b86",
-    "chaos/ccr": "283386b6f21928552ce7ce849f083659",
-    "chaos/pathexpr": "0b5d75286223e6627f8ee58f6f2a6dd2",
+    "chaos/semaphore": "895f2cf45aba1124f7bfc7e3bf7b5b51",
+    "chaos/semaphore+crash_release": "f56278eb1ee72888fce27724a557ab9c",
+    "chaos/mutex": "d804a152227295714c9bb5cc44d38692",
+    "chaos/monitor": "e7f398a3d7228cd8e8ecd1d9ca2d812d",
+    "chaos/serializer": "6f126168e18bb1dcb9f345910dcb4996",
+    "chaos/ccr": "c18a49ee0cbf12ae2d50733f030e8dba",
+    "chaos/pathexpr": "32fbc6f72180e233457b7e38ebe94c06",
     "chaos/channel": "bff65dfdd1df0431e05a9f5e37fc61d0",
     "recovery/semaphore": "3d3ce0505de9ac6a877ba94e997745e8",
     "recovery/semaphore+degrade": "f3eaf5ef5dde51c9457124f5bf893022",

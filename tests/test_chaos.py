@@ -15,13 +15,15 @@ from repro.problems.one_slot_buffer.impls import (
 )
 from repro.explore import ExplorationEngine
 from repro.explore.campaign import Cell, Outcome, ScenarioResult
-from repro.runtime import FaultPlan, Scheduler
+from repro.runtime import FaultPlan, Scheduler, Semaphore
 from repro.verify import check_alternation
 from repro.verify.chaos import (
     CONTAINING,
     DEADLOCKING,
     LABELS,
+    LOCKS,
     PROPAGATING,
+    SCENARIOS,
     STEP_LIMITED,
     classify_run,
     enumerate_fault_points,
@@ -171,6 +173,34 @@ class TestChaosExplore:
         # The table renders one row per scenario plus a header.
         for r in results:
             assert r.name in table
+
+
+def _two_permit_semaphore(sched, critical, **options):
+    sem = Semaphore(sched, initial=2, name="s", **options)
+
+    def one_pass():
+        yield from sem.p()
+        yield from critical()
+        sem.v()
+
+    return sem, one_pass
+
+
+def test_lock_rows_catch_a_two_permit_lock(monkeypatch):
+    """Mutation: a semaphore with two permits lets two processes into the
+    critical region at once.  The semaphore+crash_release row's exclusion
+    oracle must see the overlap, so the row is not fault-containing."""
+    monkeypatch.setitem(LOCKS, "semaphore", ("s", _two_permit_semaphore))
+    name, factory, victim, check, __ = next(
+        row for row in SCENARIOS if row[0] == "semaphore+crash_release")
+    result = explore_kills(
+        name, factory(), victim,
+        lambda run, cell: classify_run(run, victim, check),
+        LABELS, engine=ExplorationEngine, max_runs=25, max_depth=40)
+    assert result.classification == PROPAGATING
+    assert any("entered s while" in message
+               for outcome in result.outcomes
+               for message in outcome.violations)
 
 
 @pytest.mark.slow

@@ -184,9 +184,9 @@ def test_checker_layer_imports_only_runtime():
 def test_package_graph_adds_executed_parent_packages():
     graph = package_graph()
     assert {"repro.verify", "repro.verify.registry"} <= \
-        graph["repro.explore.targets"]
+        graph["repro.synth.cegis"]
     # An importer's own ancestors are already running: no edge.
-    assert "repro.explore" not in graph["repro.explore.targets"]
+    assert "repro.synth" not in graph["repro.synth.cegis"]
     assert graph["repro.obs.spans"] >= {"repro.runtime",
                                         "repro.runtime.trace"}
 

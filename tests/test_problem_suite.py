@@ -11,8 +11,10 @@ from repro.problems.registry import (
     get_solution,
     solutions_for,
 )
+from repro.explore.targets import get_target
 from repro.resources import fcfs_seek_distance
 from repro.runtime import RandomPolicy, Scheduler
+from repro.runtime.trace import Event, RunResult, Trace
 
 
 # ----------------------------------------------------------------------
@@ -111,6 +113,23 @@ def test_bounded_buffer_fifo_data_order():
     sched.spawn(consumer, name="c")
     sched.run()
     assert got == [0, 1, 2, 3, 4]
+
+
+def test_bounded_buffer_target_flags_overlapping_put_and_get():
+    """Mutation: ``buf.put`` and ``buf.get`` overlap in a run that still
+    consumes both items.  The explore target's checker runs the package's
+    trace battery, so it must report the overlap."""
+    trace = Trace()
+    for seq, (pid, pname, kind, obj) in enumerate([
+            (1, "P0", "op_start", "buf.put"),
+            (3, "C", "op_start", "buf.get"),
+            (1, "P0", "op_end", "buf.put"),
+            (3, "C", "op_end", "buf.get")]):
+        trace.append(Event(seq, 0, pid, pname, kind, obj, None))
+    run = RunResult(trace=trace, results={"consumed": [0, 1]})
+    messages = get_target("bounded_buffer", "monitor").checker(run)
+    assert messages == bounded_buffer.trace_battery(run)
+    assert len(messages) == 1 and "buf.get" in messages[0]
 
 
 # ----------------------------------------------------------------------
