@@ -23,11 +23,12 @@ from *network* failure — the dist layer (:mod:`repro.dist`) under scripted
 from conftest import emit, persist
 
 from repro.dist import NetPlan
+from repro.explore.campaign import label_counts
 from repro.obs.recovery import compute_partition_mttr
 from repro.runtime.policies import ScriptedPolicy
 from repro.verify.partition import (
+    COLUMNS,
     SPLIT_BRAIN,
-    TOLERANT,
     WEDGED,
     check_at_most_one_leader,
     check_lease_exclusion,
@@ -78,9 +79,7 @@ def test_bench_partition_table() -> None:
             res.name: {
                 o.plan_name: {
                     "runs": o.runs,
-                    "split_brain": o.count(SPLIT_BRAIN),
-                    "wedged": o.count(WEDGED),
-                    "tolerant": o.count(TOLERANT),
+                    **label_counts(o, COLUMNS),
                     "classification": o.classification,
                     "mttr_failover": o.mttr_failover,
                     "mttr_post_heal": o.mttr_post_heal,

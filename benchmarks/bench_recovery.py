@@ -23,7 +23,9 @@ reclamation and asking three quantitative questions:
 
 from conftest import emit, persist
 
+from repro.explore.campaign import label_counts
 from repro.verify.recovery import (
+    COLUMNS,
     DEGRADED,
     RECOVERED,
     VIOLATED,
@@ -62,10 +64,7 @@ def test_bench_recovery_table() -> None:
         "scenarios": {
             r.name: {
                 "runs": r.runs,
-                "recovered": r.count(RECOVERED),
-                "degraded": r.count(DEGRADED),
-                "wedged": r.count(WEDGED),
-                "violated": r.count(VIOLATED),
+                **label_counts(r, COLUMNS),
                 "classification": r.classification,
             }
             for r in results

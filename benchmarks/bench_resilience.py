@@ -23,13 +23,14 @@ five-node cluster size.  Three questions:
 
 from conftest import emit, persist
 
+from repro.explore.campaign import label_counts
 from repro.resilience.report import (
     RESILIENCE_CLUSTER,
     expected_resilience_classifications,
     resilience_report,
     search_restart_witness,
 )
-from repro.verify.partition import SPLIT_BRAIN, TOLERANT, WEDGED
+from repro.verify.partition import COLUMNS, SPLIT_BRAIN, TOLERANT, WEDGED
 
 
 def test_bench_resilience_table() -> None:
@@ -90,9 +91,7 @@ def test_bench_resilience_table() -> None:
                 o.cell_name: {
                     "faults": o.faults,
                     "runs": o.runs,
-                    "split_brain": o.count(SPLIT_BRAIN),
-                    "wedged": o.count(WEDGED),
-                    "tolerant": o.count(TOLERANT),
+                    **label_counts(o, COLUMNS),
                     "violations": len(o.violations),
                     "restarts": o.restarts,
                     "classification": o.classification,

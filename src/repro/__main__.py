@@ -166,8 +166,8 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_robustness(args: argparse.Namespace) -> int:
-    from .verify.chaos import (CONTAINING, DEADLOCKING, PROPAGATING,
-                               STEP_LIMITED, expected_classifications,
+    from .explore.campaign import label_counts
+    from .verify.chaos import (COLUMNS, expected_classifications,
                                robustness_report)
 
     results, table = robustness_report(fast=args.fast)
@@ -180,10 +180,7 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
                     "name": r.name,
                     "victim": r.victim,
                     "runs": r.runs,
-                    "contained": r.count(CONTAINING),
-                    "propagated": r.count(PROPAGATING),
-                    "deadlocked": r.count(DEADLOCKING),
-                    "step_limited": r.count(STEP_LIMITED),
+                    **label_counts(r, COLUMNS),
                     "violations": r.violations,
                     "classification": r.classification,
                     "expected": expected[r.name],
@@ -202,8 +199,8 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
-    from .verify.partition import (SPLIT_BRAIN, TOLERANT, WEDGED,
-                                   partition_report)
+    from .explore.campaign import label_counts
+    from .verify.partition import COLUMNS, partition_report
 
     results, table = partition_report(fast=args.fast)
     surprises = [s for r in results for s in r.surprises]
@@ -222,9 +219,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
                             "faults": o.faults,
                             "expected": o.expected,
                             "runs": o.runs,
-                            "split_brain": o.count(SPLIT_BRAIN),
-                            "wedged": o.count(WEDGED),
-                            "tolerant": o.count(TOLERANT),
+                            **label_counts(o, COLUMNS),
                             "violations": o.violations,
                             "mttr_failover": o.mttr_failover,
                             "mttr_post_heal": o.mttr_post_heal,
@@ -253,8 +248,9 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 
 def _cmd_resilience(args: argparse.Namespace) -> int:
+    from .explore.campaign import label_counts
     from .resilience.report import resilience_report, search_restart_witness
-    from .verify.partition import SPLIT_BRAIN, TOLERANT, WEDGED
+    from .verify.partition import COLUMNS
 
     results, table = resilience_report(fast=args.fast)
     surprises = [s for r in results for s in r.surprises]
@@ -281,9 +277,7 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
                             "expected": o.expected,
                             "runs": o.runs,
                             "restarts": o.restarts,
-                            "split_brain": o.count(SPLIT_BRAIN),
-                            "wedged": o.count(WEDGED),
-                            "tolerant": o.count(TOLERANT),
+                            **label_counts(o, COLUMNS),
                             "violations": o.violations,
                             "mttr_failover": o.mttr_failover,
                             "mttr_post_heal": o.mttr_post_heal,
@@ -364,11 +358,9 @@ def _cmd_load(args: argparse.Namespace) -> int:
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
+    from .explore.campaign import label_counts
     from .verify.recovery import (
-        DEGRADED,
-        RECOVERED,
-        VIOLATED,
-        WEDGED,
+        COLUMNS,
         expected_recovery,
         minimal_defeat_witness,
         mttr_fingerprints,
@@ -387,10 +379,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
                     "name": r.name,
                     "victim": r.victim,
                     "runs": r.runs,
-                    "recovered": r.count(RECOVERED),
-                    "degraded": r.count(DEGRADED),
-                    "wedged": r.count(WEDGED),
-                    "violated": r.count(VIOLATED),
+                    **label_counts(r, COLUMNS),
                     "violations": r.violations,
                     "classification": r.classification,
                     "expected": list(expected[r.name]),

@@ -13,7 +13,8 @@ data.  This module is the machinery they share:
   ``(FaultPlan, NetPlan)`` pair every builder takes;
 * :class:`Cell` (one fault configuration), :class:`Outcome` (runs per
   label over one cell's explored schedules) and :class:`ScenarioResult`
-  (every cell of one scenario, classified by its worst label);
+  (every cell of one scenario, classified by its worst label), counted
+  per report column by :func:`label_counts`;
 * :func:`explore_cells`, the loop: one schedule exploration per cell with
   every run classified, and for distributed cells folded by
   :func:`fold_net_run`;
@@ -268,6 +269,14 @@ class ScenarioResult:
     def availability(self) -> Optional[float]:
         return _mean([s for o in self.outcomes
                       for s in o.availability_samples])
+
+
+def label_counts(result: Union[Outcome, ScenarioResult],
+                 columns: Sequence[Tuple[str, str]]) -> Dict[str, int]:
+    """Runs per label of a campaign's ``(label, column)`` table, keyed by
+    column name in ``--json`` spelling (``-`` becomes ``_``)."""
+    return {column.replace("-", "_"): result.count(label)
+            for label, column in columns}
 
 
 # ----------------------------------------------------------------------

@@ -127,10 +127,16 @@ class ExploreWorkload:
     check: Checker
 
 
+def _no_process_failed(run: RunResult) -> List[str]:
+    """A process that raised (or was killed) did not finish its work."""
+    return ["process {} failed".format(name) for name in run.failed()]
+
+
 def explore_check(*checks: Checker) -> Checker:
-    """An explore workload's checker: the package battery and the
-    workload's result check, then the lost-wakeup detector."""
-    return compose_checkers(*checks, oracle("lost_wakeup"))
+    """An explore workload's checker: no process failed, the package
+    battery and the workload's result check, then lost wakeups."""
+    return compose_checkers(_no_process_failed, *checks,
+                            oracle("lost_wakeup"))
 
 
 def consumed_both(what: str) -> Checker:

@@ -12,14 +12,14 @@ timeout and every loop is bounded by a scenario deadline, so even a
 never-healing partition produces a finite, classifiable run.
 """
 
-from .lamport_mutex import LAMPORT_NODES, build_lamport_mutex
+from .lamport_mutex import LAMPORT_NODES, LAMPORT_REGION, build_lamport_mutex
 from .quorum_lock import (LOCK_CLIENTS, LOCK_SERVERS, build_quorum_lock)
 from .leader_election import ELECTION_NODES, build_leader_election
 from .restart_lock import (RESTART_CLIENTS, RESTART_SERVERS,
                            build_restart_lock)
 
 __all__ = [
-    "build_lamport_mutex", "LAMPORT_NODES",
+    "build_lamport_mutex", "LAMPORT_NODES", "LAMPORT_REGION",
     "build_quorum_lock", "LOCK_SERVERS", "LOCK_CLIENTS",
     "build_leader_election", "ELECTION_NODES",
     "build_restart_lock", "RESTART_SERVERS", "RESTART_CLIENTS",

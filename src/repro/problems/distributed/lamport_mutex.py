@@ -16,8 +16,10 @@ it sees a stale request.  Under an unhealed partition the algorithm is
 full acknowledgement set — which is exactly the behaviour the partition
 report classifies as ``wedged`` rather than ``split-brain``.
 
-Trace vocabulary: ``cs_enter`` / ``cs_exit`` (obj = node), judged by
-:func:`repro.verify.partition.check_mutex_intervals`.
+Trace vocabulary: each node brackets its pass with ``cs`` events on
+:data:`LAMPORT_REGION`, detail ``enter`` / ``exit`` (the holder is the
+logging process), judged by
+:func:`repro.verify.detectors.exclusion_oracle`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from ...runtime.trace import RunResult
 
 #: The participating nodes (process name == node name).
 LAMPORT_NODES = ["n0", "n1", "n2"]
+#: The critical region every node's ``cs`` events name.
+LAMPORT_REGION = "mutex"
 
 
 def build_lamport_mutex(
@@ -68,9 +72,9 @@ def build_lamport_mutex(
                 if (not entered and acks >= set(nodes)
                         and min(queue.values()) == my_ts):
                     entered = True
-                    sched.log("cs_enter", me)
+                    sched.log("cs", LAMPORT_REGION, "enter")
                     yield from sched.checkpoint()
-                    sched.log("cs_exit", me)
+                    sched.log("cs", LAMPORT_REGION, "exit")
                     exited = True
                     del queue[me]
                     done.add(me)

@@ -12,8 +12,10 @@ virtual-clock tick are there two valid holders (the
 ``no-two-holders-across-partition`` oracle,
 :func:`repro.verify.partition.check_lease_exclusion`).
 
-Trace vocabulary: ``cs_enter`` / ``cs_exit`` / ``cs_abort`` (obj =
-client) on top of the lease events emitted by :mod:`repro.dist.quorum`.
+Trace vocabulary: each client brackets a hold with ``cs`` events on
+``"lock"``, detail ``enter`` then ``exit`` or ``abort`` (the holder is the
+logging process), on top of the lease events emitted by
+:mod:`repro.dist.quorum`.
 """
 
 from __future__ import annotations
@@ -79,19 +81,19 @@ def build_quorum_lock(
                 if not ok:
                     yield from sched.sleep(5)
                     continue
-                sched.log("cs_enter", cid)
+                sched.log("cs", "lock", "enter")
                 held = 0
                 while held < 6 and lease.valid:
                     yield from sched.sleep(1)
                     held += 1
                 if lease.valid:
-                    sched.log("cs_exit", cid)
+                    sched.log("cs", "lock", "exit")
                     yield from lease.release()
                     return {"locked": True, "aborts": aborts}
                 # Validity lapsed mid-hold (partition, slow quorum): fence
                 # out — stop touching the resource, try again.
                 aborts += 1
-                sched.log("cs_abort", cid)
+                sched.log("cs", "lock", "abort")
             return {"locked": False, "aborts": aborts}
 
         return body

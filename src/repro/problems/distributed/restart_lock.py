@@ -25,10 +25,11 @@ the new holder:
   split-brain witness the joint fault-plan search finds and minimizes to
   exactly {kill, partition});
 * ``fencing=True`` — the resource rejects the first stale write after
-  the new holder appears; ``c0`` fences out (``cs_abort``), clears its
+  the new holder appears; ``c0`` fences out (a ``cs`` ``abort``), clears its
   durable hold, and re-acquires after the heal: **partition-tolerant**.
 
-Trace vocabulary: ``cs_enter``/``cs_exit``/``cs_abort`` (obj = client),
+Trace vocabulary: ``cs`` events on ``"lock"``, detail ``enter`` then
+``exit`` or ``abort`` (the holder is the logging process),
 ``fence_accept``/``fence_reject``, plus the lease, restart, and rejoin
 events of the layers underneath.
 """
@@ -112,7 +113,7 @@ def build_restart_lock(
         def write_session(token: int):
             """One fenced write session under a *valid* lease.  Returns
             True when every write landed (validity held throughout)."""
-            sched.log("cs_enter", "c0")
+            sched.log("cs", "lock", "enter")
             for _ in range(WRITES):
                 if not lease.valid or not resource.access("c0", token):
                     return False
@@ -136,18 +137,18 @@ def build_restart_lock(
                 # with its old token.  Only the resource-side fencing
                 # check stands between this and split-brain.
                 token = int(ns.get("token", 0))
-                sched.log("cs_enter", "c0")
+                sched.log("cs", "lock", "enter")
                 for _ in range(RESUME_WRITES):
                     if not resource.access("c0", token):
                         # Fenced out: a newer holder has written.
                         aborts += 1
-                        sched.log("cs_abort", "c0")
+                        sched.log("cs", "lock", "abort")
                         ns.put("holding", False)
                         break
                     stale_writes += 1
                     yield from sched.sleep(WRITE_EVERY)
                 else:
-                    sched.log("cs_exit", "c0")
+                    sched.log("cs", "lock", "exit")
                     ns.put("holding", False)
                     return {"locked": True, "stale_writes": stale_writes,
                             "aborts": aborts, "incarnations": incarnation}
@@ -161,13 +162,13 @@ def build_restart_lock(
             ns.put("token", lease.token)
             done = yield from write_session(lease.token)
             if done:
-                sched.log("cs_exit", "c0")
+                sched.log("cs", "lock", "exit")
                 ns.put("holding", False)
                 yield from lease.release()
                 return {"locked": True, "stale_writes": stale_writes,
                         "aborts": aborts, "incarnations": incarnation}
             aborts += 1
-            sched.log("cs_abort", "c0")
+            sched.log("cs", "lock", "abort")
             ns.put("holding", False)
         return {"locked": False, "stale_writes": stale_writes,
                 "aborts": aborts, "incarnations": incarnation}
@@ -183,7 +184,7 @@ def build_restart_lock(
             if not ok:
                 yield from sched.sleep(RETRY_SLEEP)
                 continue
-            sched.log("cs_enter", "c1")
+            sched.log("cs", "lock", "enter")
             completed = True
             for _ in range(WRITES):
                 if not lease.valid or not resource.access(
@@ -192,11 +193,11 @@ def build_restart_lock(
                     break
                 yield from sched.sleep(WRITE_EVERY)
             if completed:
-                sched.log("cs_exit", "c1")
+                sched.log("cs", "lock", "exit")
                 yield from lease.release()
                 return {"locked": True, "aborts": aborts}
             aborts += 1
-            sched.log("cs_abort", "c1")
+            sched.log("cs", "lock", "abort")
         return {"locked": False, "aborts": aborts}
 
     for sid in RESTART_SERVERS:

@@ -26,12 +26,9 @@ DEFAULT_PLAN: Tuple[Tuple[str, int], ...] = (
 )
 
 
-def run_classes(factory, plan: Sequence[Tuple[str, int]] = DEFAULT_PLAN,
-                sched=None):
-    """Spawn one process per (class, delay) request.  ``sched`` injects a
-    pre-built (e.g. instrumented) scheduler."""
-    if sched is None:
-        sched = Scheduler()
+def _spawn_classes(factory, sched: Scheduler,
+                   plan: Sequence[Tuple[str, int]]) -> None:
+    """Spawn one process per (class, delay) request on ``sched``."""
     impl = factory(sched)
 
     def requester(kind: str, delay: int):
@@ -46,7 +43,22 @@ def run_classes(factory, plan: Sequence[Tuple[str, int]] = DEFAULT_PLAN,
 
     for index, (kind, delay) in enumerate(plan):
         sched.spawn(requester(kind, delay), name="{}{}".format(kind, index))
+
+
+def run_classes(factory, sched=None):
+    """Run one process per :data:`DEFAULT_PLAN` request.  ``sched``
+    injects a pre-built (e.g. instrumented) scheduler."""
+    if sched is None:
+        sched = Scheduler()
+    _spawn_classes(factory, sched, DEFAULT_PLAN)
     return sched.run(on_deadlock="return")
+
+
+def run_explore(factory, sched: Scheduler) -> RunResult:
+    """Explore workload: one A between two B's.  A process that raises is
+    recorded, for the checker to report, rather than raised."""
+    _spawn_classes(factory, sched, (("B", 0), ("A", 0), ("B", 0)))
+    return sched.run(on_deadlock="return", on_error="record")
 
 
 def trace_battery(run: RunResult) -> List[str]:
@@ -87,11 +99,8 @@ CATALOG = catalog_cells(
 )
 
 #: This package's exhaustible explore workload (see :class:`ExploreWorkload`).
-EXPLORE = (ExploreWorkload(
-    "staged_queue", "staged_queue",
-    lambda factory, sched: run_classes(
-        factory, plan=(("B", 0), ("A", 0), ("B", 0)), sched=sched),
-    explore_check(trace_battery)),)
+EXPLORE = (ExploreWorkload("staged_queue", "staged_queue", run_explore,
+                           explore_check(trace_battery)),)
 
 __all__ = [
     "CATALOG",

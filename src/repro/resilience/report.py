@@ -41,13 +41,14 @@ from ..problems import distributed
 from ..runtime.faults import FaultPlan
 from ..runtime.policies import ScriptedPolicy
 from ..runtime.trace import RunResult
-from ..verify.detectors import compose_checkers
+from ..verify.detectors import compose_checkers, exclusion_oracle
 from ..verify.partition import (SPLIT_BRAIN, TOLERANT, WEDGED,
                                 check_at_most_one_leader,
                                 check_fencing, check_lease_exclusion,
-                                check_mutex_intervals, classify_net_run,
+                                classify_net_run, election_succeeded,
                                 explore_net_cells, fmt_optional,
-                                make_progress_after_heal)
+                                lamport_succeeded, make_progress_after_heal,
+                                quorum_lock_succeeded)
 
 __all__ = [
     "RESILIENCE_CLUSTER", "resilience_scenarios", "resilience_report",
@@ -59,6 +60,26 @@ RESILIENCE_CLUSTER = 5
 #: Member and lease-replica names at that size.
 MEMBERS = ["n{}".format(i) for i in range(RESILIENCE_CLUSTER)]
 SERVERS = ["s{}".format(i) for i in range(RESILIENCE_CLUSTER)]
+
+
+# ----------------------------------------------------------------------
+# The restart lock, shared by the scenario table and the witness search
+# ----------------------------------------------------------------------
+def _restart_fenced(policy, netplan, fault_plan) -> RunResult:
+    return distributed.build_restart_lock(
+        policy, netplan, fault_plan, fencing=True)
+
+
+def _restart_unfenced(policy, netplan, fault_plan) -> RunResult:
+    return distributed.build_restart_lock(
+        policy, netplan, fault_plan, fencing=False)
+
+
+#: A stale token accepted after a newer one, or two valid lease holders.
+_RESTART_SAFETY = compose_checkers(check_fencing, check_lease_exclusion)
+#: Some client completed a write session.
+_RESTART_SUCCESS = quorum_lock_succeeded(distributed.RESTART_CLIENTS)
+
 
 # ----------------------------------------------------------------------
 # Scenario table (5-node clusters, combined-fault cells)
@@ -74,13 +95,6 @@ def resilience_scenarios() -> List[Tuple]:
         return distributed.build_lamport_mutex(
             policy, netplan, fault_plan, deadline=110, nodes=MEMBERS)
 
-    def lamport_ok(run: RunResult) -> bool:
-        killed = {ev.obj for ev in run.trace.filter(kind="killed")}
-        alive = [n for n in MEMBERS if n not in killed]
-        return bool(alive) and all(
-            isinstance(run.results.get(n), dict)
-            and run.results[n].get("exited") for n in alive)
-
     def quorum(policy, netplan, fault_plan):
         # A dead replica costs every acquisition round its full timeout,
         # so the 5-server lease needs a longer validity window than the
@@ -89,38 +103,9 @@ def resilience_scenarios() -> List[Tuple]:
             policy, netplan, fault_plan, deadline=160, duration=30,
             servers=SERVERS)
 
-    def quorum_ok(run: RunResult) -> bool:
-        return any(
-            isinstance(run.results.get(c), dict)
-            and run.results[c].get("locked") for c in ("c0", "c1"))
-
     def election(policy, netplan, fault_plan):
         return distributed.build_leader_election(
             policy, netplan, fault_plan, deadline=140, nodes=MEMBERS)
-
-    def election_ok(run: RunResult) -> bool:
-        if run.trace.first(kind="leader_elected") is None:
-            return False
-        killed = {ev.obj for ev in run.trace.filter(kind="killed")}
-        return any(
-            isinstance(run.results.get(n), dict)
-            and run.results[n].get("leader")
-            for n in MEMBERS if n not in killed)
-
-    def restart(policy, netplan, fault_plan):
-        return distributed.build_restart_lock(
-            policy, netplan, fault_plan, fencing=True)
-
-    def restart_unfenced(policy, netplan, fault_plan):
-        return distributed.build_restart_lock(
-            policy, netplan, fault_plan, fencing=False)
-
-    def restart_ok(run: RunResult) -> bool:
-        return any(
-            isinstance(run.results.get(c), dict)
-            and run.results[c].get("locked") for c in ("c0", "c1"))
-
-    restart_safety = compose_checkers(check_fencing, check_lease_exclusion)
 
     # The canonical combined fault against the restart lock: kill the
     # holder mid-write-session, with a partition that opens just before
@@ -135,7 +120,9 @@ def resilience_scenarios() -> List[Tuple]:
     _, cut_only = compile_faults(restart_combo[1:])
 
     return [
-        ("lamport_mutex", lamport, check_mutex_intervals, lamport_ok, [
+        ("lamport_mutex", lamport,
+         exclusion_oracle(distributed.LAMPORT_REGION),
+         lamport_succeeded(MEMBERS), [
             ("clean", None, None, TOLERANT, ()),
             # Every requester needs an ack from every member: one death
             # wedges the whole ring (safe, not live) — the scenario that
@@ -145,7 +132,8 @@ def resilience_scenarios() -> List[Tuple]:
              FaultPlan().kill(MEMBERS[1], at_time=10),
              WEDGED, ()),
         ]),
-        ("quorum_lock", quorum, check_lease_exclusion, quorum_ok, [
+        ("quorum_lock", quorum, check_lease_exclusion,
+         quorum_lock_succeeded(distributed.LOCK_CLIENTS), [
             ("clean", None, None, TOLERANT, ()),
             # A minority of replicas crash AND a client is cut off: the
             # surviving majority keeps granting, the stranded client
@@ -156,7 +144,7 @@ def resilience_scenarios() -> List[Tuple]:
              TOLERANT, ("lease_acquired",)),
         ]),
         ("leader_election", election, check_at_most_one_leader,
-         election_ok, [
+         election_succeeded(MEMBERS), [
             ("clean", None, None, TOLERANT, ()),
             # Kill the sitting leader and cut another member: the
             # remaining majority elects a higher term.
@@ -165,7 +153,7 @@ def resilience_scenarios() -> List[Tuple]:
              FaultPlan().kill(MEMBERS[0], at_time=30),
              TOLERANT, ("leader_elected", "leader_stepdown")),
         ]),
-        ("restart_lock", restart, restart_safety, restart_ok, [
+        ("restart_lock", _restart_fenced, _RESTART_SAFETY, _RESTART_SUCCESS, [
             ("clean", None, None, TOLERANT, ()),
             ("crash-restart", None, crash_only, TOLERANT, ()),
             ("partition-heal", cut_only, None, TOLERANT, ()),
@@ -174,8 +162,8 @@ def resilience_scenarios() -> List[Tuple]:
             ("crash+partition", combo_np, combo_fp, TOLERANT,
              ("lease_acquired",)),
         ]),
-        ("restart_lock_unfenced", restart_unfenced, restart_safety,
-         restart_ok, [
+        ("restart_lock_unfenced", _restart_unfenced, _RESTART_SAFETY,
+         _RESTART_SUCCESS, [
             # Identical faults, fencing off: the stale holder's writes
             # interleave with the new holder's — split-brain.
             ("crash+partition", combo_np2, combo_fp2, SPLIT_BRAIN, ()),
@@ -194,33 +182,18 @@ def search_restart_witness() -> Tuple[FaultSetSearch, str]:
     with fencing on under the very same faults.  Wedging before the heal
     already defeats, so the search classifies without a progress oracle.
     """
-    safety = compose_checkers(check_fencing, check_lease_exclusion)
-
-    def success(run: RunResult) -> bool:
-        return any(
-            isinstance(run.results.get(c), dict)
-            and run.results[c].get("locked") for c in ("c0", "c1"))
-
-    def unfenced(policy, netplan, fault_plan):
-        return distributed.build_restart_lock(
-            policy, netplan, fault_plan, fencing=False)
-
-    def fenced(policy, netplan, fault_plan):
-        return distributed.build_restart_lock(
-            policy, netplan, fault_plan, fencing=True)
-
     def classify(run: RunResult) -> str:
-        return classify_net_run(run, safety, success)[0]
+        return classify_net_run(run, _RESTART_SAFETY, _RESTART_SUCCESS)[0]
 
     crashes = [CrashSpec("c0", at_time=t) for t in (12, 14, 16)]
     cuts = [CutSpec("c0", at=a, heal_at=70) for a in (10, 12)]
-    found = search_fault_sets(unfenced, classify, crashes + cuts,
+    found = search_fault_sets(_restart_unfenced, classify, crashes + cuts,
                               bad_labels=(SPLIT_BRAIN,), max_faults=2,
                               budget=40)
     fenced_label = ""
     if found.witness is not None:
         fp, np = found.witness_plans()
-        fenced_label = classify(fenced(ScriptedPolicy([]), np, fp))
+        fenced_label = classify(_restart_fenced(ScriptedPolicy([]), np, fp))
     return found, fenced_label
 
 

@@ -67,6 +67,9 @@ DEADLOCKING = "fault-deadlocking"
 STEP_LIMITED = "step-limited"
 #: Verdict labels, worst first: one bad schedule earns the worse label.
 LABELS = (DEADLOCKING, PROPAGATING, STEP_LIMITED, CONTAINING)
+#: (label, column) of each run count the report shows, in column order.
+COLUMNS = ((CONTAINING, "contained"), (PROPAGATING, "propagated"),
+           (DEADLOCKING, "deadlocked"), (STEP_LIMITED, "step-limited"))
 
 
 def classify_run(
@@ -263,13 +266,15 @@ def _channel_scenario() -> ChaosBuilder:
         def sender(chan):
             def body():
                 yield from chan.send("msg")
-                sched.log("cs", chan.name)
+                sched.log("cs", chan.name, "enter")
+                sched.log("cs", chan.name, "exit")
             return body
 
         def receiver(chan):
             def body():
                 yield from chan.receive()
-                sched.log("cs", chan.name)
+                sched.log("cs", chan.name, "enter")
+                sched.log("cs", chan.name, "exit")
             return body
 
         chan_a.link(sched.spawn(sender(chan_a), name="P0"))
@@ -315,12 +320,12 @@ def robustness_report(
             LABELS, engine=ExplorationEngine, max_runs=6 if fast else 25,
             max_depth=40, max_points=4 if fast else None,
             expected=(expected,)))
-    counted = (CONTAINING, PROPAGATING, DEADLOCKING, STEP_LIMITED)
     table = ascii_table(
-        ["mechanism", "fault points", "runs", "contained", "propagated",
-         "deadlocked", "step-limited", "classification"],
+        ["mechanism", "fault points", "runs"]
+        + [column for __, column in COLUMNS] + ["classification"],
         [[r.name, str(len(r.outcomes)), str(r.runs)]
-         + [str(r.count(label)) for label in counted] + [r.classification]
+         + [str(r.count(label)) for label, __ in COLUMNS]
+         + [r.classification]
          for r in results],
         title="Fault containment by mechanism (one kill per point, "
               "schedules explored per point)",

@@ -20,9 +20,9 @@ can exhibit:
   it blocked: the classic missed-signal bug (signal consumed by nobody,
   V dropped, notify before wait).
 
-:func:`exclusion_oracle` checks the ``cs`` enter/exit intervals that the
-chaos and recovery campaigns' lock scenarios log, closing a dead holder's
-interval at its death.
+:func:`exclusion_oracle` checks the ``cs`` critical-section intervals
+that the fault campaigns' lock rows and Lamport mutex log, closing a dead
+holder's interval at its death.
 """
 
 from __future__ import annotations
@@ -149,9 +149,10 @@ class LostWakeupChecker:
 def exclusion_oracle(obj: str) -> Checker:
     """A mutual-exclusion checker that survives restarts.
 
-    Workers bracket their critical region with ``log("cs", obj, "enter")``
-    / ``log("cs", obj, "exit")``.  The oracle scans the trace once keeping
-    the set of *open* intervals keyed by pid; a second concurrent open is a
+    Holders bracket their pass through region ``obj`` with
+    ``log("cs", obj, "enter")`` and then ``"exit"`` (or ``"abort"``, when
+    fencing themselves out).  The oracle scans the trace once keeping the
+    set of *open* intervals keyed by pid; a second concurrent open is a
     violation.  A process that dies inside the region never logs its exit —
     its ``killed``/``failed`` event closes the interval instead (the
     corpse is no longer *in* the region; whether its possession was safely
@@ -181,7 +182,7 @@ def exclusion_oracle(obj: str) -> Checker:
                         )
                     )
                 open_by_pid[ev.pid] = ev.pname
-            elif ev.detail == "exit":
+            elif ev.detail in ("exit", "abort"):
                 open_by_pid.pop(ev.pid, None)
         return messages
 

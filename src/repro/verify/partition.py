@@ -5,14 +5,17 @@ Safety oracles over the dist layer's trace vocabulary:
 * :func:`check_lease_exclusion` — **no-two-holders-across-partition**: the
   validity intervals reconstructed from ``lease_acquired`` /
   ``lease_released`` / horizon ticks never overlap across holders, no
-  matter what the network did.
+  matter what the network did.  It judges virtual-time horizons, not
+  ``cs`` events, so it keeps its own interval fold.
 * :func:`check_at_most_one_leader` — **at-most-one-leader-per-term**: no
   term carries two ``leader_elected`` events from different nodes.
-* :func:`check_mutex_intervals` — classic mutual exclusion over
-  ``cs_enter``/``cs_exit`` pairs in trace order (for scenarios without a
-  fencing horizon, e.g. Lamport mutex).
+* :func:`check_fencing` — a resource never accepts a stale fencing token
+  after a newer one.
 * :func:`make_progress_after_heal` — the liveness half: once every
   scripted partition healed, some resumption event must follow.
+
+The Lamport mutex is judged by the lock rows' exclusion oracle over its
+``cs`` intervals (:func:`repro.verify.detectors.exclusion_oracle`).
 
 :func:`partition_report` composes them on the campaign loop
 (:func:`explore_net_cells`, shared with :mod:`repro.resilience.report`):
@@ -28,7 +31,7 @@ scenarios stay tolerant because a majority side keeps the service up.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core import ascii_table
 from ..dist import NetPlan
@@ -40,13 +43,17 @@ from ..explore.engine import ExplorationEngine
 # reaches every scenario.
 from ..problems import distributed
 from ..runtime.trace import RunResult, Trace
-from .detectors import Checker
+from .detectors import Checker, exclusion_oracle
 
 SPLIT_BRAIN = "split-brain"
 WEDGED = "wedged"
 TOLERANT = "partition-tolerant"
 #: Verdict labels, worst first: one bad schedule earns the worse label.
 LABELS = (SPLIT_BRAIN, WEDGED, TOLERANT)
+#: (label, column) of each run count the partition and resilience reports
+#: show, in column order.
+COLUMNS = ((SPLIT_BRAIN, "split-brain"), (WEDGED, "wedged"),
+           (TOLERANT, "tolerant"))
 
 
 # ----------------------------------------------------------------------
@@ -55,7 +62,9 @@ LABELS = (SPLIT_BRAIN, WEDGED, TOLERANT)
 def _lease_intervals(trace: Trace) -> List[Tuple[int, int, str]]:
     """Holder validity intervals ``[start, end)`` from the lease events:
     start at ``lease_acquired``, end at the earlier of the validity
-    horizon and an explicit ``lease_released``."""
+    horizon and an explicit ``lease_released``.  A re-acquire closes the
+    holder's earlier interval at its horizon (availability's fold closes
+    it at the re-acquire tick)."""
     intervals: List[Tuple[int, int, str]] = []
     events = [ev for ev in trace
               if ev.kind in ("lease_acquired", "lease_released")]
@@ -129,31 +138,8 @@ def check_at_most_one_leader(run: RunResult) -> List[str]:
     ]
 
 
-def check_mutex_intervals(run: RunResult) -> List[str]:
-    """Classic mutual exclusion: between a ``cs_enter`` and its matching
-    ``cs_exit``/``cs_abort`` (same obj), no other obj may enter."""
-    messages: List[str] = []
-    inside: Optional[str] = None
-    since: int = 0
-    for ev in run.trace.filter(kind="cs_enter|cs_exit|cs_abort"):
-        if ev.kind == "cs_enter":
-            if inside is not None and inside != ev.obj:
-                messages.append(
-                    "mutual exclusion violated: {} entered at seq {} "
-                    "while {} was inside (since seq {})".format(
-                        ev.obj, ev.seq, inside, since))
-            else:
-                inside, since = ev.obj, ev.seq
-        elif inside == ev.obj:
-            inside = None
-    return messages
-
-
-def make_progress_after_heal(
-    plan: NetPlan,
-    progress_kinds: Tuple[str, ...] = ("cs_exit", "leader_elected",
-                                       "lease_acquired"),
-) -> Checker:
+def make_progress_after_heal(plan: NetPlan,
+                             progress_kinds: Tuple[str, ...]) -> Checker:
     """Liveness oracle bound to one plan: after the *last* heal tick, some
     ``progress_kinds`` event must occur — the evidence that the side cut
     off by the partition reintegrated.  Pass the kinds that constitute
@@ -184,35 +170,37 @@ def make_progress_after_heal(
 # ----------------------------------------------------------------------
 # A scenario run can reach its deadline and "complete" without achieving
 # anything, so deadlock detection alone cannot spot a wedge: each scenario
-# defines what *getting the job done* means in terms of process results.
-
-def lamport_succeeded(run: RunResult) -> bool:
-    """Every node completed its critical-section pass."""
-    return all(
-        isinstance(run.results.get(n), dict)
-        and run.results[n].get("exited")
-        for n in distributed.LAMPORT_NODES
-    )
+# defines what *getting the job done* means in its nodes' results (only a
+# process that returned has one).
+Success = Callable[[RunResult], bool]
 
 
-def quorum_lock_succeeded(run: RunResult) -> bool:
+def _flags(run: RunResult, names: Sequence[str], key: str) -> List[bool]:
+    """Whether each named process returned a result with ``key`` set."""
+    return [isinstance(run.results.get(n), dict)
+            and bool(run.results[n].get(key)) for n in names]
+
+
+def lamport_succeeded(nodes: Sequence[str]) -> Success:
+    """Every surviving node completed its critical-section pass."""
+
+    def success(run: RunResult) -> bool:
+        killed = {ev.obj for ev in run.trace.filter(kind="killed")}
+        alive = [n for n in nodes if n not in killed]
+        return bool(alive) and all(_flags(run, alive, "exited"))
+
+    return success
+
+
+def quorum_lock_succeeded(clients: Sequence[str]) -> Success:
     """Some client completed a fenced hold (the lock stayed usable)."""
-    return any(
-        isinstance(run.results.get(c), dict)
-        and run.results[c].get("locked")
-        for c in distributed.LOCK_CLIENTS
-    )
+    return lambda run: any(_flags(run, clients, "locked"))
 
 
-def election_succeeded(run: RunResult) -> bool:
+def election_succeeded(nodes: Sequence[str]) -> Success:
     """A leader was elected and someone still leads at the end."""
-    if run.trace.first(kind="leader_elected") is None:
-        return False
-    return any(
-        isinstance(run.results.get(n), dict)
-        and run.results[n].get("leader")
-        for n in distributed.ELECTION_NODES
-    )
+    return lambda run: (run.trace.first(kind="leader_elected") is not None
+                        and any(_flags(run, nodes, "leader")))
 
 
 # ----------------------------------------------------------------------
@@ -221,7 +209,7 @@ def election_succeeded(run: RunResult) -> bool:
 def classify_net_run(
     run: RunResult,
     safety: Checker,
-    success: Callable[[RunResult], bool],
+    success: Success,
     progress: Optional[Checker] = None,
 ) -> Tuple[str, List[str]]:
     """One distributed run's label and any safety-violation messages:
@@ -241,7 +229,7 @@ def explore_net_cells(
     build: Builder,
     cells: List[Cell],
     safety: Checker,
-    success: Callable[[RunResult], bool],
+    success: Success,
     engine: Callable,
     max_runs: int,
     **fields,
@@ -277,9 +265,9 @@ def _lamport_plans() -> List[PlanCell]:
                            .delay("n0", "n1", ticks=4, nth=3),
          TOLERANT, ()),
         # All three requesters are stuck until the heal, so recovery means
-        # the critical-section passes finally complete.
+        # the critical-section passes finally run.
         ("partition-heal",
-         NetPlan().isolate("n0", at=1, heal_at=40), TOLERANT, ("cs_exit",)),
+         NetPlan().isolate("n0", at=1, heal_at=40), TOLERANT, ("cs",)),
         # Safe but not live: requesters never assemble the full ack set.
         ("partition-forever", NetPlan().isolate("n0", at=1), WEDGED, ()),
     ]
@@ -322,11 +310,14 @@ def partition_scenarios() -> List[Tuple]:
     :mod:`repro.problems.distributed` when the report runs."""
     return [
         ("lamport_mutex", distributed.build_lamport_mutex,
-         check_mutex_intervals, lamport_succeeded, _lamport_plans),
+         exclusion_oracle(distributed.LAMPORT_REGION),
+         lamport_succeeded(distributed.LAMPORT_NODES), _lamport_plans),
         ("quorum_lock", distributed.build_quorum_lock,
-         check_lease_exclusion, quorum_lock_succeeded, _quorum_lock_plans),
+         check_lease_exclusion,
+         quorum_lock_succeeded(distributed.LOCK_CLIENTS), _quorum_lock_plans),
         ("leader_election", distributed.build_leader_election,
-         check_at_most_one_leader, election_succeeded, _election_plans),
+         check_at_most_one_leader,
+         election_succeeded(distributed.ELECTION_NODES), _election_plans),
     ]
 
 
@@ -350,10 +341,11 @@ def partition_report(
         for name, build, safety, success, plan_factory
         in partition_scenarios()]
     table = ascii_table(
-        ["scenario", "net plan", "runs", "split-brain", "wedged",
-         "tolerant", "failover mttr", "post-heal mttr", "classification"],
+        ["scenario", "net plan", "runs"]
+        + [column for __, column in COLUMNS]
+        + ["failover mttr", "post-heal mttr", "classification"],
         [[res.name, o.plan_name, str(o.runs)]
-         + [str(o.count(label)) for label in LABELS]
+         + [str(o.count(label)) for label, __ in COLUMNS]
          + [fmt_optional(o.mttr_failover, "{:.1f}"),
             fmt_optional(o.mttr_post_heal, "{:.1f}"), o.classification]
          for res in results for o in res.outcomes],

@@ -57,6 +57,9 @@ VIOLATED = "violated"
 MISSED = "missed"
 #: Verdict labels, worst first: one bad schedule earns the worse label.
 LABELS = (VIOLATED, WEDGED, DEGRADED, RECOVERED)
+#: (label, column) of each run count the report shows, in column order.
+COLUMNS = ((RECOVERED, "recovered"), (DEGRADED, "degraded"),
+           (WEDGED, "wedged"), (VIOLATED, "violated"))
 
 #: Events whose presence means recovery was at best partial.
 _PARTIAL_KINDS = ("restart_giveup", "escalate", "degrade")
@@ -300,12 +303,12 @@ def recovery_report(fast: bool = False) -> Tuple[List[ScenarioResult], str]:
             LABELS, engine=ExplorationEngine, max_runs=6 if fast else 25,
             max_depth=60, max_points=4 if fast else None,
             expected=expected))
-    counted = (RECOVERED, DEGRADED, WEDGED, VIOLATED)
     table = ascii_table(
-        ["scenario", "fault points", "runs", "recovered", "degraded",
-         "wedged", "violated", "classification"],
+        ["scenario", "fault points", "runs"]
+        + [column for __, column in COLUMNS] + ["classification"],
         [[r.name, str(len(r.outcomes)), str(r.runs)]
-         + [str(r.count(label)) for label in counted] + [r.classification]
+         + [str(r.count(label)) for label, __ in COLUMNS]
+         + [r.classification]
          for r in results],
         title="Recovery under supervision (one kill per point, schedules "
               "explored per point)",

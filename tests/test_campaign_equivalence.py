@@ -195,7 +195,7 @@ STREAMS = {
     "chaos/serializer": "6f126168e18bb1dcb9f345910dcb4996",
     "chaos/ccr": "c18a49ee0cbf12ae2d50733f030e8dba",
     "chaos/pathexpr": "32fbc6f72180e233457b7e38ebe94c06",
-    "chaos/channel": "bff65dfdd1df0431e05a9f5e37fc61d0",
+    "chaos/channel": "8a3550ce177ac9462833b6e6dd894156",
     "recovery/semaphore": "3d3ce0505de9ac6a877ba94e997745e8",
     "recovery/semaphore+degrade": "f3eaf5ef5dde51c9457124f5bf893022",
     "recovery/mutex": "18f32cacbda0352e22d4e5854b093767",
@@ -204,41 +204,41 @@ STREAMS = {
     "recovery/ccr": "6d26d8ffdd2ed53633b542640625ec05",
     "recovery/pathexpr": "c67cf66170f0f30a14e71cf209991719",
     "recovery/channel": "e5c6cb6ff4a379e0212f48b48f1e776f",
-    "partition/lamport_mutex/clean": "6fcc1f14a55dc554ac0ecfdb27cd800e",
-    "partition/lamport_mutex/lossy": "1b9bf5bf7432ef7593a3d03b00a7698a",
+    "partition/lamport_mutex/clean": "2a945ce6ef2eb93ecb3b00278c53e32c",
+    "partition/lamport_mutex/lossy": "246b55846ba93511883a08a22e122088",
     "partition/lamport_mutex/partition-heal":
-        "5cc8055cf488d51178c05d666adfbab2",
+        "52453cab32bff28abf831aa724ee7faa",
     "partition/lamport_mutex/partition-forever":
         "d9f812871fffb729a1e7b8317a5d5d3e",
-    "partition/quorum_lock/clean": "23bab12ff2d94e6681dda101ccbc4993",
-    "partition/quorum_lock/lossy": "7a6095b457aa93df3162bc99ac8190d5",
-    "partition/quorum_lock/partition-heal": "dad5208f9f7009a8005e7d30b133579e",
+    "partition/quorum_lock/clean": "3e71b3395b00cabaec7c2c726d303af1",
+    "partition/quorum_lock/lossy": "558e8005548365328a0e8877ff81a633",
+    "partition/quorum_lock/partition-heal": "bf94740b8d2a270485b65c2efb04c969",
     "partition/quorum_lock/partition-forever":
-        "2e4939840f0ceb9854b0c332d68bb4ed",
+        "bc360780dccd02aa86fc382b467e20c4",
     "partition/leader_election/clean": "6370f877b11b66dfeee8af375bda9652",
     "partition/leader_election/lossy": "f45e97363822c1f3c650ed116df77267",
     "partition/leader_election/partition-heal":
         "4d4122ffa649062daf3f4121c0e048a0",
     "partition/leader_election/partition-forever":
         "166276aec0a53c581fdcacee84f4b2d1",
-    "resilience/lamport_mutex/clean": "442520f8e3fc90b9e64f919012a48468",
+    "resilience/lamport_mutex/clean": "667b9beb9ac42f3c0d0ead764e7245a5",
     "resilience/lamport_mutex/crash+partition":
         "ee88651d6417e5514073b1f224155901",
-    "resilience/quorum_lock/clean": "0af550743fe38fec184a886ace8e6586",
+    "resilience/quorum_lock/clean": "c862bb6a26a4c5531a51db207a6aa155",
     "resilience/quorum_lock/crash+partition":
-        "405ee4a3a7fcbdc8b16533c84e610961",
+        "c0e66461236a81dc4c47c3d7c77e81d4",
     "resilience/leader_election/clean": "9fe84a06f0b16fb54fc9eccf99a1d608",
     "resilience/leader_election/crash+partition":
         "2443fc9bff356c90f5538bca6bb80b48",
-    "resilience/restart_lock/clean": "8fac44e683abf5df9b7879201d157dc8",
+    "resilience/restart_lock/clean": "94cba390ecb2c5acecc1667f57e3ea65",
     "resilience/restart_lock/crash-restart":
-        "059e614c6f9752cad9b9dc6e78bb4dca",
+        "7a10f8517f1c191927d51b13e88452ac",
     "resilience/restart_lock/partition-heal":
-        "ec9eb9dc9ff8fb10f0f59f935c1684aa",
+        "c8d95caf5b1ff82bdff791c239829496",
     "resilience/restart_lock/crash+partition":
-        "f49414e893190bef1ad12b225bb039c6",
+        "22572fdcdcec4ad310a37349f710702c",
     "resilience/restart_lock_unfenced/crash+partition":
-        "0faa9efd429fca6da867b1d6b933d632",
+        "ecea3f0ae848c62b8042ebfd55bdca58",
 }
 
 #: (plans tried, defeating plans, witness, ddmin tests, replay label).

@@ -5,6 +5,7 @@ import pytest
 
 from repro.explore import ExplorationEngine, RecordingPolicy, minimize_witness
 from repro.explore.targets import get_target
+from repro.problems.registry import EXPLORE, get_solution
 from repro.verify import (
     ConflictingAccessChecker,
     LostWakeupChecker,
@@ -253,6 +254,37 @@ def test_lost_wakeup_checker_in_target_battery_is_quiet():
         target.runner(), max_runs=20000, prune=True
     ).explore(LostWakeupChecker())
     assert result.exhausted and result.ok
+
+
+def _raising(cls, *ops):
+    """``cls`` with each of ``ops`` raising before it does anything."""
+
+    def broken(self, *args, **kwargs):
+        raise RuntimeError("broken operation")
+        yield  # a generator, like the operation it replaces
+
+    return type("Raising" + cls.__name__, (cls,),
+                {op: broken for op in ops})
+
+
+@pytest.mark.parametrize("problem,ops,failed", [
+    ("fcfs_resource", ("use",), ["U0", "U1", "U2"]),
+    ("staged_queue", ("use_a", "use_b"), ["B0", "A1", "B2"]),
+])
+def test_explore_reports_a_solution_whose_processes_raise(problem, ops,
+                                                          failed):
+    # Every process of the workload raises: the search must report it as a
+    # violation, not pass the solution and not abort.
+    workload = EXPLORE[problem]
+    factory = _raising(get_solution(workload.problem, "monitor").factory,
+                       *ops)
+    result = ExplorationEngine(
+        lambda policy: workload.run(factory, Scheduler(policy=policy)),
+        max_runs=200, prune=True,
+    ).explore(workload.check)
+    assert result.exhausted and not result.ok
+    assert messages_of(result) >= {
+        "process {} failed".format(name) for name in failed}
 
 
 # ----------------------------------------------------------------------

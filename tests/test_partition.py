@@ -10,12 +10,12 @@ from repro.obs.recovery import (
     partition_recovery_spans,
 )
 from repro.runtime.trace import Event, RunResult, Trace
+from repro.verify.detectors import exclusion_oracle
 from repro.verify.partition import (
     TOLERANT,
     WEDGED,
     check_at_most_one_leader,
     check_lease_exclusion,
-    check_mutex_intervals,
     expected_partition_classifications,
     make_progress_after_heal,
     partition_report,
@@ -23,10 +23,13 @@ from repro.verify.partition import (
 
 
 def _run_with(events):
-    """A synthetic RunResult: events are (time, pname, kind, obj, detail)."""
+    """A synthetic RunResult: events are (time, pname, kind, obj, detail);
+    each process name gets its own pid."""
     trace = Trace()
+    pids = {}
     for seq, (time, pname, kind, obj, detail) in enumerate(events):
-        trace.append(Event(seq, time, 0, pname, kind, obj, detail))
+        pid = pids.setdefault(pname, len(pids))
+        trace.append(Event(seq, time, pid, pname, kind, obj, detail))
     return RunResult(trace=trace)
 
 
@@ -87,35 +90,35 @@ class TestLeaderAndMutexOracles:
 
     def test_mutex_interval_overlap_flagged(self):
         run = _run_with([
-            (0, "n0", "cs_enter", "n0", None),
-            (1, "n1", "cs_enter", "n1", None),
-            (2, "n0", "cs_exit", "n0", None),
+            (0, "n0", "cs", "mutex", "enter"),
+            (1, "n1", "cs", "mutex", "enter"),
+            (2, "n0", "cs", "mutex", "exit"),
         ])
-        messages = check_mutex_intervals(run)
-        assert messages and "mutual exclusion violated" in messages[0]
+        messages = exclusion_oracle("mutex")(run)
+        assert messages == ["n1 entered mutex while n0 inside"]
 
     def test_mutex_abort_closes_the_interval(self):
         run = _run_with([
-            (0, "n0", "cs_enter", "n0", None),
-            (2, "n0", "cs_abort", "n0", None),
-            (3, "n1", "cs_enter", "n1", None),
-            (5, "n1", "cs_exit", "n1", None),
+            (0, "n0", "cs", "mutex", "enter"),
+            (2, "n0", "cs", "mutex", "abort"),
+            (3, "n1", "cs", "mutex", "enter"),
+            (5, "n1", "cs", "mutex", "exit"),
         ])
-        assert check_mutex_intervals(run) == []
+        assert exclusion_oracle("mutex")(run) == []
 
 
 class TestProgressAfterHeal:
     def test_requires_evidence_after_last_heal(self):
         plan = NetPlan().isolate("n0", at=5, heal_at=20)
-        check = make_progress_after_heal(plan, ("cs_exit",))
-        stalled = _run_with([(10, "n1", "cs_exit", "n1", None)])
+        check = make_progress_after_heal(plan, ("cs",))
+        stalled = _run_with([(10, "n1", "cs", "mutex", "exit")])
         assert check(stalled)  # evidence predates the heal
-        recovered = _run_with([(25, "n0", "cs_exit", "n0", None)])
+        recovered = _run_with([(25, "n0", "cs", "mutex", "exit")])
         assert check(recovered) == []
 
     def test_unhealed_plan_never_fires(self):
         plan = NetPlan().isolate("n0", at=5)
-        check = make_progress_after_heal(plan, ("cs_exit",))
+        check = make_progress_after_heal(plan, ("cs",))
         assert check(_run_with([])) == []
 
     def test_empty_kinds_disable_the_oracle(self):

@@ -24,6 +24,7 @@ from repro.recover import (
     Supervisor,
     retry_with_backoff,
 )
+from repro.explore import ExplorationEngine
 from repro.explore.campaign import KillSpec, compile_faults
 from repro.explore.minimize import ddmin
 from repro.runtime import (
@@ -34,9 +35,12 @@ from repro.runtime import (
     Semaphore,
     WaitTimeout,
 )
+from repro.verify.chaos import LOCKS, explore_kills
 from repro.verify.recovery import (
     DEGRADED,
+    LABELS,
     RECOVERED,
+    RECOVERY_SCENARIOS,
     VIOLATED,
     WEDGED,
     classify_recovery_run,
@@ -46,6 +50,7 @@ from repro.verify.recovery import (
     mttr_fingerprints,
     recovery_report,
 )
+from tests.test_chaos import _two_permit_semaphore
 
 
 def _noop():
@@ -484,6 +489,24 @@ def test_previously_wedged_scenario_recovers_supervised():
     results, __ = recovery_report(fast=True)
     by_name = {r.name: r for r in results}
     assert by_name["semaphore"].classification == RECOVERED
+
+
+def test_recovery_catches_a_two_permit_lock(monkeypatch):
+    """Mutation: with two permits, two supervised workers share the
+    critical region.  The semaphore row's exclusion oracle must see the
+    overlap, so the row is violated, never recovered (the chaos half of
+    this gate is in test_chaos)."""
+    monkeypatch.setitem(LOCKS, "semaphore", ("s", _two_permit_semaphore))
+    name, factory, victim, obj, __ = next(
+        row for row in RECOVERY_SCENARIOS if row[0] == "semaphore")
+    check = exclusion_oracle(obj)
+    result = explore_kills(
+        name, factory(), victim,
+        lambda run, cell: classify_recovery_run(run, (victim,), check),
+        LABELS, engine=ExplorationEngine, max_runs=25, max_depth=60)
+    assert result.classification == VIOLATED
+    assert any("entered s while" in message
+               for message in result.violations)
 
 
 def test_mttr_fingerprints_cover_all_mechanisms_deterministically():

@@ -243,7 +243,8 @@ class TestRestartLockScenario:
         assert check_fencing(run) == []
         # The resource rejected the stale session; c0 fenced out...
         assert run.fencing_stats["rejected"] >= 1
-        assert run.trace.first(kind="cs_abort") is not None
+        assert run.trace.first(
+            kind="cs", predicate=lambda ev: ev.detail == "abort") is not None
         # ...cleared its durable hold, and re-acquired after the heal.
         assert run.results["c0"]["locked"]
         heal_at = COMBINED[1].heal_at
