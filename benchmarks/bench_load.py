@@ -116,9 +116,9 @@ def test_e19_sketch_matches_exact_quantiles():
     samples = []
     orig_observe = QuantileSketch.observe
 
-    def spy(self, value, n=1):
+    def spy(self, value):
         samples.append((id(self), value))
-        return orig_observe(self, value, n)
+        return orig_observe(self, value)
 
     QuantileSketch.observe = spy
     try:

@@ -21,7 +21,7 @@ from repro.problems.disk_scheduler import (
 
 
 def main() -> None:
-    plan = random_plan(seed=42, requests=14)
+    plan = random_plan(seed=42)
     print("request batch (delay, track):", plan)
     print()
 

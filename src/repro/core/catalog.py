@@ -233,12 +233,10 @@ def coverage_matrix() -> Dict[str, FrozenSet[InformationType]]:
     return {name: PROBLEM_CATALOG[name].covers for name in FOOTNOTE2_SUITE}
 
 
-def uncovered_types(
-    suite: Tuple[str, ...] = FOOTNOTE2_SUITE,
-) -> List[InformationType]:
-    """Information types not covered by the suite (empty for the paper's
-    footnote-2 set — the completeness claim the methodology rests on)."""
+def uncovered_types() -> List[InformationType]:
+    """Information types the footnote-2 suite does not cover (empty — the
+    completeness claim the methodology rests on)."""
     covered: FrozenSet[InformationType] = frozenset()
-    for name in suite:
+    for name in FOOTNOTE2_SUITE:
         covered |= PROBLEM_CATALOG[name].covers
     return [t for t in ALL_INFORMATION_TYPES if t not in covered]

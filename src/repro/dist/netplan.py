@@ -1,7 +1,7 @@
 """NetPlan: the message-level fault plan.
 
-:class:`~repro.runtime.faults.FaultPlan` scripts *process* faults (kills,
-delayed wakeups, dropped signals).  A :class:`NetPlan` scripts *network*
+:class:`~repro.runtime.faults.FaultPlan` scripts *process* faults (kills
+and delayed wakeups).  A :class:`NetPlan` scripts *network*
 faults against the message layer the dist package builds over buffered
 channels: per-link drops, duplicates, delays, reorders, and full or
 partial **partitions** between named process groups, each with an optional

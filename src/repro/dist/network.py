@@ -59,11 +59,10 @@ class NetChannel(Channel):
         self._network = network
         self.node = node
 
-    def send(self, value: Any, timeout: Optional[int] = None) -> Generator:
+    def send(self, value: Any) -> Generator:
         """Hand ``value`` to the network addressed to this inbox's node.
 
-        Never blocks (``timeout`` is accepted for interface compatibility
-        and ignored); yields one checkpoint so preemptive exploration can
+        Never blocks; yields one checkpoint so preemptive exploration can
         branch around the send.
         """
         self._network._transmit(self, value)

@@ -13,11 +13,11 @@ gaps are integers (a gap of 0 means two clients arrive on the same tick).
 * :func:`poisson` — memoryless exponential gaps, the M/·/· open-arrival
   baseline.
 * :func:`bursty` — an on/off (interrupted Poisson) process: bursts at
-  ``burst_factor``× the base rate, then silent gaps; same mean rate, much
-  nastier queue-depth tails.
-* :func:`diurnal` — sinusoidal rate modulation with period ``period``
-  ticks: a day-curve in miniature, peak at mid-period, trough at the
-  edges.
+  :data:`BURST_FACTOR`× the base rate, then silent gaps; same mean rate,
+  much nastier queue-depth tails.
+* :func:`diurnal` — sinusoidal rate modulation with period
+  :data:`DIURNAL_PERIOD` ticks: a day-curve in miniature, peak a quarter
+  of the way into each period, trough three quarters in.
 """
 
 from __future__ import annotations
@@ -25,6 +25,13 @@ from __future__ import annotations
 import math
 import random
 from typing import Dict, Iterator
+
+#: Arrival rate inside a :func:`bursty` burst, as a multiple of the mean.
+BURST_FACTOR = 8.0
+#: Ticks per :func:`diurnal` rate cycle.
+DIURNAL_PERIOD = 256
+#: Relative swing of the :func:`diurnal` rate around its mean.
+DIURNAL_DEPTH = 0.9
 
 
 def _gaps(raw: Iterator[float]) -> Iterator[int]:
@@ -50,18 +57,14 @@ def poisson(rate: float, seed: int = 0) -> Iterator[int]:
     return _gaps(raw())
 
 
-def bursty(
-    rate: float,
-    seed: int = 0,
-    burst_factor: float = 8.0,
-) -> Iterator[int]:
-    """On/off arrivals: bursts of 16 clients at ``burst_factor * rate``,
+def bursty(rate: float, seed: int = 0) -> Iterator[int]:
+    """On/off arrivals: bursts of 16 clients at ``BURST_FACTOR * rate``,
     then one compensating silent gap, keeping the mean rate at ``rate``."""
-    if rate <= 0 or burst_factor <= 1.0:
-        raise ValueError("rate must be positive and burst_factor > 1")
+    if rate <= 0:
+        raise ValueError("rate must be positive")
     rng = random.Random(seed)
     # Mean gap inside a burst and the silence that restores the average.
-    burst_gap = 1.0 / (rate * burst_factor)
+    burst_gap = 1.0 / (rate * BURST_FACTOR)
     silence = 16 * (1.0 / rate - burst_gap)
 
     def raw() -> Iterator[float]:
@@ -73,24 +76,21 @@ def bursty(
     return _gaps(raw())
 
 
-def diurnal(
-    rate: float,
-    seed: int = 0,
-    period: int = 256,
-    depth: float = 0.9,
-) -> Iterator[int]:
+def diurnal(rate: float, seed: int = 0) -> Iterator[int]:
     """Sinusoidally modulated Poisson arrivals: instantaneous rate
-    ``rate * (1 + depth·sin)``, peaking once per ``period`` ticks."""
-    if rate <= 0 or not 0.0 < depth <= 1.0:
-        raise ValueError("rate must be positive and depth in (0, 1]")
+    ``rate * (1 + DIURNAL_DEPTH·sin)``, peaking once per
+    ``DIURNAL_PERIOD`` ticks."""
+    if rate <= 0:
+        raise ValueError("rate must be positive")
     rng = random.Random(seed)
 
     def raw() -> Iterator[float]:
         now = 0.0
         while True:
-            phase = 2.0 * math.pi * (now % period) / period
-            local = rate * (1.0 + depth * math.sin(phase))
-            gap = rng.expovariate(max(local, rate * (1.0 - depth) * 0.5
+            phase = 2.0 * math.pi * (now % DIURNAL_PERIOD) / DIURNAL_PERIOD
+            local = rate * (1.0 + DIURNAL_DEPTH * math.sin(phase))
+            gap = rng.expovariate(max(local,
+                                      rate * (1.0 - DIURNAL_DEPTH) * 0.5
                                       or 1e-9))
             now += gap
             yield gap

@@ -133,7 +133,6 @@ def run_load(
     ops: int = 1,
     capacity: int = 8,
     seed: int = 0,
-    window: int = 32,
     sink: Optional[StreamingSink] = None,
     keep_windows: bool = True,
 ):
@@ -144,7 +143,7 @@ def run_load(
     so sketches are keyed per shard.
     """
     if sink is None:
-        sink = StreamingSink(window=window, shard_prefix=True)
+        sink = StreamingSink(shard_prefix=True)
     # Step budget scales with the swarm; per-op step costs are two orders
     # of magnitude below this, so the limit only catches genuine wedges.
     budget = max(500_000, clients * ops * 400)

@@ -32,8 +32,9 @@ operations raise it immediately.  A rendezvous partner cannot silently wait
 forever for a dead peer — the failure travels.  Construct with
 ``peer_fault="ignore"`` for bare CSP semantics (survivors block forever;
 the deadlock detector's wait-for graph then names the dead peer instead).
-Timed variants: ``send``/``receive``/``select`` accept ``timeout=`` and
-raise :class:`WaitTimeout` after withdrawing their offers.
+``send``/``receive`` accept ``timeout=`` and raise :class:`WaitTimeout`
+after withdrawing their offer: the library's one bounded wait, which the
+dist layer's request/retry protocol and the recovery campaign build on.
 """
 
 from __future__ import annotations
@@ -370,22 +371,15 @@ class ReceiveOp:
 SelectArm = Union[SendOp, ReceiveOp]
 
 
-def select(
-    sched: Scheduler,
-    arms: Sequence[SelectArm],
-    timeout: Optional[int] = None,
-) -> Generator:
+def select(sched: Scheduler, arms: Sequence[SelectArm]) -> Generator:
     """Guarded alternative: wait until one enabled arm can communicate.
 
     Returns ``(index, value)`` — ``value`` is the received message for a
     :class:`ReceiveOp` arm and ``None`` for a :class:`SendOp` arm.  Guards
     are evaluated once, on entry (re-issue the select to re-evaluate, as a
     CSP repetitive command would).  Raises if every guard is false — the
-    guarded-command failure case.
-
-    ``timeout`` bounds the wait in virtual time; expiry withdraws every
-    parked arm and raises :class:`WaitTimeout`.  An enabled arm on a broken
-    channel raises :class:`PeerFailed` immediately.
+    guarded-command failure case.  An enabled arm on a broken channel
+    raises :class:`PeerFailed` immediately.
     """
     enabled = [(i, arm) for i, arm in enumerate(arms) if arm.guard]
     if not enabled:
@@ -435,14 +429,7 @@ def select(
         else:
             arm.channel._senders.append(offer)
         arm.channel._probe_offers()
-    result = yield from sched.park(
-        "select", "select",
-        timeout=timeout,
-        # Marking the group resolved withdraws every arm at once: stale
-        # offers stop being claimable and are lazily discarded.
-        on_timeout=lambda: setattr(group, "resolved", True),
-        resource="select",
-    )
+    result = yield from sched.park("select", "select", resource="select")
     index, value = result
     arm = arms[index]
     sched.log(

@@ -22,18 +22,15 @@ helper removes the boilerplate.
 
 Crash semantics (DESIGN.md "Fault model"): the monitor is **fault-
 containing**.  A dead occupant releases possession to the next rightful
-process; dead entry, urgent, or condition waiters are dequeued.  Timed
-variants: ``enter(timeout=...)`` gives up from the entry queue;
-``wait(timeout=...)`` re-enters the monitor through the entry queue and
-*then* raises :class:`WaitTimeout` — so the caller always owns the monitor
-when the timeout surfaces, and must still exit it.
+process; dead entry, urgent, or condition waiters are dequeued.  Entry
+and condition waits are untimed.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Set, Tuple
+from typing import Generator, List, Optional, Tuple
 
-from ..runtime.errors import IllegalOperationError, WaitTimeout
+from ..runtime.errors import IllegalOperationError
 from ..runtime.process import SimProcess
 from ..runtime.scheduler import Scheduler
 
@@ -65,7 +62,7 @@ class Monitor:
         self.signal_semantics = signal_semantics
         self._label = "monitor {}".format(name)
         self._active_key = ("mon_active", id(self))
-        self._entry_key = ("mon_entry", id(self))
+        self._entry_key = ("mon_entrant", id(self))
         self._urgent_key = ("mon_urgent", id(self))
         self._active: Optional[SimProcess] = None
         self._entry: List[SimProcess] = []
@@ -101,11 +98,8 @@ class Monitor:
     # ------------------------------------------------------------------
     # Possession transfer
     # ------------------------------------------------------------------
-    def enter(self, timeout: Optional[int] = None) -> Generator:
-        """Gain exclusive possession of the monitor (FIFO entry queue).
-
-        ``timeout`` bounds the entry wait in virtual time; expiry leaves the
-        queue and raises :class:`WaitTimeout`."""
+    def enter(self) -> Generator:
+        """Gain exclusive possession of the monitor (FIFO entry queue)."""
         yield from self._sched.checkpoint()
         me = self._sched.current
         if self._active is me:
@@ -118,12 +112,10 @@ class Monitor:
             return
         self._entry.append(me)
         self._probe_entry()
-        self._sched.register_cleanup(self._entry_key, self._on_entry_death)
+        self._sched.register_cleanup(self._entry_key, self._on_entrant_death)
         try:
             yield from self._sched.park(
                 "enter({})".format(self.name), self.name,
-                timeout=timeout,
-                on_timeout=lambda: self._discard_entry(me),
                 resource=self._label,
             )
         finally:
@@ -170,7 +162,7 @@ class Monitor:
             self._entry.remove(proc)
             self._probe_entry()
 
-    def _on_entry_death(self, proc: SimProcess) -> None:
+    def _on_entrant_death(self, proc: SimProcess) -> None:
         self._discard_entry(proc)
 
     def _on_urgent_death(self, proc: SimProcess) -> None:
@@ -251,7 +243,6 @@ class Condition:
         self._wait_key = ("cond_wait", id(self))
         # Each entry: (priority, enqueue_seq, process).
         self._waiters: List[Tuple[int, int, SimProcess]] = []
-        self._timed_out: Set[int] = set()  # pids granted re-entry by timeout
         self._counter = 0
 
     def _probe(self) -> None:
@@ -278,19 +269,12 @@ class Condition:
         return min(self._waiters)[0]
 
     # ------------------------------------------------------------------
-    def wait(
-        self, priority: int = 0, timeout: Optional[int] = None
-    ) -> Generator:
+    def wait(self, priority: int = 0) -> Generator:
         """Release the monitor and wait on this condition.
 
         On Hoare semantics the waiter owns the monitor again when ``wait``
         returns (handed over by the signaller); on Mesa semantics the waiter
         re-entered through the entry queue and must re-check its predicate.
-
-        ``timeout`` bounds the wait in virtual time.  On expiry the waiter
-        is moved to the entry queue, re-acquires the monitor, and *then*
-        raises :class:`WaitTimeout` — so the caller owns the monitor in the
-        ``except`` block and must still exit it (``Monitor.procedure`` does).
         """
         me = self._monitor._require_active("wait({})".format(self.name))
         self._counter += 1
@@ -306,30 +290,10 @@ class Condition:
         try:
             yield from self._sched.park(
                 "wait({}.{})".format(self._monitor.name, self.name), self.name,
-                timeout=timeout,
-                on_timeout=lambda: self._requeue_timed_out(me),
                 resource=self._label,
             )
         finally:
             self._sched.unregister_cleanup(self._wait_key, me)
-        if me.pid in self._timed_out:
-            self._timed_out.discard(me.pid)
-            raise WaitTimeout(self._label, timeout)
-
-    def _requeue_timed_out(self, proc: SimProcess) -> bool:
-        """Timer callback: abandon the condition, queue for re-entry.
-
-        Returns ``True`` so the scheduler does not wake the process itself —
-        the monitor's entry machinery will, once possession is available, and
-        :meth:`wait` raises only after it owns the monitor again.
-        """
-        self._discard_waiter(proc)
-        self._timed_out.add(proc.pid)
-        self._monitor._entry.append(proc)
-        self._monitor._probe_entry()
-        if self._monitor._active is None:
-            self._monitor._pass_possession()
-        return True
 
     def _discard_waiter(self, proc: SimProcess) -> None:
         for index, (__, __, waiter) in enumerate(self._waiters):
@@ -340,10 +304,9 @@ class Condition:
 
     def _on_waiter_death(self, proc: SimProcess) -> None:
         """A dead waiter is dequeued wherever it sits — the condition queue,
-        or the entry queue it was moved to by a timeout or a Mesa signal."""
+        or the entry queue a Mesa signal moved it to."""
         self._discard_waiter(proc)
         self._monitor._discard_entry(proc)
-        self._timed_out.discard(proc.pid)
 
     def signal(self) -> Generator:
         """Wake the first waiter (by priority, then FIFO); no-op if none.
@@ -354,14 +317,8 @@ class Condition:
         Mesa semantics: the waiter is moved to the entry queue and the
         signaller keeps running (still invoked with ``yield from`` for a
         uniform call shape).
-
-        Subject to ``drop_signal`` fault injection: a dropped signal
-        vanishes and the waiter stays parked (a lost wakeup).
         """
         me = self._monitor._require_active("signal({})".format(self.name))
-        if self._sched.fault_drop(self.name):
-            self._sched.log("fault_drop", self.name, "signal")
-            return
         if not self._waiters:
             self._sched.log("signal", self.name, "empty")
             return

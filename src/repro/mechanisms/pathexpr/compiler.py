@@ -31,7 +31,7 @@ in which case its prologues run in path-declaration order.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional, Tuple
+from typing import Dict, Generator, Tuple
 
 from ...runtime.errors import IllegalOperationError
 from ...runtime.primitives import Mutex, Semaphore
@@ -45,8 +45,7 @@ class PathCompileError(ValueError):
 
 class Action:
     """A micro-operation executed as part of an operation's prologue or
-    epilogue.  ``execute`` is a generator and may block (prologue side);
-    ``timeout`` bounds any blocking in virtual time (:class:`WaitTimeout`).
+    epilogue.  ``execute`` is a generator and may block (prologue side).
 
     The two ``*_nonblocking`` hooks power crash recovery
     (:meth:`PathResource.invoke`): they perform or undo the action's
@@ -56,7 +55,7 @@ class Action:
     abandonment instead of wedging.
     """
 
-    def execute(self, timeout: Optional[int] = None) -> Generator:
+    def execute(self) -> Generator:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -80,8 +79,8 @@ class PAction(Action):
     def __init__(self, sem: Semaphore) -> None:
         self.sem = sem
 
-    def execute(self, timeout: Optional[int] = None) -> Generator:
-        yield from self.sem.p(timeout=timeout)
+    def execute(self) -> Generator:
+        yield from self.sem.p()
 
     def undo_nonblocking(self) -> bool:
         self.sem.v()
@@ -97,7 +96,7 @@ class VAction(Action):
     def __init__(self, sem: Semaphore) -> None:
         self.sem = sem
 
-    def execute(self, timeout: Optional[int] = None) -> Generator:
+    def execute(self) -> Generator:
         self.sem.v()
         return
         yield  # pragma: no cover - makes this a generator function
@@ -131,12 +130,12 @@ class BurstEnter(Action):
         self.counter = counter
         self.boundary = boundary
 
-    def execute(self, timeout: Optional[int] = None) -> Generator:
-        yield from self.counter.lock.acquire(timeout=timeout)
+    def execute(self) -> Generator:
+        yield from self.counter.lock.acquire()
         self.counter.count += 1
         if self.counter.count == 1:
             try:
-                yield from self.boundary.execute(timeout=timeout)
+                yield from self.boundary.execute()
             except BaseException:
                 self.counter.count -= 1  # the region never opened
                 try:
@@ -159,12 +158,12 @@ class BurstExit(Action):
         self.counter = counter
         self.boundary = boundary
 
-    def execute(self, timeout: Optional[int] = None) -> Generator:
-        yield from self.counter.lock.acquire(timeout=timeout)
+    def execute(self) -> Generator:
+        yield from self.counter.lock.acquire()
         self.counter.count -= 1
         if self.counter.count == 0:
             try:
-                yield from self.boundary.execute(timeout=timeout)
+                yield from self.boundary.execute()
             except BaseException:
                 self.counter.count += 1  # the region never closed
                 try:

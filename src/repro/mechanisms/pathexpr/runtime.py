@@ -22,8 +22,6 @@ epilogue ``V``s are fired forward.  Both directions are non-blocking;
 burst-region boundaries, which need the region lock, cannot be recovered
 this way and are *abandoned with a trace log* (``path_abandon``) — the
 honest middle ground between wedging survivors and forging lock ownership.
-``invoke(..., timeout=...)`` bounds prologue blocking; on
-:class:`WaitTimeout` the same rollback runs before the exception surfaces.
 """
 
 from __future__ import annotations
@@ -139,16 +137,12 @@ class PathResource:
             listener(phase, op, detail)
 
     # ------------------------------------------------------------------
-    def invoke(
-        self, op: str, *args: Any, timeout: Optional[int] = None
-    ) -> Generator:
+    def invoke(self, op: str, *args: Any) -> Generator:
         """Execute operation ``op`` under path control.
 
         Returns the body's return value.  Must be delegated to with
-        ``yield from``.  ``timeout`` bounds each blocking prologue step in
-        virtual time (:class:`WaitTimeout`); if the operation dies or raises
-        part-way through, the semaphore network is recovered (see module
-        docstring).
+        ``yield from``.  If the operation dies or raises part-way through,
+        the semaphore network is recovered (see module docstring).
         """
         if op not in self._bodies and op not in self._ops:
             raise IllegalOperationError(
@@ -166,7 +160,7 @@ class PathResource:
         )
         try:
             for index, (prologue, __) in enumerate(pairs):
-                yield from prologue.execute(timeout=timeout)
+                yield from prologue.execute()
                 progress["prologues"] = index + 1
             self._started[op] = self._started.get(op, 0) + 1
             progress["body"] = True
@@ -188,13 +182,13 @@ class PathResource:
                               self.active(op))
             self._notify("op_end", op, args)
             for index, (__, epilogue) in enumerate(pairs):
-                yield from epilogue.execute(timeout=timeout)
+                yield from epilogue.execute()
                 progress["epilogues"] = index + 1
             progress["recovered"] = True  # complete: recovery is a no-op
         except BaseException:
-            # Covers body exceptions, prologue/epilogue timeouts, and the
-            # GeneratorExit of a kill (where the registered cleanup usually
-            # ran first — _recover is idempotent either way).
+            # Covers body exceptions and the GeneratorExit of a kill (where
+            # the registered cleanup usually ran first — _recover is
+            # idempotent either way).
             self._recover(op, pairs, progress)
             raise
         finally:

@@ -27,18 +27,15 @@ the entry queue — all FIFO within a class.
 Crash semantics (DESIGN.md "Fault model"): the serializer is **fault-
 containing**.  A dead possessor releases possession and dispatch continues;
 dead entry/queue/rejoin waiters are dequeued; a dead crowd member leaves the
-crowd, so guarantees like ``crowd.empty`` become true again.  Timed
-variants: ``enter(timeout=...)`` gives up from the entry queue;
-``enqueue(timeout=...)`` re-acquires possession through the entry queue and
-*then* raises :class:`WaitTimeout` — the caller owns possession in the
-``except`` block and must still ``exit()``.
+crowd, so guarantees like ``crowd.empty`` become true again.  Entry and
+queue waits are untimed.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional, Set, Tuple
+from typing import Callable, Generator, List, Optional, Tuple
 
-from ..runtime.errors import IllegalOperationError, WaitTimeout
+from ..runtime.errors import IllegalOperationError
 from ..runtime.process import SimProcess
 from ..runtime.scheduler import Scheduler
 
@@ -85,7 +82,7 @@ class SerializerQueue:
         return proc
 
     def _discard(self, proc: SimProcess) -> None:
-        """Drop ``proc`` wherever it waits (crash / timeout dequeue)."""
+        """Drop ``proc`` wherever it waits (crash dequeue)."""
         for index, (waiter, __) in enumerate(self._waiters):
             if waiter is proc:
                 del self._waiters[index]
@@ -218,7 +215,6 @@ class Serializer:
         self._rejoin: List[SimProcess] = []  # leave_crowd waiters (top priority)
         self._queues: List[SerializerQueue] = []
         self._crowds: List[Crowd] = []
-        self._timed_out: Set[int] = set()  # pids re-entering after a timeout
         self._degraded = False  # priority queues serve FIFO when set
 
     # ------------------------------------------------------------------
@@ -303,7 +299,7 @@ class Serializer:
         self._possessor = None
         self._dispatch()
 
-    def _on_entry_death(self, proc: SimProcess) -> None:
+    def _on_entrant_death(self, proc: SimProcess) -> None:
         if proc in self._entry:
             self._entry.remove(proc)
             self._probe_entry()
@@ -337,7 +333,7 @@ class Serializer:
             self._on_possessor_death(proc)
             return "released"
         if proc in self._entry:
-            self._on_entry_death(proc)
+            self._on_entrant_death(proc)
             return "dequeued"
         if proc in self._rejoin:
             self._on_rejoin_death(proc)
@@ -360,11 +356,8 @@ class Serializer:
     # ------------------------------------------------------------------
     # Possession protocol
     # ------------------------------------------------------------------
-    def enter(self, timeout: Optional[int] = None) -> Generator:
-        """Gain possession of the serializer (entry has lowest priority).
-
-        ``timeout`` bounds the entry wait in virtual time; expiry leaves the
-        queue and raises :class:`WaitTimeout`."""
+    def enter(self) -> Generator:
+        """Gain possession of the serializer (entry has lowest priority)."""
         yield from self._sched.checkpoint()
         me = self._sched.current
         if self._possessor is me:
@@ -376,12 +369,10 @@ class Serializer:
         if self._possessor is None and self._grant_next(me):
             self._sched.log("enter", self.name)
             return
-        self._sched.register_cleanup(self._entry_key, self._on_entry_death)
+        self._sched.register_cleanup(self._entry_key, self._on_entrant_death)
         try:
             yield from self._sched.park(
                 "enter({})".format(self.name), self.name,
-                timeout=timeout,
-                on_timeout=lambda: self._on_entry_death(me),
                 resource=self._label,
             )
         finally:
@@ -400,7 +391,6 @@ class Serializer:
         q: SerializerQueue,
         guarantee: Guarantee = None,
         priority: int = 0,
-        timeout: Optional[int] = None,
     ) -> Generator:
         """Release possession; wait until head of ``q`` with a true guarantee.
 
@@ -409,11 +399,6 @@ class Serializer:
         read crowds, queues, and any user state, but must not block.
         ``priority`` is honoured only by :class:`SerializerPriorityQueue`
         (smaller ranks released first); plain queues ignore it.
-
-        ``timeout`` bounds the wait in virtual time.  On expiry the waiter
-        abandons ``q``, re-acquires possession through the entry queue, and
-        *then* raises :class:`WaitTimeout` — the caller holds possession in
-        the ``except`` block and must still ``exit()``.
         """
         me = self._require_possession("enqueue({})".format(q.name))
         self._sched.log("wait", q.name)
@@ -433,30 +418,11 @@ class Serializer:
         try:
             yield from self._sched.park(
                 "enqueue({}.{})".format(self.name, q.name), q.name,
-                timeout=timeout,
-                on_timeout=lambda: self._requeue_timed_out(q, me),
                 resource="queue {}.{}".format(self.name, q.name),
             )
         finally:
             self._sched.unregister_cleanup(queue_key, me)
-        if me.pid in self._timed_out:
-            self._timed_out.discard(me.pid)
-            raise WaitTimeout("queue {}.{}".format(self.name, q.name), timeout)
         self._sched.log("proceed", q.name, "handoff")
-
-    def _requeue_timed_out(self, q: SerializerQueue, proc: SimProcess) -> bool:
-        """Timer callback: abandon the queue, re-enter for possession.
-
-        Returns ``True`` so the scheduler does not wake the process itself —
-        dispatch will, once possession is available, and :meth:`enqueue`
-        raises only after the caller holds possession again."""
-        q._discard(proc)
-        self._timed_out.add(proc.pid)
-        self._entry.append(proc)
-        self._probe_entry()
-        if self._possessor is None:
-            self._dispatch()
-        return True
 
     def join_crowd(self, crowd: Crowd) -> Generator:
         """Join ``crowd`` and release possession (resource access begins).

@@ -331,12 +331,12 @@ def compute_critical_path(trace) -> CriticalPathReport:
     return CriticalPathReport(segments, start, end)
 
 
-def causal_chain(report: CriticalPathReport, limit: int = 6) -> List[str]:
-    """A compact, human-readable causal story: the last ``limit`` path
+def causal_chain(report: CriticalPathReport) -> List[str]:
+    """A compact, human-readable causal story: the last six path
     segments, newest last — used by the explore engine to explain a
     minimized witness."""
     lines: List[str] = []
-    for seg in report.segments[-limit:]:
+    for seg in report.segments[-6:]:
         who = seg.pname if seg.pid >= 0 else "<sched>"
         if seg.kind in ("blocked", "timer"):
             lines.append("{} waited {} tick(s) on {} [{}]".format(

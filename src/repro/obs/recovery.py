@@ -36,6 +36,7 @@ __all__ = [
     "compute_partition_mttr",
     "Availability",
     "compute_availability",
+    "lease_intervals",
 ]
 
 
@@ -396,41 +397,52 @@ class Availability:
             self.held_ticks, self.horizon, self.fraction)
 
 
-def _service_intervals(trace: Trace) -> List[List[int]]:
-    """Intervals of "a valid holder/leader exists", from the same trace
-    vocabulary the partition oracles read (kept local — the verify layer
-    imports this module, not the other way around):
+def lease_intervals(trace: Trace) -> List[Tuple[int, int, str]]:
+    """Lease validity intervals ``(start, end, holder)``, sorted — the one
+    lease fold: availability unions these and
+    :func:`repro.verify.partition.check_lease_exclusion` judges them.
 
-    * a lease holder is valid from ``lease_acquired`` to the earlier of
-      its ``until`` horizon and an explicit ``lease_released``;
+    A holder is valid from ``lease_acquired`` to the earliest of its
+    ``until`` horizon, an explicit ``lease_released``, and its own next
+    ``lease_acquired`` (a re-acquire closes the earlier interval at the
+    re-acquire tick and opens a new one).  So one holder's intervals are
+    disjoint: each ends no later than the next one starts.
+    """
+    intervals: List[Tuple[int, int, str]] = []
+    open_lease: Dict[str, Tuple[int, int]] = {}   # holder -> (start, horizon)
+    for ev in trace:
+        if ev.kind not in ("lease_acquired", "lease_released"):
+            continue
+        if ev.obj in open_lease:
+            start, horizon = open_lease.pop(ev.obj)
+            intervals.append((start, min(horizon, ev.time), ev.obj))
+        if ev.kind == "lease_acquired":
+            open_lease[ev.obj] = (ev.time, int(ev.detail["until"]))
+    for holder, (start, horizon) in open_lease.items():
+        intervals.append((start, horizon, holder))
+    return sorted(intervals)
+
+
+def _service_intervals(trace: Trace) -> List[Tuple[int, int]]:
+    """Intervals of "a valid holder/leader exists":
+
+    * a lease holder is valid over its :func:`lease_intervals`;
     * a leader leads from ``leader_elected`` until its own
       ``leader_stepdown`` (a leader that never steps down leads to the
       end of the trace — clipped by the caller's horizon).
     """
-    intervals: List[List[int]] = []
-    open_lease: Dict[str, List[int]] = {}     # holder -> [start, horizon]
+    intervals = [(start, end) for start, end, __ in lease_intervals(trace)]
     open_leader: Dict[str, int] = {}          # leader -> start
     end = 0
     for ev in trace:
         end = max(end, ev.time)
-        if ev.kind == "lease_acquired":
-            if ev.obj in open_lease:
-                start, horizon = open_lease.pop(ev.obj)
-                intervals.append([start, min(horizon, ev.time)])
-            open_lease[ev.obj] = [ev.time, int(ev.detail["until"])]
-        elif ev.kind == "lease_released":
-            if ev.obj in open_lease:
-                start, horizon = open_lease.pop(ev.obj)
-                intervals.append([start, min(horizon, ev.time)])
-        elif ev.kind == "leader_elected":
+        if ev.kind == "leader_elected":
             open_leader.setdefault(ev.obj, ev.time)
         elif ev.kind == "leader_stepdown":
             if ev.obj in open_leader:
-                intervals.append([open_leader.pop(ev.obj), ev.time])
-    for start, horizon in open_lease.values():
-        intervals.append([start, horizon])
+                intervals.append((open_leader.pop(ev.obj), ev.time))
     for start in open_leader.values():
-        intervals.append([start, end])
+        intervals.append((start, end))
     return intervals
 
 

@@ -129,11 +129,6 @@ class RunStore:
                    if name.endswith(".json")]
         return sorted(records, key=lambda r: r.key)
 
-    def load(self, kind: str, target: str,
-             seed: Optional[int] = None) -> Optional[GateRecord]:
-        path = os.path.join(self.root, record_filename(kind, target, seed))
-        return load_record(path) if os.path.exists(path) else None
-
 
 def load_record(path: str) -> GateRecord:
     with open(path) as fh:

@@ -208,8 +208,7 @@ def fold_spans(trace: Iterable[Event]) -> List[Span]:
                 target.blocked = None
                 # The wakeup hands a suspended possession back when the park
                 # was on the thing the possession is suspended on (monitor
-                # urgent / Mesa re-entry / condition timeout re-entry /
-                # serializer queue grant).
+                # urgent / Mesa re-entry / serializer queue grant).
                 resume_top(target, ev, waited_on)
 
         elif kind == "timeout":

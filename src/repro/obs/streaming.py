@@ -78,21 +78,21 @@ class QuantileSketch:
         self.max = 0
 
     # ------------------------------------------------------------------
-    def observe(self, value: int, n: int = 1) -> None:
-        """Fold ``n`` occurrences of ``value`` (a non-negative duration)."""
+    def observe(self, value: int) -> None:
+        """Fold one occurrence of ``value`` (a non-negative duration)."""
         if value < 0:
             raise ValueError("sketch values must be non-negative")
-        self.count += n
-        self.total += value * n
+        self.count += 1
+        self.total += value
         if self.min is None or value < self.min:
             self.min = value
         if value > self.max:
             self.max = value
         if value == 0:
-            self._zero += n
+            self._zero += 1
             return
         key = int(math.ceil(math.log(value) / self._log_gamma))
-        self._buckets[key] = self._buckets.get(key, 0) + n
+        self._buckets[key] = self._buckets.get(key, 0) + 1
 
     def merge(self, other: "QuantileSketch") -> None:
         """Fold ``other`` into this sketch (bucket-wise addition).  Both

@@ -25,11 +25,11 @@ DEFAULT_PLAN: List[Tuple[int, int]] = [
 ]
 
 
-def random_plan(seed: int, requests: int = 12) -> List[Tuple[int, int]]:
-    """Distinct random tracks in 1..199 (never the start track 0) with
-    staggered arrivals."""
+def random_plan(seed: int) -> List[Tuple[int, int]]:
+    """Twelve distinct random tracks in 1..199 (never the start track 0)
+    with staggered arrivals."""
     rng = random.Random(seed)
-    chosen = rng.sample(range(1, 200), requests)
+    chosen = rng.sample(range(1, 200), 12)
     return [(rng.randrange(0, 8), track) for track in chosen]
 
 

@@ -19,12 +19,13 @@ from .impls import (
 
 
 def run_contenders(factory, contenders: int = 6, rounds: int = 2,
-                   policy=None, stagger: bool = True, sched=None):
+                   stagger: bool = True, sched=None):
     """``contenders`` processes each use the resource ``rounds`` times,
     arriving at staggered virtual times so arrival order is unambiguous.
-    ``sched`` injects a pre-built (e.g. instrumented) scheduler."""
+    ``sched`` injects a pre-built (e.g. instrumented or randomly
+    scheduled) scheduler."""
     if sched is None:
-        sched = Scheduler(policy=policy)
+        sched = Scheduler()
     impl = factory(sched)
 
     def user(index):

@@ -57,7 +57,7 @@ class _InnerChannelMonitor:
         return value
 
 
-def run_nested_monitors(consumers: int = 1) -> RunResult:
+def run_nested_monitors() -> RunResult:
     """The deadlock shape: outer monitor ops call inner monitor ops.
 
     The consumer holds the outer monitor while waiting inside the inner one;
@@ -86,8 +86,7 @@ def run_nested_monitors(consumers: int = 1) -> RunResult:
         yield  # let the consumer get stuck first
         yield from outer_put(42)
 
-    for c in range(consumers):
-        sched.spawn(consumer, name="consumer{}".format(c))
+    sched.spawn(consumer, name="consumer0")
     sched.spawn(producer, name="producer")
     return sched.run(on_deadlock="return")
 

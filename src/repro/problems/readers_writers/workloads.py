@@ -46,11 +46,12 @@ PHASED_PLAN: List[Step] = [
 ]
 
 
-def staggered_plan(seed: int, steps: int = 10) -> List[Step]:
-    """A reproducible random plan with mixed arrivals and work lengths."""
+def staggered_plan(seed: int) -> List[Step]:
+    """A reproducible random ten-step plan with mixed arrivals and work
+    lengths."""
     rng = random.Random(seed)
     plan: List[Step] = []
-    for __ in range(steps):
+    for __ in range(10):
         kind = "R" if rng.random() < 0.6 else "W"
         plan.append((kind, rng.randrange(0, 6), rng.randrange(1, 4)))
     return plan

@@ -61,16 +61,16 @@ def fcfs_seek_distance(start: int, requests: List[int]) -> int:
     return distance
 
 
-def scan_order(start: int, requests: List[int], ascending: bool = True) -> List[int]:
+def scan_order(start: int, requests: List[int]) -> List[int]:
     """The elevator service order for a *batch* of pending requests.
 
-    Serves everything at-or-ahead of the head in the current direction,
-    then reverses.  Reference implementation used by tests and the oracle.
+    Sweeps upward first, serving everything at-or-ahead of the head, then
+    reverses.  Reference implementation used by tests and the oracle.
     """
     pending = sorted(requests)
     order: List[int] = []
     head = start
-    up = ascending
+    up = True
     while pending:
         if up:
             ahead = [t for t in pending if t >= head]

@@ -3,7 +3,7 @@
 The runtime replaces OS threads with generator-based processes scheduled by a
 single deterministic loop (see DESIGN.md §6 for why).  Public surface:
 
-* :class:`Scheduler` / :func:`run_processes` — spawn and run processes.
+* :class:`Scheduler` — spawn and run processes.
 * :class:`SimProcess`, :class:`ProcessState` — process handles.
 * Policies — :class:`FIFOPolicy`, :class:`RandomPolicy`,
   :class:`ScriptedPolicy`, :class:`NamedOrderPolicy`, :class:`PriorityPolicy`.
@@ -34,7 +34,7 @@ from .policies import (
 )
 from .primitives import BroadcastEvent, Mutex, Semaphore
 from .process import ProcessState, SimProcess
-from .scheduler import Scheduler, run_processes
+from .scheduler import Scheduler
 from .timeline import render_timeline
 from .trace import Event, Op, OpFold, RunResult, Trace
 
@@ -70,5 +70,4 @@ __all__ = [
     "WaitTimeout",
     "deliver",
     "render_timeline",
-    "run_processes",
 ]

@@ -89,12 +89,11 @@ class IllegalOperationError(RuntimeBaseError):
 class WaitTimeout(RuntimeBaseError):
     """Raised *inside a process* when a timed blocking call expires.
 
-    Every timed variant (``Semaphore.p(timeout=...)``, ``Mutex.acquire``,
-    ``Condition.wait``, ``Serializer.enqueue``, channel ``send``/``receive``,
-    ``select``) raises this after ``timeout`` units of *virtual* time without
-    a wakeup.  The mechanism removes the caller from its wait queue before
-    the exception is delivered, so a later signal can never target a process
-    that already gave up.
+    A channel ``send``/``receive`` with ``timeout=`` (the dist layer's
+    ``Node.receive``/``request`` reach it through a node's inbox) raises
+    this after ``timeout`` units of *virtual* time without a wakeup.  The
+    channel withdraws the caller's offer before the exception is delivered,
+    so a later match can never target a process that already gave up.
     """
 
     def __init__(self, what, timeout):

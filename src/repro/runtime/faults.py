@@ -7,16 +7,13 @@ evaluation cares about instead of waiting for scheduling to produce them:
 * :class:`FaultPlan` — a declarative script of faults, wired into
   :meth:`Scheduler.run`:
 
-  - ``kill(P, at_step=N)``     — kill process P before its Nth step;
-  - ``kill(P, on_entry=obj)``  — kill P right after it enters object ``obj``
-    (a mutex, monitor, serializer, channel, or resource operation), i.e.
-    *inside* the construct;
+  - ``kill(P, at_step=N)``     — kill process P before its Nth step (with
+    ``Scheduler(preemptive=True)`` every checkpoint is a step, so a step
+    count can land *inside* a construct);
   - ``kill(P, at_time=T)``     — kill P once virtual time reaches T, even if
     it is blocked;
   - ``delay_wakeups(P, ticks)`` — every wakeup of P is delivered ``ticks``
-    units of virtual time late (models a slow or descheduled process);
-  - ``drop_signal(obj, nth)``  — the nth ``V``/``signal`` on ``obj``
-    vanishes (models a lost wakeup).
+    units of virtual time late (models a slow or descheduled process).
 
 * :class:`WaitForGraph` — the diagnosis :class:`~repro.runtime.errors.
   DeadlockError` carries: who holds what, who waits on what, cycles rendered
@@ -33,18 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-#: Event kinds that mean "the acting process just entered the named object".
-#: ``kill(P, on_entry=obj)`` triggers on any of these; the kill lands before
-#: P's next step, i.e. while it is inside the object.
-ENTRY_KINDS = frozenset((
-    "enter",        # monitor / serializer possession
-    "acquire",      # mutex
-    "sem_p",        # semaphore permit
-    "op_start",     # path-controlled resource operation
-    "join_crowd",   # serializer crowd
-    "send",         # channel communication completed
-    "recv",
-))
+#: The keys each fault action's portable form may carry.
+_KEYS = {
+    "kill": frozenset(("action", "process", "at_step", "at_time")),
+    "delay": frozenset(("action", "process", "ticks")),
+}
 
 
 @dataclass
@@ -52,77 +42,51 @@ class Fault:
     """One scripted fault.  Constructed via the :class:`FaultPlan` builder
     methods rather than directly."""
 
-    action: str                       # "kill" | "delay" | "drop"
-    process: Optional[str] = None     # target process name (kill / delay)
+    action: str                       # "kill" | "delay"
+    process: str                      # target process name
     at_step: Optional[int] = None     # kill before the target's Nth step
-    on_entry: Optional[str] = None    # kill after entering this object
     at_time: Optional[int] = None     # kill once virtual time reaches this
     ticks: int = 0                    # delay amount (delay)
-    obj: Optional[str] = None         # drop target object name (drop)
-    nth: int = 1                      # drop the nth signal on obj (1-based)
     fired: bool = False
 
     def describe(self) -> str:
         if self.action == "kill":
             if self.at_step is not None:
                 where = "at step {}".format(self.at_step)
-            elif self.on_entry is not None:
-                where = "on entry to {}".format(self.on_entry)
             else:
                 where = "at time {}".format(self.at_time)
             return "kill {} {}".format(self.process, where)
-        if self.action == "delay":
-            return "delay wakeups of {} by {} ticks".format(
-                self.process, self.ticks)
-        return "drop signal #{} on {}".format(
-            self.nth, "any object" if self.obj == "*" else self.obj)
+        return "delay wakeups of {} by {} ticks".format(
+            self.process, self.ticks)
 
     def to_dict(self) -> Dict[str, Any]:
         """Portable form (runtime state — ``fired`` — excluded)."""
-        out: Dict[str, Any] = {"action": self.action}
-        for key in ("process", "at_step", "on_entry", "at_time", "obj"):
+        out: Dict[str, Any] = {"action": self.action, "process": self.process}
+        for key in ("at_step", "at_time"):
             value = getattr(self, key)
             if value is not None:
                 out[key] = value
         if self.action == "delay":
             out["ticks"] = self.ticks
-        if self.action == "drop":
-            out["nth"] = self.nth
         return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Fault":
-        return cls(
-            action=data["action"],
-            process=data.get("process"),
-            at_step=data.get("at_step"),
-            on_entry=data.get("on_entry"),
-            at_time=data.get("at_time"),
-            ticks=int(data.get("ticks", 0)),
-            obj=data.get("obj"),
-            nth=int(data.get("nth", 1)),
-        )
 
 
 class FaultPlan:
     """A deterministic script of faults, consulted by the scheduler.
 
-    Build with the chaining methods, pass to ``Scheduler(fault_plan=...)``
-    or ``run_processes(..., fault_plan=...)``::
+    Build with the chaining methods and pass to
+    ``Scheduler(fault_plan=...)``::
 
         plan = (FaultPlan()
-                .kill("W1", on_entry="db.mon")
-                .drop_signal("ok_to_read", nth=2))
+                .kill("W1", at_step=2)
+                .delay_wakeups("R0", ticks=3))
 
     One plan instance may be reused across runs (the explorer does): the
-    scheduler calls :meth:`begin` before each run to reset fired-flags and
-    counters.
+    scheduler calls :meth:`begin` before each run to reset fired-flags.
     """
 
     def __init__(self) -> None:
         self.faults: List[Fault] = []
-        self._doomed: List[str] = []
-        self._drop_counts: Dict[int, int] = {}  # fault index -> signals seen
 
     # ------------------------------------------------------------------
     # Builders
@@ -131,18 +95,13 @@ class FaultPlan:
         self,
         process: str,
         at_step: Optional[int] = None,
-        on_entry: Optional[str] = None,
         at_time: Optional[int] = None,
     ) -> "FaultPlan":
         """Schedule the death of ``process`` (exactly one coordinate)."""
-        coords = [at_step, on_entry, at_time]
-        if sum(c is not None for c in coords) != 1:
-            raise ValueError(
-                "kill() needs exactly one of at_step / on_entry / at_time"
-            )
+        if (at_step is None) == (at_time is None):
+            raise ValueError("kill() needs exactly one of at_step / at_time")
         self.faults.append(Fault(
-            "kill", process=process,
-            at_step=at_step, on_entry=on_entry, at_time=at_time,
+            "kill", process=process, at_step=at_step, at_time=at_time,
         ))
         return self
 
@@ -157,17 +116,6 @@ class FaultPlan:
         self.faults.append(Fault("delay", process=process, ticks=ticks))
         return self
 
-    def drop_signal(self, obj: str, nth: int = 1) -> "FaultPlan":
-        """Make the ``nth`` V/signal on object ``obj`` vanish (1-based).
-
-        ``obj="*"`` counts every V/signal regardless of object — the nth
-        wakeup *anywhere* vanishes.  Each fault keeps its own counter, so
-        a wildcard and an exact entry never interfere."""
-        if nth < 1:
-            raise ValueError("nth is 1-based")
-        self.faults.append(Fault("drop", obj=obj, nth=nth))
-        return self
-
     # ------------------------------------------------------------------
     # Runtime hooks (called by the scheduler)
     # ------------------------------------------------------------------
@@ -175,8 +123,6 @@ class FaultPlan:
         """Reset per-run state so the plan can be replayed."""
         for f in self.faults:
             f.fired = False
-        self._doomed = []
-        self._drop_counts = {}
 
     def kill_due(self, pname: str, steps: int, now: int) -> Optional[Fault]:
         """The first unfired kill fault due for ``pname`` about to run its
@@ -203,22 +149,6 @@ class FaultPlan:
                 due.append(f)
         return due
 
-    def observe(self, pname: str, kind: str, obj: str) -> None:
-        """Watch the event stream for ``on_entry`` triggers."""
-        if kind not in ENTRY_KINDS:
-            return
-        for f in self.faults:
-            if (f.action == "kill" and not f.fired
-                    and f.on_entry is not None
-                    and f.process == pname and f.on_entry == obj):
-                f.fired = True
-                self._doomed.append(pname)
-
-    def take_doomed(self) -> List[str]:
-        """Processes marked for death by ``on_entry`` triggers (drained)."""
-        doomed, self._doomed = self._doomed, []
-        return doomed
-
     def wake_delay(self, pname: str) -> int:
         """Extra ticks to delay a wakeup of ``pname`` (0 = deliver now)."""
         total = 0
@@ -226,24 +156,6 @@ class FaultPlan:
             if f.action == "delay" and f.process in (pname, "*"):
                 total += f.ticks
         return total
-
-    def should_drop(self, obj: str) -> bool:
-        """Consulted by V/signal sites: True when this signal must vanish.
-
-        Counters are per-fault (keyed by the fault's position in the
-        plan): every drop entry matching ``obj`` — exactly or via the
-        ``"*"`` wildcard — advances its own count, and the signal vanishes
-        if any unfired entry just reached its ``nth``."""
-        drop = False
-        for idx, f in enumerate(self.faults):
-            if f.action != "drop" or f.obj not in (obj, "*"):
-                continue
-            count = self._drop_counts.get(idx, 0) + 1
-            self._drop_counts[idx] = count
-            if not f.fired and f.nth == count:
-                f.fired = True
-                drop = True
-        return drop
 
     def describe(self) -> List[str]:
         """Human-readable rendering of every scripted fault."""
@@ -260,8 +172,29 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
+        """Rebuild a plan through the builders, so a persisted plan gets
+        the same checks as a hand-built one.  An unknown action or key
+        raises :class:`ValueError` instead of replaying a different
+        plan."""
         plan = cls()
-        plan.faults = [Fault.from_dict(f) for f in data.get("faults", [])]
+        for entry in data.get("faults", []):
+            keys = _KEYS.get(entry.get("action"))
+            if keys is None:
+                raise ValueError(
+                    "unknown fault action {!r}".format(entry.get("action")))
+            unknown = sorted(set(entry) - keys)
+            if unknown:
+                raise ValueError("unknown {} fault key(s): {}".format(
+                    entry["action"], ", ".join(unknown)))
+            if "process" not in entry:
+                raise ValueError("{} fault names no process".format(
+                    entry["action"]))
+            if entry["action"] == "kill":
+                plan.kill(entry["process"], at_step=entry.get("at_step"),
+                          at_time=entry.get("at_time"))
+            else:
+                plan.delay_wakeups(entry["process"],
+                                   int(entry.get("ticks", 0)))
         return plan
 
     def __repr__(self) -> str:

@@ -27,9 +27,9 @@ Crash semantics (see DESIGN.md "Fault model"):
   enables lock-style ownership tracking (each un-V'd ``P`` is returned on
   death); only sound when the acquiring process is the one that releases,
   i.e. *not* for token-passing protocols.
-* Timed variants: ``p(timeout=...)`` / ``acquire(timeout=...)`` /
-  ``wait(timeout=...)`` raise :class:`~repro.runtime.errors.WaitTimeout`
-  after the given virtual-time budget, dequeuing the caller first.
+
+Waits here are untimed: Bloom's constraints are exclusion and priority, not
+deadlines.  A bounded wait is a channel's ``receive(timeout=...)``.
 """
 
 from __future__ import annotations
@@ -92,12 +92,8 @@ class Semaphore:
         return len(self._waiters)
 
     # ------------------------------------------------------------------
-    def p(self, timeout: Optional[int] = None) -> Generator:
-        """Dijkstra's P (wait/acquire).  ``yield from sem.p()``.
-
-        ``timeout`` bounds the wait in virtual time; expiry dequeues the
-        caller and raises :class:`WaitTimeout`.
-        """
+    def p(self) -> Generator:
+        """Dijkstra's P (wait/acquire).  ``yield from sem.p()``."""
         yield from self._sched.checkpoint()
         me = self._sched.current
         if self._value > 0 and not self._waiters:
@@ -111,8 +107,6 @@ class Semaphore:
         try:
             yield from self._sched.park(
                 "P({})".format(self.name), self.name,
-                timeout=timeout,
-                on_timeout=lambda: self._discard_waiter(me),
                 resource=self._label,
             )
         finally:
@@ -125,14 +119,7 @@ class Semaphore:
     acquire = p
 
     def v(self) -> None:
-        """Dijkstra's V (signal/release).  Non-blocking.
-
-        Subject to ``drop_signal`` fault injection: a dropped V vanishes —
-        no waiter wakes and the counter stays put (a lost wakeup).
-        """
-        if self._sched.fault_drop(self.name):
-            self._sched.log("fault_drop", self.name, "V")
-            return
+        """Dijkstra's V (signal/release).  Non-blocking."""
         self._note_released()
         if self._waiters:
             proc = self._pick_waiter()
@@ -310,12 +297,8 @@ class Mutex:
         """Name of the holding process, or ``None``."""
         return self._holder.name if self._holder else None
 
-    def acquire(self, timeout: Optional[int] = None) -> Generator:
-        """Block until the lock is free, then take it.
-
-        ``timeout`` bounds the wait in virtual time; expiry dequeues the
-        caller and raises :class:`WaitTimeout`.
-        """
+    def acquire(self) -> Generator:
+        """Block until the lock is free, then take it."""
         yield from self._sched.checkpoint()
         me = self._sched.current
         if self._holder is me:
@@ -332,8 +315,6 @@ class Mutex:
         try:
             yield from self._sched.park(
                 "lock({})".format(self.name), self.name,
-                timeout=timeout,
-                on_timeout=lambda: self._discard_waiter(me),
                 resource=self._label,
             )
         finally:
@@ -412,8 +393,7 @@ class BroadcastEvent:
     """A one-shot gate: processes wait until some process sets it.
 
     Once set, the event stays set and :meth:`wait` returns immediately.
-    A waiter that dies is dequeued; ``wait(timeout=...)`` gives up after the
-    virtual-time budget with :class:`WaitTimeout`.
+    A waiter that dies is dequeued.
     """
 
     def __init__(self, sched: Scheduler, name: str = "event") -> None:
@@ -429,7 +409,7 @@ class BroadcastEvent:
         """True once :meth:`set` has been called."""
         return self._set
 
-    def wait(self, timeout: Optional[int] = None) -> Generator:
+    def wait(self) -> Generator:
         """Block until the event is set (immediate if already set)."""
         yield from self._sched.checkpoint()
         if self._set:
@@ -441,8 +421,6 @@ class BroadcastEvent:
         try:
             yield from self._sched.park(
                 "event({})".format(self.name), self.name,
-                timeout=timeout,
-                on_timeout=lambda: self._discard_waiter(me),
                 resource=self._label,
             )
         finally:

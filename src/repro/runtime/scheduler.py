@@ -23,7 +23,7 @@ Robustness services layered on the same two primitives:
   dequeue a dead waiter, break a channel) so survivors are never silently
   wedged;
 * **fault injection** — a :class:`~repro.runtime.faults.FaultPlan` can
-  script kills, delayed wakeups, and dropped signals into the run loop;
+  script kills and delayed wakeups into the run loop;
 * **diagnosis** — the scheduler tracks who holds what (:meth:`note_hold`)
   and who waits on what, so deadlocks carry a wait-for graph naming even
   dead processes.
@@ -108,9 +108,7 @@ class _TimerEntry:
 
     * ``"sleep"``   — plain :meth:`Scheduler.sleep` wakeup;
     * ``"timeout"`` — timed ``park`` expiry: run the mechanism's
-      ``on_fire`` dequeue callback, then deliver :class:`WaitTimeout`
-      (unless ``on_fire`` returned ``True``, meaning it re-queued the
-      wakeup itself — the monitor does this to re-enter before raising);
+      ``on_fire`` dequeue callback, then deliver :class:`WaitTimeout`;
     * ``"delayed"`` — a fault-plan-delayed wakeup carrying the original
       wake value in ``payload``.
 
@@ -151,7 +149,7 @@ class Scheduler:
             points via :meth:`checkpoint`, widening the schedule space the
             explorer can reach.
         fault_plan: optional :class:`~repro.runtime.faults.FaultPlan` of
-            kills / delays / dropped signals injected into the run.
+            kills and delayed wakeups injected into the run.
         sink: optional :class:`~repro.obs.sink.InstrumentationSink` that
             receives every trace event, dispatch step, and mechanism probe.
             A sink whose class sets ``IS_NULL = True`` (the obs layer's
@@ -494,9 +492,7 @@ class Scheduler:
                 :class:`WaitTimeout` in the parked process.
             on_timeout: mechanism callback run when the timer fires, used to
                 dequeue the caller so no later signal targets a process that
-                gave up.  Returning ``True`` suppresses the immediate
-                :class:`WaitTimeout` delivery (the callback re-queued the
-                wakeup itself).
+                gave up.
             resource: wait-for-graph label of what is awaited (defaults to
                 ``obj``).
         """
@@ -587,12 +583,6 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Fault hooks
     # ------------------------------------------------------------------
-    def fault_drop(self, obj: str) -> bool:
-        """Consulted by V/signal sites: True when the active fault plan
-        wants this signal to vanish.  The call site logs the drop and simply
-        returns without waking anyone."""
-        return self.fault_plan is not None and self.fault_plan.should_drop(obj)
-
     def _find_alive(self, name: str) -> Optional[SimProcess]:
         for proc in self._processes:
             if proc.name == name and proc.alive:
@@ -600,17 +590,12 @@ class Scheduler:
         return None
 
     def _fire_pending_faults(self) -> None:
-        """Kill processes doomed by entry triggers or due time-based kills.
-        Runs every loop iteration so even *blocked* processes die on cue."""
-        plan = self.fault_plan
-        for fault in plan.time_kills_due(self._time):
+        """Kill processes whose time-based kills are due.  Runs every loop
+        iteration so even *blocked* processes die on cue."""
+        for fault in self.fault_plan.time_kills_due(self._time):
             victim = self._find_alive(fault.process)
             if victim is not None and victim is not self._current:
                 self.kill(victim, why=fault.describe())
-        for name in plan.take_doomed():
-            victim = self._find_alive(name)
-            if victim is not None and victim is not self._current:
-                self.kill(victim, why="entered fault point")
 
     # ------------------------------------------------------------------
     # Tracing
@@ -655,8 +640,6 @@ class Scheduler:
             self._fp_digest = (digest + term) & _MASK64
         if self._sink is not None:
             self._sink.on_event(event)
-        if self.fault_plan is not None and actor is not None:
-            self.fault_plan.observe(pname, kind, obj)
         return event
 
     def probe(self, category: str, obj: str, value: Any) -> None:
@@ -856,32 +839,12 @@ class Scheduler:
                 self._ready.append(proc)
                 self.log("unblocked", proc.name, "timer", proc=proc)
             elif entry.kind == "timeout":
-                handled = entry.on_fire() if entry.on_fire is not None else None
+                if entry.on_fire is not None:
+                    entry.on_fire()
                 self.log("timeout", entry.what, entry.timeout, proc=proc)
-                if handled is not True:
-                    self._wake(
-                        proc, _Failure(WaitTimeout(entry.what, entry.timeout))
-                    )
+                self._wake(
+                    proc, _Failure(WaitTimeout(entry.what, entry.timeout))
+                )
             else:  # "delayed" — a fault-plan-postponed wakeup
                 self._wake(proc, entry.payload)
 
-
-def run_processes(
-    *bodies,
-    names: Optional[List[str]] = None,
-    on_error: str = "raise",
-    preemptive: bool = False,
-    fault_plan: Optional[FaultPlan] = None,
-) -> RunResult:
-    """Convenience wrapper: spawn each generator-returning thunk and run.
-
-    Each element of ``bodies`` must be a zero-argument callable returning a
-    generator (use closures or ``functools.partial`` to bind arguments).
-    ``preemptive``, ``on_error`` and a fault plan are plumbed through, so
-    callers never need to hand-build a scheduler just to set them.
-    """
-    sched = Scheduler(preemptive=preemptive, fault_plan=fault_plan)
-    for i, body in enumerate(bodies):
-        name = names[i] if names else None
-        sched.spawn(body, name=name)
-    return sched.run(on_error=on_error)

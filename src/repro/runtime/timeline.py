@@ -16,7 +16,7 @@ Example output for the anomaly run::
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .trace import Trace
 
@@ -25,7 +25,6 @@ def render_timeline(
     trace: Trace,
     ops: Dict[str, str],
     width: Optional[int] = None,
-    include: Optional[Iterable[str]] = None,
 ) -> str:
     """Render a Gantt chart of operation activity.
 
@@ -35,10 +34,9 @@ def render_timeline(
             while it executes, e.g. ``{"db.read": "R", "db.write": "W"}``.
         width: squeeze the chart to at most this many columns (sampling);
             default uses one column per event.
-        include: restrict to these process names (default: every process
-            that touches one of the ops).
 
-    Returns a multi-line string, one row per process.
+    Returns a multi-line string, one row per process that touches one of
+    the ops.
     """
     events = [ev for ev in trace if ev.obj in ops and ev.kind in
               ("request", "op_start", "op_end")]
@@ -57,9 +55,6 @@ def render_timeline(
             symbol = "."
         transitions.setdefault(ev.pname, []).append((ev.seq, symbol))
     names = list(transitions)
-    if include is not None:
-        wanted = set(include)
-        names = [n for n in names if n in wanted]
     rows = []
     label_width = max((len(n) for n in names), default=0)
     for name in names:

@@ -203,14 +203,11 @@ def check_alternation(trace: Trace, resource: str) -> List[str]:
 # ----------------------------------------------------------------------
 # Parameter-based disciplines
 # ----------------------------------------------------------------------
-def check_scan_order(
-    trace: Trace,
-    resource: str = "disk",
-    start_track: int = 0,
-) -> List[str]:
+def check_scan_order(trace: Trace, resource: str = "disk") -> List[str]:
     """Elevator discipline: every ``serve`` event must pick, from the
     requests pending at that moment, the nearest track in the current sweep
-    direction (upward first, reversing at the extremes).
+    direction (upward first from track 0, where every disk's head starts,
+    reversing at the extremes).
 
     Requests are ``request`` events whose detail carries the track (either
     the bare int or an args tuple); services are ``serve`` events with the
@@ -224,7 +221,7 @@ def check_scan_order(
         return int(detail)
 
     pending: List[int] = []
-    head = start_track
+    head = 0
     direction_up = True
     violations: List[str] = []
     # Only the bare-resource parameter stream counts: "<resource>.<op>"

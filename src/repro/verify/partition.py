@@ -6,7 +6,8 @@ Safety oracles over the dist layer's trace vocabulary:
   validity intervals reconstructed from ``lease_acquired`` /
   ``lease_released`` / horizon ticks never overlap across holders, no
   matter what the network did.  It judges virtual-time horizons, not
-  ``cs`` events, so it keeps its own interval fold.
+  ``cs`` events, so it reads the lease fold availability reads
+  (:func:`repro.obs.recovery.lease_intervals`).
 * :func:`check_at_most_one_leader` — **at-most-one-leader-per-term**: no
   term carries two ``leader_elected`` events from different nodes.
 * :func:`check_fencing` — a resource never accepts a stale fencing token
@@ -42,7 +43,7 @@ from ..explore.engine import ExplorationEngine
 # rebinding of ``distributed.build_*`` (verdictbench's traced pass)
 # reaches every scenario.
 from ..problems import distributed
-from ..runtime.trace import RunResult, Trace
+from ..runtime.trace import RunResult
 from .detectors import Checker, exclusion_oracle
 
 SPLIT_BRAIN = "split-brain"
@@ -59,39 +60,20 @@ COLUMNS = ((SPLIT_BRAIN, "split-brain"), (WEDGED, "wedged"),
 # ----------------------------------------------------------------------
 # Safety oracles
 # ----------------------------------------------------------------------
-def _lease_intervals(trace: Trace) -> List[Tuple[int, int, str]]:
-    """Holder validity intervals ``[start, end)`` from the lease events:
-    start at ``lease_acquired``, end at the earlier of the validity
-    horizon and an explicit ``lease_released``.  A re-acquire closes the
-    holder's earlier interval at its horizon (availability's fold closes
-    it at the re-acquire tick)."""
-    intervals: List[Tuple[int, int, str]] = []
-    events = [ev for ev in trace
-              if ev.kind in ("lease_acquired", "lease_released")]
-    open_by_holder: Dict[str, Tuple[int, int]] = {}
-
-    def close(holder: str, upto: Optional[int] = None) -> None:
-        start, horizon = open_by_holder.pop(holder)
-        end = horizon if upto is None else min(upto, horizon)
-        intervals.append((start, end, holder))
-
-    for ev in events:
-        if ev.kind == "lease_acquired":
-            if ev.obj in open_by_holder:
-                close(ev.obj)          # re-acquire extends as a new interval
-            open_by_holder[ev.obj] = (ev.time, int(ev.detail["until"]))
-        else:
-            if ev.obj in open_by_holder:
-                close(ev.obj, upto=ev.time)
-    for holder in sorted(open_by_holder):
-        close(holder)
-    return sorted(intervals)
-
-
 def check_lease_exclusion(run: RunResult) -> List[str]:
     """No two holders' validity intervals may overlap — at every virtual
-    tick at most one client may believe it holds the quorum lease."""
-    intervals = _lease_intervals(run.trace)
+    tick at most one client may believe it holds the quorum lease.
+
+    Checking adjacent pairs of the start-sorted intervals is complete.
+    If interval ``i`` overlaps some later interval of another holder, the
+    interval right after ``i`` starts no later than that one, so it starts
+    before ``i`` ends.  It cannot be the same holder's, because
+    :func:`~repro.obs.recovery.lease_intervals` keeps one holder's
+    intervals disjoint.  So the pair ``(i, i + 1)`` is itself flagged."""
+    # Deferred: repro.obs loads 11 modules and cProfile; few callers get here.
+    from ..obs.recovery import lease_intervals
+
+    intervals = lease_intervals(run.trace)
     messages: List[str] = []
     for (s1, e1, h1), (s2, e2, h2) in zip(intervals, intervals[1:]):
         if h1 != h2 and s2 < e1:

@@ -73,12 +73,6 @@ def test_nested_monitors_deadlock():
     assert set(result.blocked) == {"consumer0", "producer"}
 
 
-def test_nested_monitors_deadlock_scales_with_consumers():
-    result = run_nested_monitors(consumers=3)
-    assert result.deadlocked
-    assert "producer" in result.blocked
-
-
 def test_layered_protected_structure_avoids_deadlock():
     """§5.2: 'the monitor is released before the resource operation is
     invoked... Therefore, no deadlock will result.'"""

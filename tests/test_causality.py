@@ -166,8 +166,8 @@ def test_virtual_speedups_are_bounded_by_waits():
 
 def test_causal_chain_is_human_readable():
     path = run_causal("bounded_buffer", "monitor").path
-    lines = causal_chain(path, limit=4)
-    assert 0 < len(lines) <= 4
+    lines = causal_chain(path)
+    assert 0 < len(lines) <= 6
     assert any("waited" in line or "ran" in line for line in lines)
 
 

@@ -70,7 +70,9 @@ class TestClassifyRun:
     def test_deadlocking_when_survivors_wedge(self):
         from repro.runtime import Semaphore
 
-        plan = FaultPlan().kill("V", on_entry="s")
+        # Two preemptive steps put V inside the region: the P's
+        # checkpoint, then the step that takes the permit.
+        plan = FaultPlan().kill("V", at_step=2)
         sched = Scheduler(fault_plan=plan, preemptive=True)
         sem = Semaphore(sched, initial=1, name="s")
 
@@ -82,6 +84,9 @@ class TestClassifyRun:
         sched.spawn(worker, name="V")
         sched.spawn(worker, name="B")
         run = sched.run(on_deadlock="return", on_error="record")
+        took = run.trace.first(kind="sem_p", obj="s",
+                               predicate=lambda ev: ev.pname == "V")
+        assert took.seq < run.trace.first(kind="killed", obj="V").seq
         label, __ = classify_run(run, "V")
         assert label == DEADLOCKING
 

@@ -1,4 +1,4 @@
-"""Fault-injection runtime: kills, delays, dropped signals, and the
+"""Fault-injection runtime: kills, delays, plan persistence, and the
 per-mechanism crash semantics (DESIGN.md "Fault model").
 
 The acceptance bar: killing a process inside any of the six mechanisms must
@@ -14,6 +14,7 @@ from repro.mechanisms.monitor import Monitor
 from repro.mechanisms.pathexpr import PathResource
 from repro.mechanisms.serializer import Serializer
 from repro.runtime import (
+    BroadcastEvent,
     DeadlockError,
     FaultPlan,
     Mutex,
@@ -38,6 +39,21 @@ def _lock_workers(sched, enter, leave, n=3):
         sched.spawn(worker, name="P{}".format(i))
 
 
+#: Steps a preemptive worker completes by the time it is inside its
+#: region: the construct's checkpoint, then the step that enters.
+INSIDE = 2
+
+
+def _killed_inside(result, victim, kind, obj):
+    """True when ``victim``'s ``kind`` event on ``obj`` (its entry into the
+    construct) precedes its ``killed`` event: the kill landed inside."""
+    entered = result.trace.first(kind=kind, obj=obj,
+                                 predicate=lambda ev: ev.pname == victim)
+    killed = result.trace.first(kind="killed", obj=victim)
+    return (entered is not None and killed is not None
+            and entered.seq < killed.seq)
+
+
 # ----------------------------------------------------------------------
 # FaultPlan trigger kinds
 # ----------------------------------------------------------------------
@@ -58,17 +74,15 @@ class TestFaultPlanTriggers:
         assert result.proc_steps["P1"] == 11
         assert "P1" in result.results
 
-    def test_kill_on_entry_to_named_object(self):
-        plan = FaultPlan().kill("P0", on_entry="m")
+    def test_kill_at_step_lands_inside_named_object(self):
+        plan = FaultPlan().kill("P0", at_step=INSIDE)
         sched = Scheduler(fault_plan=plan, preemptive=True)
         lock = Mutex(sched, name="m")
         _lock_workers(sched, lock.acquire, lambda: lock.release())
         result = sched.run(on_deadlock="return", on_error="record")
         assert result.failed() == ["P0"]
         # The victim died *after* acquiring: the kill is inside the region.
-        assert any(
-            ev.kind == "acquire" and ev.pname == "P0" for ev in result.trace
-        )
+        assert _killed_inside(result, "P0", "acquire", "m")
         assert not result.deadlocked
         assert set(result.results) == {"P1", "P2"}
 
@@ -106,24 +120,6 @@ class TestFaultPlanTriggers:
         assert result.trace.first(kind="wake_delayed") is not None
         assert set(result.results) == {"P0", "P1"}
         assert result.time == 7  # the wakeup arrived late, by the clock
-
-    def test_drop_signal_loses_wakeup(self):
-        plan = FaultPlan().drop_signal("s", nth=1)
-        sched = Scheduler(fault_plan=plan)
-        sem = Semaphore(sched, initial=0, name="s")
-
-        def waiter():
-            yield from sem.p()
-
-        def signaller():
-            yield
-            sem.v()
-
-        sched.spawn(waiter, name="P1")
-        sched.spawn(signaller, name="P0")
-        result = sched.run(on_deadlock="return")
-        assert result.trace.first(kind="fault_drop") is not None
-        assert result.deadlocked and result.blocked == ["P1"]
 
     def test_kill_requires_exactly_one_coordinate(self):
         with pytest.raises(ValueError):
@@ -187,64 +183,20 @@ class TestKill:
 
 
 # ----------------------------------------------------------------------
-# Wildcard drops and describe/repr consistency
+# describe/repr consistency and the portable form
 # ----------------------------------------------------------------------
-class TestFaultPlanWildcardAndDescribe:
-    def test_wildcard_drop_counts_signals_on_any_object(self):
-        # drop_signal("*", nth=2): the 2nd V/signal *anywhere* vanishes,
-        # whatever object carries it.
-        plan = FaultPlan().drop_signal("*", nth=2)
-        sched = Scheduler(fault_plan=plan)
-        s1 = Semaphore(sched, initial=0, name="s1")
-        s2 = Semaphore(sched, initial=0, name="s2")
-
-        def waiter(sem):
-            def body():
-                yield from sem.p()
-            return body
-
-        def signaller():
-            yield
-            s1.v()   # 1st signal overall: delivered
-            s2.v()   # 2nd: dropped
-
-        sched.spawn(waiter(s1), name="W1")
-        sched.spawn(waiter(s2), name="W2")
-        sched.spawn(signaller, name="P0")
-        result = sched.run(on_deadlock="return")
-        assert result.trace.first(kind="fault_drop") is not None
-        assert "W1" in result.results
-        assert result.blocked == ["W2"]
-
-    def test_wildcard_and_exact_rules_keep_independent_counters(self):
-        plan = FaultPlan().drop_signal("s1", nth=1).drop_signal("*", nth=2)
-        plan.begin()
-        assert plan.should_drop("s1")        # exact rule fires
-        assert plan.should_drop("s2")        # wildcard's own 2nd signal
-        assert not plan.should_drop("s2")
-
-    def test_exact_rules_on_one_object_compose(self):
-        # Two entries on the same object drop its first two signals.
-        plan = FaultPlan().drop_signal("s", nth=1).drop_signal("s", nth=2)
-        plan.begin()
-        assert plan.should_drop("s")
-        assert plan.should_drop("s")
-        assert not plan.should_drop("s")
-
+class TestFaultPlanDescribeAndDict:
     def test_describe_repr_round_trip(self):
         plan = (FaultPlan()
                 .kill("P0", at_step=2)
-                .kill("P1", on_entry="m")
                 .kill("P2", at_time=9)
-                .delay_wakeups("*", ticks=3)
-                .drop_signal("*", nth=2)
-                .drop_signal("c", nth=1))
+                .delay_wakeups("*", ticks=3))
         rendered = repr(plan)
         for line in plan.describe():
             assert line in rendered
+        assert "kill P0 at step 2" in rendered
+        assert "kill P2 at time 9" in rendered
         assert "delay wakeups of * by 3 ticks" in rendered
-        assert "drop signal #2 on any object" in rendered
-        assert "drop signal #1 on c" in rendered
 
     def test_dict_round_trip(self):
         # The resilience search serializes its crash witnesses (the
@@ -252,10 +204,8 @@ class TestFaultPlanWildcardAndDescribe:
         # a plan that describes — and therefore fires — identically.
         plan = (FaultPlan()
                 .kill("P0", at_step=2)
-                .kill("P1", on_entry="m")
                 .kill("P2", at_time=9)
-                .delay_wakeups("sup", ticks=3)
-                .drop_signal("c", nth=2))
+                .delay_wakeups("sup", ticks=3))
         clone = FaultPlan.from_dict(plan.to_dict())
         assert clone.to_dict() == plan.to_dict()
         assert clone.describe() == plan.describe()
@@ -265,8 +215,40 @@ class TestFaultPlanWildcardAndDescribe:
         assert clone.kill_due("P3", steps=0, now=9) is None
         assert clone.wake_delay("sup") == 3
         assert clone.wake_delay("P0") == 0
-        assert not clone.should_drop("c")
-        assert clone.should_drop("c")
+
+    # A malformed portable form fails loudly instead of replaying a
+    # different plan: one test per malformed shape.
+    def test_from_dict_rejects_a_kill_with_no_coordinate(self):
+        # Built directly, this kill would never fire.
+        with pytest.raises(ValueError, match="exactly one"):
+            FaultPlan.from_dict({"faults": [
+                {"action": "kill", "process": "P"}]})
+
+    def test_from_dict_rejects_a_kill_with_two_coordinates(self):
+        with pytest.raises(ValueError, match="exactly one"):
+            FaultPlan.from_dict({"faults": [
+                {"action": "kill", "process": "P", "at_step": 1,
+                 "at_time": 2}]})
+
+    def test_from_dict_rejects_an_unknown_action(self):
+        with pytest.raises(ValueError, match="unknown fault action"):
+            FaultPlan.from_dict({"faults": [
+                {"action": "drop", "obj": "s", "nth": 1}]})
+
+    def test_from_dict_rejects_an_unknown_key(self):
+        with pytest.raises(ValueError, match="on_entry"):
+            FaultPlan.from_dict({"faults": [
+                {"action": "kill", "process": "P", "on_entry": "m"}]})
+
+    def test_from_dict_rejects_a_fault_with_no_process(self):
+        with pytest.raises(ValueError, match="names no process"):
+            FaultPlan.from_dict({"faults": [
+                {"action": "kill", "at_step": 1}]})
+
+    def test_from_dict_rejects_a_non_positive_delay(self):
+        with pytest.raises(ValueError, match="positive"):
+            FaultPlan.from_dict({"faults": [
+                {"action": "delay", "process": "P"}]})
 
 
 # ----------------------------------------------------------------------
@@ -370,11 +352,12 @@ class TestCrashSemantics:
     """Survivors must progress (or a graph must name the dead)."""
 
     def test_mutex_holder_death_releases_to_next(self):
-        plan = FaultPlan().kill("P0", on_entry="m")
+        plan = FaultPlan().kill("P0", at_step=INSIDE)
         sched = Scheduler(fault_plan=plan, preemptive=True)
         lock = Mutex(sched, name="m")
         _lock_workers(sched, lock.acquire, lambda: lock.release())
         result = sched.run(on_deadlock="return", on_error="record")
+        assert _killed_inside(result, "P0", "acquire", "m")
         assert not result.deadlocked
         assert set(result.results) == {"P1", "P2"}
         released = result.trace.first(
@@ -384,11 +367,12 @@ class TestCrashSemantics:
         assert released is not None
 
     def test_raw_semaphore_holder_death_deadlocks_with_named_corpse(self):
-        plan = FaultPlan().kill("P0", on_entry="s")
+        plan = FaultPlan().kill("P0", at_step=INSIDE)
         sched = Scheduler(fault_plan=plan, preemptive=True)
         sem = Semaphore(sched, initial=1, name="s")
         _lock_workers(sched, sem.p, lambda: sem.v())
         result = sched.run(on_deadlock="return", on_error="record")
+        assert _killed_inside(result, "P0", "sem_p", "s")
         assert result.deadlocked
         assert result.graph is not None
         rendered = result.graph.render()
@@ -396,11 +380,12 @@ class TestCrashSemantics:
         assert "semaphore s" in rendered
 
     def test_semaphore_crash_release_contains_the_fault(self):
-        plan = FaultPlan().kill("P0", on_entry="s")
+        plan = FaultPlan().kill("P0", at_step=INSIDE)
         sched = Scheduler(fault_plan=plan, preemptive=True)
         sem = Semaphore(sched, initial=1, name="s", crash_release=True)
         _lock_workers(sched, sem.p, lambda: sem.v())
         result = sched.run(on_deadlock="return", on_error="record")
+        assert _killed_inside(result, "P0", "sem_p", "s")
         assert not result.deadlocked
         assert set(result.results) == {"P1", "P2"}
 
@@ -430,11 +415,12 @@ class TestCrashSemantics:
         assert set(result.results) == {"P0", "P2"}
 
     def test_monitor_occupant_death_passes_possession(self):
-        plan = FaultPlan().kill("P0", on_entry="mon")
+        plan = FaultPlan().kill("P0", at_step=INSIDE)
         sched = Scheduler(fault_plan=plan, preemptive=True)
         mon = Monitor(sched, name="mon")
         _lock_workers(sched, mon.enter, lambda: mon.exit())
         result = sched.run(on_deadlock="return", on_error="record")
+        assert _killed_inside(result, "P0", "enter", "mon")
         assert not result.deadlocked
         assert set(result.results) == {"P1", "P2"}
 
@@ -466,7 +452,7 @@ class TestCrashSemantics:
         assert "P1" in result.results and "P2" in result.results
 
     def test_serializer_crowd_member_death_reopens_resource(self):
-        plan = FaultPlan().kill("P0", on_entry="c")
+        plan = FaultPlan().kill("P0", at_step=INSIDE)
         sched = Scheduler(fault_plan=plan, preemptive=True)
         ser = Serializer(sched, name="ser")
         q = ser.queue("q")
@@ -483,6 +469,7 @@ class TestCrashSemantics:
         for i in range(3):
             sched.spawn(worker, name="P{}".format(i))
         result = sched.run(on_deadlock="return", on_error="record")
+        assert _killed_inside(result, "P0", "join_crowd", "c")
         assert not result.deadlocked
         assert set(result.results) == {"P1", "P2"}
         crash_leave = result.trace.first(kind="leave_crowd", obj="c",
@@ -490,7 +477,7 @@ class TestCrashSemantics:
         assert crash_leave is not None
 
     def test_pathexpr_mid_body_death_repairs_network(self):
-        plan = FaultPlan().kill("P0", on_entry="r.work")
+        plan = FaultPlan().kill("P0", at_step=INSIDE)
         sched = Scheduler(fault_plan=plan, preemptive=True)
         res = PathResource(sched, "path work end", name="r")
 
@@ -505,6 +492,7 @@ class TestCrashSemantics:
         for i in range(3):
             sched.spawn(worker, name="P{}".format(i))
         result = sched.run(on_deadlock="return", on_error="record")
+        assert _killed_inside(result, "P0", "op_start", "r.work")
         assert not result.deadlocked
         assert set(result.results) == {"P1", "P2"}
         assert result.trace.first(kind="path_recover") is not None
@@ -554,6 +542,122 @@ class TestCrashSemantics:
         result = sched.run(on_deadlock="return", on_error="record")
         assert result.deadlocked and result.blocked == ["P1"]
         assert "channel ch" in result.graph.render()
+
+
+# ----------------------------------------------------------------------
+# Kill while queued, per mechanism
+# ----------------------------------------------------------------------
+class TestQueuedWaiterDeath:
+    """A process killed while it waits in a queue is withdrawn from it, so
+    the next release passes over the corpse to a live waiter.  W0 and W1
+    queue at t=0, W0 is killed at t=5 and the release comes at t=10."""
+
+    PLAN = FaultPlan().kill("W0", at_time=5)
+
+    def _run(self, sched, wait, release):
+        def waiter():
+            yield from wait()
+
+        def releaser():
+            yield from release()
+
+        sched.spawn(releaser, name="R")  # first, so a holder holds
+        sched.spawn(waiter, name="W0")
+        sched.spawn(waiter, name="W1")
+        result = sched.run(on_deadlock="return", on_error="record")
+        assert result.failed() == ["W0"]
+        assert not result.deadlocked
+        assert set(result.results) == {"W1", "R"}
+        return result
+
+    def test_semaphore_waiter_death_is_dequeued(self):
+        sched = Scheduler(fault_plan=self.PLAN)
+        sem = Semaphore(sched, initial=0, name="s")
+
+        def release():
+            yield from sched.sleep(10)
+            sem.v()
+
+        self._run(sched, sem.p, release)
+        assert sem.waiters == 0 and sem.value == 0
+
+    def test_mutex_waiter_death_is_dequeued(self):
+        sched = Scheduler(fault_plan=self.PLAN)
+        lock = Mutex(sched, name="m")
+
+        def hold():
+            yield from lock.acquire()
+            yield from sched.sleep(10)
+            lock.release()
+
+        def wait():
+            yield from lock.acquire()
+            lock.release()
+
+        self._run(sched, wait, hold)
+
+    def test_event_waiter_death_is_dequeued(self):
+        sched = Scheduler(fault_plan=self.PLAN)
+        event = BroadcastEvent(sched, name="e")
+
+        def release():
+            yield from sched.sleep(10)
+            event.set()
+
+        result = self._run(sched, event.wait, release)
+        # set() wakes the one live waiter, not the corpse.
+        assert result.trace.first(kind="event_set").detail == 1
+
+    def test_monitor_entrant_death_is_dequeued(self):
+        sched = Scheduler(fault_plan=self.PLAN)
+        mon = Monitor(sched, name="mon")
+
+        def hold():
+            yield from mon.enter()
+            yield from sched.sleep(10)
+            mon.exit()
+
+        def wait():
+            yield from mon.enter()
+            mon.exit()
+
+        self._run(sched, wait, hold)
+
+    def test_serializer_entrant_death_is_dequeued(self):
+        sched = Scheduler(fault_plan=self.PLAN)
+        ser = Serializer(sched, name="ser")
+
+        def hold():
+            yield from ser.enter()
+            yield from sched.sleep(10)
+            ser.exit()
+
+        def wait():
+            yield from ser.enter()
+            ser.exit()
+
+        self._run(sched, wait, hold)
+
+    def test_serializer_queue_death_is_dequeued(self):
+        sched = Scheduler(fault_plan=self.PLAN)
+        ser = Serializer(sched, name="ser")
+        q = ser.queue("q")
+        ready = []
+
+        def wait():
+            yield from ser.enter()
+            yield from ser.enqueue(q, guarantee=lambda: bool(ready))
+            ready.pop()  # one grant per release
+            ser.exit()
+
+        def release():
+            yield from sched.sleep(10)
+            yield from ser.enter()
+            ready.append(True)
+            ser.exit()
+
+        self._run(sched, wait, release)
+        assert q.empty
 
 
 # ----------------------------------------------------------------------

@@ -242,8 +242,9 @@ def test_explore_cli_watch_record_export(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "harness telemetry:" in captured.out
     assert "[explore" in captured.err, "--watch writes to stderr"
-    record = RunStore(str(store)).load("explore", "/".join(TARGET))
-    assert record is not None and record.metrics["schedules_per_sec"] > 0
+    [record] = RunStore(str(store)).load_all()
+    assert record.key == "explore:" + "/".join(TARGET)
+    assert record.metrics["schedules_per_sec"] > 0
     assert os.listdir(str(store)) == [
         "explore__fcfs_resource__monitor__fifo.json"]
     __, __, counters = parse_jsonl(out.read_text().splitlines())

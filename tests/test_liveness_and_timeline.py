@@ -261,10 +261,8 @@ def test_timeline_width_squeeze():
         assert len(body) <= 40
 
 
-def test_timeline_include_filter():
+def test_timeline_rows_only_processes_touching_the_ops():
     result = footnote3_workload(PathReadersPriority, Scheduler())
-    chart = render_timeline(
-        result.trace, {"db.write": "W"}, include=["W1"]
-    )
-    assert chart.splitlines()[0].startswith("W1")
-    assert len(chart.splitlines()) == 1
+    chart = render_timeline(result.trace, {"db.write": "W"})
+    rows = {row.split(" |")[0].strip() for row in chart.splitlines()}
+    assert rows == {"W1", "W2"}  # the reader never touches db.write

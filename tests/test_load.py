@@ -18,6 +18,7 @@ from repro.load import (
     run_load,
     saturation_curve,
 )
+from repro.load.arrivals import DIURNAL_PERIOD
 from repro.runtime.scheduler import Scheduler
 
 
@@ -57,11 +58,11 @@ def test_bursty_has_heavier_tail_than_poisson():
 
 
 def test_diurnal_rate_tracks_the_phase():
-    gaps = _take(diurnal(0.5, seed=4, period=200, depth=0.9), 4000)
+    gaps = _take(diurnal(0.5, seed=4), 4000)
     now, peak_arrivals, trough_arrivals = 0, 0, 0
     for g in gaps:
         now += g
-        phase = (now % 200) / 200.0
+        phase = (now % DIURNAL_PERIOD) / float(DIURNAL_PERIOD)
         if 0.15 <= phase <= 0.35:      # around the sine peak
             peak_arrivals += 1
         elif 0.65 <= phase <= 0.85:    # around the trough
@@ -75,9 +76,9 @@ def test_arrival_validation():
     with pytest.raises(ValueError):
         next(poisson(0.0))
     with pytest.raises(ValueError):
-        next(bursty(1.0, burst_factor=1.0))
+        next(bursty(0.0))
     with pytest.raises(ValueError):
-        next(diurnal(1.0, depth=0.0))
+        next(diurnal(-1.0))
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +120,7 @@ def test_run_load_is_deterministic():
 
 def test_run_load_windows_cover_the_run():
     point, sink = run_load("semaphore", clients=40, ops=1, rate=0.25,
-                           window=32, seed=0)
+                           seed=0)
     series = point.windows
     assert series, "windowed series must be populated"
     assert series[0]["start"] % 32 == 0

@@ -284,7 +284,11 @@ def test_alternation_flags_get_first():
 # Disk SCAN
 # ----------------------------------------------------------------------
 def test_scan_ok_elevator_order():
+    # The head starts at track 0; serving 20 first puts it at 20, still
+    # sweeping up.
     trace = build_trace([
+        (4, "request", "disk", 20),
+        (0, "serve", "disk", 20),
         (1, "request", "disk", 30),
         (2, "request", "disk", 10),
         (3, "request", "disk", 50),
@@ -292,17 +296,19 @@ def test_scan_ok_elevator_order():
         (0, "serve", "disk", 50),
         (0, "serve", "disk", 10),
     ])
-    assert check_scan_order(trace, "disk", start_track=20) == []
+    assert check_scan_order(trace, "disk") == []
 
 
 def test_scan_flags_wrong_direction_choice():
     trace = build_trace([
+        (4, "request", "disk", 20),
+        (0, "serve", "disk", 20),
         (1, "request", "disk", 30),
         (2, "request", "disk", 10),
         (3, "request", "disk", 50),
         (0, "serve", "disk", 10),  # head at 20 moving up: should be 30
     ])
-    assert check_scan_order(trace, "disk", start_track=20)
+    assert check_scan_order(trace, "disk")
 
 
 def test_scan_flags_unrequested_track():
@@ -323,7 +329,7 @@ def test_scan_dynamic_arrivals():
         (0, "serve", "disk", 60),  # still sweeping up
         (0, "serve", "disk", 10),
     ])
-    assert check_scan_order(trace, "disk", start_track=0) == []
+    assert check_scan_order(trace, "disk") == []
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,9 @@ import json
 from repro.dist import NetPlan
 from repro.obs.recovery import (
     PARTITION_RECOVERY_KINDS,
+    compute_availability,
     compute_partition_mttr,
+    lease_intervals,
     partition_recovery_spans,
 )
 from repro.runtime.trace import Event, RunResult, Trace
@@ -70,6 +72,38 @@ class TestLeaseExclusionOracle:
             (6, "c0", "lease_acquired", "c0", {"until": 16}),
         ])
         assert check_lease_exclusion(run) == []
+
+    # c0 acquires at 0 until 10, re-acquires at 1 until 11 and releases
+    # at 2; then c1 acquires at 5.
+    REACQUIRE = [
+        (0, "c0", "lease_acquired", "c0", {"until": 10}),
+        (1, "c0", "lease_acquired", "c0", {"until": 11}),
+        (2, "c0", "lease_released", "c0", {"at": 2}),
+        (5, "c1", "lease_acquired", "c1", {"until": 15}),
+    ]
+
+    def test_reacquire_closes_the_earlier_interval(self):
+        # The re-acquire closes [0, 10) at 1 and the release closes the new
+        # interval at 2, so c1 from 5 overlaps nothing.
+        run = _run_with(self.REACQUIRE)
+        assert lease_intervals(run.trace) == [
+            (0, 1, "c0"), (1, 2, "c0"), (5, 15, "c1")]
+        assert check_lease_exclusion(run) == []
+
+    def test_overlap_after_a_reacquire_still_flagged(self):
+        # Without the release, c0's second interval runs to 11 and c1's
+        # acquire at 5 is a genuine overlap.
+        run = _run_with([ev for ev in self.REACQUIRE
+                         if ev[2] != "lease_released"])
+        messages = check_lease_exclusion(run)
+        assert len(messages) == 1
+        assert "c0 valid [1, 11) and c1 valid [5, 15)" in messages[0]
+
+    def test_availability_reads_the_same_fold(self):
+        # c0 held [0, 2); c1's interval starts at the run's last tick.
+        availability = compute_availability(_run_with(self.REACQUIRE))
+        assert availability.intervals == ((0, 2),)
+        assert (availability.held_ticks, availability.horizon) == (2, 5)
 
 
 class TestLeaderAndMutexOracles:

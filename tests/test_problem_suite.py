@@ -235,8 +235,8 @@ def test_fcfs_resource_random_schedules_safe(seed):
 
     result = fcfs_resource.run_contenders(
         lambda s: fcfs_resource.MonitorFcfsResource(s),
-        policy=RandomPolicy(seed),
         stagger=False,
+        sched=Scheduler(policy=RandomPolicy(seed)),
     )
     assert check_single_occupancy(result.trace, "res", ["use"]) == []
 

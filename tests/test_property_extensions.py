@@ -128,7 +128,7 @@ def test_disk_scan_valid_for_random_batches(data):
     plan = list(zip(delays, tracks))
     result, impl = run_requests(lambda s: MonitorDiskScheduler(s), plan)
     assert not result.deadlocked
-    assert check_scan_order(result.trace, "disk", start_track=0) == []
+    assert check_scan_order(result.trace, "disk") == []
     assert sorted(impl.disk.served) == sorted(tracks)
 
 

@@ -27,6 +27,7 @@ from repro.recover import (
 from repro.explore import ExplorationEngine
 from repro.explore.campaign import KillSpec, compile_faults
 from repro.explore.minimize import ddmin
+from repro.mechanisms.channels import Channel
 from repro.runtime import (
     FaultPlan,
     Mutex,
@@ -82,12 +83,12 @@ class TestBackoff:
         # Producer shows up late; consumer retries with exponential
         # backoff until the rendezvous lands.
         sched = Scheduler()
-        sem = Semaphore(sched, initial=0, name="s")
+        chan = Channel(sched, name="c")
         outcome = {}
 
         def consumer():
             yield from retry_with_backoff(
-                lambda i: sem.p(timeout=2),
+                lambda i: chan.receive(timeout=2),
                 attempts=3,
                 backoff=ExponentialBackoff(),
                 sched=sched,
@@ -96,7 +97,7 @@ class TestBackoff:
 
         def producer():
             yield from sched.sleep(5)
-            sem.v()
+            yield from chan.send("late")
 
         sched.spawn(consumer, name="C")
         sched.spawn(producer, name="P")
@@ -105,13 +106,13 @@ class TestBackoff:
 
     def test_retry_exhausts_budget(self):
         sched = Scheduler()
-        sem = Semaphore(sched, initial=0, name="s")
+        chan = Channel(sched, name="c")
         caught = {}
 
         def consumer():
             try:
                 yield from retry_with_backoff(
-                    lambda i: sem.p(timeout=1),
+                    lambda i: chan.receive(timeout=1),
                     attempts=2, backoff=FixedBackoff(1), sched=sched,
                 )
             except WaitTimeout as exc:

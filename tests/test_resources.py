@@ -201,10 +201,6 @@ def test_scan_order_sweeps_up_then_down():
     assert scan_order(50, [10, 60, 55, 90, 40]) == [55, 60, 90, 40, 10]
 
 
-def test_scan_order_descending_start():
-    assert scan_order(50, [10, 60], ascending=False) == [10, 60]
-
-
 def test_scan_order_empty():
     assert scan_order(0, []) == []
 

@@ -113,18 +113,16 @@ def test_canonical_json_is_byte_stable():
 # ----------------------------------------------------------------------
 
 
-def test_store_save_load_and_load_all(tmp_path):
+def test_store_save_and_load_all(tmp_path):
     store = RunStore(str(tmp_path))
     a = run_causal("bounded_buffer", "monitor").record
     b = run_causal("bounded_buffer", "monitor", seed=5).record
     store.save(a)
     store.save(b)
-    target = "bounded_buffer/monitor"
-    assert store.load("causal", target).key == a.key
-    assert store.load("causal", target, seed=5).key == b.key
-    assert store.load("causal", target, seed=99) is None
-    assert store.load("explore", target) is None
-    assert [r.key for r in store.load_all()] == sorted([a.key, b.key])
+    loaded = store.load_all()
+    assert [r.key for r in loaded] == sorted([a.key, b.key])
+    assert [r.to_dict() for r in loaded] == [
+        r.to_dict() for r in sorted((a, b), key=lambda r: r.key)]
 
 
 def test_store_file_names_are_filesystem_safe(tmp_path):
@@ -250,8 +248,9 @@ def test_causal_cli_saves_a_record(tmp_path, capsys):
     assert code == 0
     assert "critical path" in out
     assert "record saved to" in out
-    saved = RunStore(store).load("causal", "bounded_buffer/semaphore")
-    assert saved is not None and saved.metrics["makespan"] > 0
+    [saved] = RunStore(store).load_all()
+    assert saved.key == "causal:bounded_buffer/semaphore"
+    assert saved.metrics["makespan"] > 0
 
 
 def test_causal_cli_chrome_export_highlights_path(tmp_path, capsys):

@@ -15,7 +15,6 @@ from repro.runtime import (
     ScriptedPolicy,
     Semaphore,
     StepLimitExceeded,
-    run_processes,
 )
 
 
@@ -320,7 +319,7 @@ def test_non_generator_body_rejected():
         sched.spawn(not_a_generator)
 
 
-def test_run_processes_helper():
+def test_spawned_bodies_run_in_spawn_order_under_their_names():
     log = []
 
     def make(tag):
@@ -329,7 +328,10 @@ def test_run_processes_helper():
             yield
         return body
 
-    result = run_processes(make("x"), make("y"), names=["X", "Y"])
+    sched = Scheduler()
+    sched.spawn(make("x"), name="X")
+    sched.spawn(make("y"), name="Y")
+    result = sched.run()
     assert log == ["x", "y"]
     assert set(result.results) == {"X", "Y"}
 

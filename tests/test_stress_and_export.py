@@ -1,6 +1,7 @@
 """Large randomized stress runs across every mechanism, plus trace export."""
 
 import json
+import random
 
 import pytest
 
@@ -19,7 +20,10 @@ def test_stress_readers_priority(mechanism):
     """A 40-operation randomized workload under a randomized schedule:
     exclusion safety holds, nothing deadlocks, everything is served."""
     entry = solutions_for(problem="readers_priority", mechanism=mechanism)[0]
-    plan = staggered_plan(seed=99, steps=40)
+    # staggered_plan's generator, run for forty steps instead of ten.
+    rng = random.Random(99)
+    plan = [("R" if rng.random() < 0.6 else "W", rng.randrange(0, 6),
+             rng.randrange(1, 4)) for __ in range(40)]
     result = run_workload(entry.factory, plan, policy=RandomPolicy(31))
     assert not result.deadlocked, result.blocked
     assert check_mutual_exclusion(
@@ -61,7 +65,7 @@ def test_stress_many_processes_one_mutex():
 # ----------------------------------------------------------------------
 def test_trace_to_dicts_round_trip():
     entry = solutions_for(problem="readers_priority", mechanism="monitor")[0]
-    result = run_workload(entry.factory, staggered_plan(1, steps=4))
+    result = run_workload(entry.factory, staggered_plan(1)[:4])
     dicts = result.trace.to_dicts()
     assert len(dicts) == len(result.trace)
     assert dicts[0]["kind"] == "spawn"
@@ -72,7 +76,7 @@ def test_trace_to_dicts_round_trip():
 
 def test_trace_to_json_parses():
     entry = solutions_for(problem="readers_priority", mechanism="monitor")[0]
-    result = run_workload(entry.factory, staggered_plan(2, steps=4))
+    result = run_workload(entry.factory, staggered_plan(2)[:4])
     parsed = json.loads(result.trace.to_json())
     assert isinstance(parsed, list)
     assert parsed[0]["seq"] == 0
