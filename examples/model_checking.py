@@ -16,7 +16,8 @@ footnote-3 anomaly (see also ``python -m repro explore``).
 Run:  python examples/model_checking.py
 """
 
-from repro.explore import ExplorationEngine, minimize_witness
+from repro.explore import ExplorationEngine
+from repro.explore.minimize import minimize_witness
 from repro.runtime import Mutex, Scheduler, ScriptedPolicy
 
 

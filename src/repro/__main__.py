@@ -471,7 +471,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    from .explore import ExplorationEngine, minimize_witness
+    from .explore import ExplorationEngine
+    from .explore.minimize import minimize_witness
     from .explore.targets import available_targets, get_target
 
     if args.problem == "list":

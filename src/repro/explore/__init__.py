@@ -7,11 +7,15 @@ This package re-exports only its own layer, which sits on the checkers of
 * :mod:`repro.explore.engine` — the one schedule-space search: depth-first
   with canonical state-fingerprint equivalence pruning (off by default:
   the naive first-deviation DFS).
+
+Four modules are imported by their full path:
+
+* :mod:`repro.explore.ddmin` — the one minimizer, delta debugging over
+  any sequence.
 * :mod:`repro.explore.minimize` — ddmin witness shrinking to local
-  minimality, with an obs-layer replay timeline.
-
-Two modules sit higher and are imported by their full path:
-
+  minimality, replayed through :mod:`repro.obs` into a timeline and a
+  causal chain; it sits on the observability modules, which a search
+  does not load.
 * :mod:`repro.explore.campaign` — the fault-campaign engine behind
   ``repro robustness|recover|partition|resilience``: fault cells explored
   and classified, fault-set search, and ddmin.
@@ -30,7 +34,6 @@ from .engine import (
     RunRecord,
     expand_record,
 )
-from .minimize import MinimizedWitness, minimize_witness
 
 __all__ = [
     "ExplorationEngine",
@@ -38,6 +41,4 @@ __all__ = [
     "RecordingPolicy",
     "RunRecord",
     "expand_record",
-    "MinimizedWitness",
-    "minimize_witness",
 ]

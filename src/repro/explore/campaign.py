@@ -20,12 +20,12 @@ data.  This module is the machinery they share:
   :func:`fold_net_run`;
 * :func:`search_fault_sets`: a singletons-first search over fault atoms,
   then 1-minimization of the first defeating set by
-  :func:`~repro.explore.minimize.ddmin`.
+  :func:`~repro.explore.ddmin.ddmin`.
 
 A builder runs one *fresh* system: ``build(policy, netplan, fault_plan)``.
 Callers pass the exploration engine class in.  This module imports only
-the runtime, the checker contract, the minimizer and :mod:`repro.dist`'s
-``NetPlan``; the campaigns that configure it (:mod:`repro.verify.chaos`,
+the runtime, the checker contract, the minimizer, :mod:`repro.dist`'s
+``NetPlan`` and the MTTR folds of :mod:`repro.obs.recovery`; the campaigns that configure it (:mod:`repro.verify.chaos`,
 :mod:`repro.verify.recovery`, :mod:`repro.verify.partition`,
 :mod:`repro.recover.search`, :mod:`repro.resilience.report`) sit above it.
 """
@@ -38,12 +38,13 @@ from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
                     Tuple, Union)
 
 from ..dist.netplan import NetPlan
+from ..obs.recovery import compute_availability, compute_partition_mttr
 from ..runtime.errors import StepLimitExceeded
 from ..runtime.faults import FaultPlan
 from ..runtime.policies import ScriptedPolicy
 from ..runtime.trace import RunResult, Trace
 from ..verify.detectors import Checker
-from .minimize import ddmin
+from .ddmin import ddmin
 
 #: ``(policy, netplan, fault_plan) -> RunResult`` for one fresh system.
 Builder = Callable[[ScriptedPolicy, Any, Optional[FaultPlan]], RunResult]
@@ -286,9 +287,6 @@ def fold_net_run(outcome: Outcome, run: RunResult) -> None:
     """Fold one distributed run into its cell: failover and post-heal MTTR
     samples, availability, the most restarts any run saw, and message
     statistics (counters summed, per-node gauges max-merged)."""
-    # Deferred: repro.obs loads 11 modules and cProfile; few callers get here.
-    from ..obs.recovery import compute_availability, compute_partition_mttr
-
     for span in compute_partition_mttr(run).spans:
         if span.ticks_to_failover is not None:
             outcome.failover_samples.append(span.ticks_to_failover)

@@ -12,7 +12,9 @@ that would re-enter an already-claimed ``(state, chosen process)`` subtree
 is dropped.  Interleavings that are permutations of independent steps
 converge to the same canonical state, so each equivalence class is visited
 once — a sleep-set/state-caching reduction in the DPOR family (see
-DESIGN.md §9 for the soundness argument and its boundary).
+DESIGN.md §9 for the soundness argument and its boundary).  A work item
+carries the event digest its parent run had where the item branches off,
+so a run hashes nothing while it replays the parent's prefix.
 
 This is the one schedule-space search: the CLI, the regression gate, the
 synthesis engine and every fault campaign run it.
@@ -34,13 +36,17 @@ BuildAndRun = Callable[[ScriptedPolicy], RunResult]
 #: work items with the same key root isomorphic subtrees.
 PruneKey = Tuple[int, int]
 
+#: A frontier item: a decision string and the event digest its parent run
+#: had at the item's branch decision (``None`` when pruning is off).
+WorkItem = Tuple[Tuple[int, ...], Optional[int]]
+
 
 class RecordingPolicy(ScriptedPolicy):
     """A :class:`ScriptedPolicy` that additionally records the canonical
-    state fingerprint and the pid of every ready process at the decisions
-    a search reads — the raw material of equivalence pruning.  The
-    scheduler invokes :meth:`observe_state` right before each ``choose``
-    (duck-typed hook).
+    state fingerprint, the event digest and the pid of every ready process
+    at the decisions a search reads — the raw material of equivalence
+    pruning.  The scheduler invokes :meth:`observe_state` right before each
+    ``choose`` (duck-typed hook).
 
     With a branching ``horizon`` (a search's ``max_depth``) the policy
     snapshots only decisions ``len(decisions) <= i < horizon``: the ones
@@ -60,6 +66,16 @@ class RecordingPolicy(ScriptedPolicy):
     without one the prefix, where the pick is not the default, is
     snapshotted too.
 
+    With ``digest`` — the event digest the parent run had at decision
+    ``len(decisions) - 1``, where this run branches off it — the scheduler
+    folds no digest term while the run replays its prefix and starts
+    folding at that decision from ``digest``; the root's digest is ``0``,
+    at decision 0.  Without it the digest is folded from decision 0.  A
+    run is a pure function of its decision string, so the replay logs the
+    events the parent logged and both ways give the same digest
+    (DESIGN.md §9).  ``digest`` needs a ``horizon``: without one the
+    prefix, folded by no one, is snapshotted too.
+
     :attr:`fp_seconds` accumulates the wall clock spent taking snapshots
     (canonical-state hashing), so harness telemetry can attribute it
     apart from scheduler stepping.  Timing is passive: decisions are the
@@ -71,15 +87,22 @@ class RecordingPolicy(ScriptedPolicy):
         decisions: Optional[Sequence[int]] = None,
         horizon: Optional[int] = None,
         claimed: Optional[Set[PruneKey]] = None,
+        digest: Optional[int] = None,
     ) -> None:
-        if claimed is not None and horizon is None:
-            raise ValueError("a RecordingPolicy with claimed keys needs a "
-                             "horizon")
+        if horizon is None and (claimed is not None or digest is not None):
+            raise ValueError("a RecordingPolicy with claimed keys or an "
+                             "inherited digest needs a horizon")
         super().__init__(decisions)
         self.horizon = horizon
         self._claimed = claimed
         self.first = 0 if horizon is None else len(self.decisions)
+        if digest is None:
+            self._fold_from, self._inherited = 0, 0
+        else:
+            self._fold_from = max(len(self.decisions) - 1, 0)
+            self._inherited = digest
         self.fingerprints: List[int] = []
+        self.digests: List[int] = []
         self.ready_pids: List[Tuple[int, ...]] = []
         self._stop = horizon
         self._local: Set[PruneKey] = set()
@@ -87,10 +110,10 @@ class RecordingPolicy(ScriptedPolicy):
 
     def observe_state(self, sched) -> None:
         index = self._cursor
-        if index == 0:
-            # Enabled at the first decision whether or not it is
-            # snapshotted, so the event digest covers the run up to the cut.
-            sched.enable_fingerprinting()
+        if index == self._fold_from:
+            # Enabled here whether or not this decision is snapshotted, so
+            # the event digest covers the run from the branch to the cut.
+            sched.enable_fingerprinting(self._inherited)
         if index < self.first or (self._stop is not None
                                   and index >= self._stop):
             return
@@ -99,6 +122,7 @@ class RecordingPolicy(ScriptedPolicy):
         ready = tuple(p.pid for p in sched._ready)
         self.fp_seconds += perf_counter() - start
         self.fingerprints.append(fingerprint)
+        self.digests.append(sched._fp_digest)
         self.ready_pids.append(ready)
         claimed = self._claimed
         if claimed is None:
@@ -119,6 +143,7 @@ class RecordingPolicy(ScriptedPolicy):
     def reset(self) -> None:
         super().reset()
         self.fingerprints = []
+        self.digests = []
         self.ready_pids = []
         self._stop = self.horizon
         self._local = set()
@@ -131,7 +156,8 @@ class RunRecord:
     reduction of the run, so the trace can be dropped as soon as the
     oracles have read it.
 
-    ``fingerprints[i]`` and ``ready_pids[i]`` describe decision
+    ``fingerprints[i]``, ``digests[i]`` (the event digest folded into
+    ``fingerprints[i]``) and ``ready_pids[i]`` describe decision
     ``len(prefix) + i``; they run up to the branching horizon at most, or
     up to the decision where a policy with claimed keys cut (and are empty
     when pruning is off)."""
@@ -140,6 +166,7 @@ class RunRecord:
     taken: Tuple[int, ...]
     branch_log: Tuple[int, ...]
     fingerprints: Tuple[int, ...]
+    digests: Tuple[int, ...]
     ready_pids: Tuple[Tuple[int, ...], ...]
     messages: Tuple[str, ...]
 
@@ -158,6 +185,7 @@ class RunRecord:
             taken=tuple(policy.taken),
             branch_log=tuple(policy.branch_log),
             fingerprints=tuple(getattr(policy, "fingerprints", ())[skip:]),
+            digests=tuple(getattr(policy, "digests", ())[skip:]),
             ready_pids=tuple(getattr(policy, "ready_pids", ())[skip:]),
             messages=tuple(messages),
         )
@@ -245,8 +273,12 @@ def expand_record(
     record: RunRecord,
     max_depth: int,
     seen: Optional[Set[PruneKey]],
-) -> Tuple[List[Tuple[int, ...]], int]:
+) -> Tuple[List[WorkItem], int]:
     """First-deviation children of one executed schedule.
+
+    Each child is a :data:`WorkItem`: its decision string and, with
+    pruning on, the record's event digest at the child's branch decision
+    (the last of its string), which the child's run starts folding from.
 
     With ``seen`` (pruning on), sibling items whose ``(fingerprint, pid)``
     subtree is already claimed are dropped, the default continuation's key
@@ -255,15 +287,17 @@ def expand_record(
     deeper is a reordering of schedules explored from that item.  Returns
     ``(children, pruned_count)``.  Mutates ``seen``.
     """
-    children: List[Tuple[int, ...]] = []
+    children: List[WorkItem] = []
     pruned = 0
     start = len(record.prefix)
     horizon = min(len(record.branch_log), max_depth)
     for position in range(start, horizon):
         alternatives = record.branch_log[position]
         base = record.taken[:position]
+        digest = None
         if seen is not None:
             fingerprint = record.fingerprints[position - start]
+            digest = record.digests[position - start]
             ready = record.ready_pids[position - start]
         for choice in range(1, alternatives):
             if seen is not None:
@@ -272,7 +306,7 @@ def expand_record(
                     pruned += 1
                     continue
                 seen.add(key)
-            children.append(base + (choice,))
+            children.append((base + (choice,), digest))
         if seen is not None:
             default_key = (fingerprint, ready[record.taken[position]])
             if default_key in seen:
@@ -328,13 +362,17 @@ class ExplorationEngine:
         #: :meth:`explore`): its runs stop hashing where expansion stops.
         self._seen: Optional[Set[PruneKey]] = None
 
-    def run_one(self, prefix: Sequence[int], check: Checker) -> RunRecord:
+    def run_one(self, prefix: Sequence[int], digest: Optional[int],
+                check: Checker) -> RunRecord:
         """Execute a single schedule and reduce it to a :class:`RunRecord`.
+
+        ``digest`` is the work item's inherited event digest (see
+        :class:`RecordingPolicy`); it is ignored when pruning is off.
 
         With telemetry, its wall clock is charged to the phases ``step``
         (scheduler stepping, fingerprint time subtracted), ``fingerprint``,
         ``check`` (oracle battery) and ``record`` (the reduction)."""
-        policy = (RecordingPolicy(prefix, self.max_depth, self._seen)
+        policy = (RecordingPolicy(prefix, self.max_depth, self._seen, digest)
                   if self.prune else ScriptedPolicy(prefix))
         start = perf_counter()
         run = self._build_and_run(policy)
@@ -367,7 +405,7 @@ class ExplorationEngine:
                 found (used when hunting for a witness, e.g. experiment E5).
         """
         result = ExplorationResult()
-        frontier: List[Tuple[int, ...]] = [()]
+        frontier: List[WorkItem] = [((), 0)]
         seen: Optional[Set[PruneKey]] = set() if self.prune else None
         self._seen = seen
         telemetry = self.telemetry
@@ -377,7 +415,8 @@ class ExplorationEngine:
             if result.runs >= self.max_runs:
                 result.exhausted = False
                 break
-            record = self.run_one(frontier.pop(), check)
+            prefix, digest = frontier.pop()
+            record = self.run_one(prefix, digest, check)
             result.runs += 1
             result.count_decisions(record, self.max_depth, self.prune)
             if record.messages:

@@ -2,10 +2,10 @@
 minimal witness, then replay it through the observability layer.
 
 A witness found by exploration is as long as the search happened to make
-it; most of its decisions are incidental.  This module holds the one
-minimizer, :func:`ddmin` (delta debugging over any sequence, also used by
-the fault-set search of :mod:`repro.explore.campaign`), and applies it to
-decision strings in three passes:
+it; most of its decisions are incidental.  This module applies the one
+minimizer, :func:`~repro.explore.ddmin.ddmin` (delta debugging over any
+sequence, also used by the fault-set search of
+:mod:`repro.explore.campaign`), to decision strings in three passes:
 
 * **trailing-default strip** — decisions past the last non-zero entry are
   exactly what :class:`~repro.runtime.policies.ScriptedPolicy` does on an
@@ -25,8 +25,8 @@ require search; local minimality is the standard ddmin guarantee and is
 what debugging needs — every remaining decision is load-bearing.)
 
 The minimized witness is replayed once more and folded into per-process
-spans (:func:`repro.obs.fold_spans`) with an ASCII timeline, so the
-shortest reproduction arrives ready to read.
+spans (:func:`repro.obs.spans.fold_spans`) with an ASCII timeline and a
+causal chain, so the shortest reproduction arrives ready to read.
 """
 
 from __future__ import annotations
@@ -34,9 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
+from ..obs.critical_path import causal_chain, compute_critical_path
+from ..obs.exporters import ascii_timeline
+from ..obs.spans import fold_spans
 from ..runtime.policies import ScriptedPolicy
 from ..runtime.trace import RunResult
 from ..verify.detectors import Checker
+from .ddmin import ddmin
 
 BuildAndRun = Callable[[ScriptedPolicy], RunResult]
 
@@ -82,35 +86,6 @@ def _strip(decisions: List[int]) -> List[int]:
     while end and decisions[end - 1] == 0:
         end -= 1
     return decisions[:end]
-
-
-def ddmin(items: Sequence, still_bad: Callable[[Sequence], bool],
-          ) -> Tuple[tuple, int]:
-    """Delta-debugging minimization: ``(1-minimal subset, tests run)``.
-
-    Drops chunks of ``items`` (halves first, then finer) while
-    ``still_bad`` holds.  1-minimal: removing any single remaining item
-    makes the bad outcome disappear.  The empty set is never tested.
-    """
-    current = list(items)
-    tests = 0
-    chunks = 2
-    while len(current) >= 2:
-        size = max(1, len(current) // chunks)
-        reduced = False
-        for start in range(0, len(current), size):
-            candidate = current[:start] + current[start + size:]
-            tests += 1
-            if still_bad(candidate):
-                current = candidate
-                chunks = max(chunks - 1, 2)
-                reduced = True
-                break
-        if not reduced:
-            if size == 1:
-                break
-            chunks = min(chunks * 2, len(current))
-    return tuple(current), tests
 
 
 def minimize_witness(
@@ -167,10 +142,6 @@ def minimize_witness(
             index += 1
         if capped or current == previous:
             break
-
-    # Deferred: repro.obs loads 11 modules and cProfile; few callers get here.
-    from ..obs import ascii_timeline, causal_chain, compute_critical_path, \
-        fold_spans
 
     # One final replay for the report: messages + span timeline + causal
     # chain.

@@ -19,122 +19,50 @@ or from the command line::
         --out /tmp/trace.json
 """
 
-from .causality import (
-    HBEdge,
-    HBGraph,
-    Wake,
-    WaitClass,
-    build_hb_graph,
-    classify_wait,
-    wake_records,
-)
-from .critical_path import (
-    CriticalPathReport,
-    Segment,
-    causal_chain,
-    compute_critical_path,
-)
-from .exporters import (
-    ascii_contention,
-    ascii_timeline,
-    chrome_trace,
-    jsonl_lines,
-    parse_jsonl,
-    write_chrome_trace,
-    write_jsonl,
-)
-from .harness import (
-    PHASES,
-    HarnessTelemetry,
-    Hotspot,
-    HotspotReport,
-    NullHarnessTelemetry,
-    self_profile,
-)
-from .metrics import Histogram, ObjectMetrics, RunMetrics, compute_metrics
-from .runstore import (
-    GateRecord,
-    Regression,
-    RunStore,
-    compare_records,
-    dump_baseline,
-    load_baseline,
-    render_comparison,
-)
-from .recovery import (
-    PartitionRecoveryMetrics,
-    PartitionRecoverySpan,
-    RecoveryMetrics,
-    RecoverySpan,
-    compute_partition_mttr,
-    compute_recovery_metrics,
-    partition_recovery_spans,
-    recovery_spans,
-)
-from .sink import InstrumentationSink, MetricsSink, NullSink, RecordingSink
-from .streaming import QuantileSketch, StreamingSink, WindowedSeries
-from .spans import (
-    Span,
-    blocked_time_by_object,
-    fold_spans,
-    max_concurrent,
-    spans_by_kind,
-)
+import importlib
+from typing import Any, Dict, Tuple
 
-__all__ = [
-    "InstrumentationSink",
-    "NullSink",
-    "MetricsSink",
-    "RecordingSink",
-    "StreamingSink",
-    "QuantileSketch",
-    "WindowedSeries",
-    "Span",
-    "fold_spans",
-    "spans_by_kind",
-    "blocked_time_by_object",
-    "max_concurrent",
-    "Histogram",
-    "ObjectMetrics",
-    "RunMetrics",
-    "compute_metrics",
-    "chrome_trace",
-    "write_chrome_trace",
-    "jsonl_lines",
-    "write_jsonl",
-    "ascii_timeline",
-    "ascii_contention",
-    "HBGraph",
-    "HBEdge",
-    "Wake",
-    "WaitClass",
-    "build_hb_graph",
-    "wake_records",
-    "classify_wait",
-    "CriticalPathReport",
-    "Segment",
-    "compute_critical_path",
-    "causal_chain",
-    "parse_jsonl",
-    "GateRecord",
-    "RunStore",
-    "Regression",
-    "compare_records",
-    "load_baseline",
-    "dump_baseline",
-    "render_comparison",
-    "RecoverySpan",
-    "RecoveryMetrics",
-    "recovery_spans",
-    "compute_recovery_metrics",
-    "PartitionRecoverySpan",
-    "PartitionRecoveryMetrics",
-    "partition_recovery_spans",
-    "compute_partition_mttr",
-    "PHASES",
-    "HarnessTelemetry",
-    "NullHarnessTelemetry",
-    "Hotspot",
-    "HotspotReport",
-    "self_profile",
-]
+#: Each public name and the module that defines it.  A name is imported on
+#: first access (PEP 562), so importing one helper module, such as
+#: ``repro.obs.recovery``, loads that module alone, not the whole layer
+#: (``harness`` pulls in cProfile).
+_EXPORTS: Dict[str, Tuple[str, ...]] = {
+    "sink": ("InstrumentationSink", "NullSink", "MetricsSink",
+             "RecordingSink"),
+    "streaming": ("StreamingSink", "QuantileSketch", "WindowedSeries"),
+    "spans": ("Span", "fold_spans", "spans_by_kind",
+              "blocked_time_by_object", "max_concurrent"),
+    "metrics": ("Histogram", "ObjectMetrics", "RunMetrics",
+                "compute_metrics"),
+    "exporters": ("chrome_trace", "write_chrome_trace", "jsonl_lines",
+                  "write_jsonl", "ascii_timeline", "ascii_contention",
+                  "parse_jsonl"),
+    "causality": ("HBGraph", "HBEdge", "Wake", "WaitClass",
+                  "build_hb_graph", "wake_records", "classify_wait"),
+    "critical_path": ("CriticalPathReport", "Segment",
+                      "compute_critical_path", "causal_chain"),
+    "runstore": ("GateRecord", "RunStore", "Regression", "compare_records",
+                 "load_baseline", "dump_baseline", "render_comparison"),
+    "recovery": ("RecoverySpan", "RecoveryMetrics", "recovery_spans",
+                 "compute_recovery_metrics", "PartitionRecoverySpan",
+                 "PartitionRecoveryMetrics", "partition_recovery_spans",
+                 "compute_partition_mttr"),
+    "harness": ("PHASES", "HarnessTelemetry", "NullHarnessTelemetry",
+                "Hotspot", "HotspotReport", "self_profile"),
+}
+
+_MODULE_OF: Dict[str, str] = {
+    name: module for module, names in _EXPORTS.items() for name in names
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+
+def __getattr__(name: str) -> Any:
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(
+            "module {!r} has no attribute {!r}".format(__name__, name))
+    value = getattr(importlib.import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value

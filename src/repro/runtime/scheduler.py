@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+from array import array
 from collections import deque
 from typing import Any, Callable, Dict, Generator, List, Optional
 
@@ -68,6 +69,27 @@ _EVENT_TERMS: Dict[tuple, int] = {}
 #: The memo is cleared when it reaches this size (a full pass over the
 #: exploration catalog produces about a thousand distinct terms).
 _EVENT_TERMS_MAX = 8192
+
+
+#: The string-id memo is cleared when it reaches this size (provider
+#: snapshots can be many distinct strings).
+_STRING_IDS_MAX = 65536
+
+
+class _StringIds(dict):
+    """Memo of the 64-bit ids :meth:`Scheduler.fingerprint` encodes strings
+    as: BLAKE2b-64 of the UTF-8 bytes, so an id never depends on
+    ``PYTHONHASHSEED``.  A miss computes and stores the id."""
+
+    def __missing__(self, text: str) -> int:
+        if len(self) >= _STRING_IDS_MAX:
+            self.clear()
+        value = self[text] = int.from_bytes(
+            hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
+        return value
+
+
+_STRING_IDS = _StringIds()
 
 
 def _discard(event: Event) -> None:
@@ -203,9 +225,10 @@ class Scheduler:
         self._finished = False
         self._live_nondaemons = 0
         self._park_counter = 0
-        # Canonical-state fingerprinting (exploration support).  Disabled
-        # until enable_fingerprinting(): ordinary runs pay one is-None test
-        # per logged event, nothing more.
+        # Canonical-state fingerprinting (exploration support).  Off until
+        # enable_fingerprinting(): ordinary runs, and an exploration run
+        # while it replays its prefix, pay one is-None test per logged
+        # event, nothing more.
         self._fp_digest: Optional[int] = None
         self._fp_providers: List[Callable[[], Any]] = []
 
@@ -240,14 +263,18 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Canonical state fingerprint (exploration support)
     # ------------------------------------------------------------------
-    def enable_fingerprinting(self) -> None:
-        """Start maintaining the commutative event digest that
-        :meth:`fingerprint` folds in.  Called once (idempotent) by
-        exploration policies before the first scheduling decision; events
-        logged earlier (the initial spawns) are identical across replays of
-        the same system, so omitting them never conflates distinct states."""
-        if self._fp_digest is None:
-            self._fp_digest = 0
+    def enable_fingerprinting(self, digest: int) -> None:
+        """Start folding the commutative event digest that
+        :meth:`fingerprint` reads, from ``digest``.  An exploration policy
+        calls this once per run, at the decision where its digest is known:
+        the first decision with ``0`` (events logged earlier, the initial
+        spawns, are identical across replays of the same system, so
+        omitting them never conflates distinct states), or the branch
+        decision of a work item with the digest the parent run had there.
+        A run is a pure function of its decision string, so the replayed
+        prefix logs the events the parent logged and its digest terms
+        need not be folded again."""
+        self._fp_digest = digest
 
     def disable_fingerprinting(self) -> None:
         """Stop maintaining the event digest for the rest of the run: later
@@ -282,41 +309,64 @@ class Scheduler:
         Two prefixes with equal fingerprints have behaviourally identical
         continuations (see DESIGN.md §9 for the soundness argument), which
         is what lets the exploration engine visit each equivalence class of
-        interleavings once.  Uses BLAKE2b, not ``hash()``, so digests agree
+        interleavings once.
+
+        The coordinates are encoded as one flat sequence of non-negative
+        integers: every string becomes its memoized BLAKE2b-64 id, and
+        every variable-length part is prefixed with its length, so the
+        sequence determines the coordinates.  It is packed as unsigned
+        64-bit words in native byte order (prune keys never leave the
+        process) and hashed with BLAKE2b, not ``hash()``, so digests agree
         across processes regardless of ``PYTHONHASHSEED``.
         """
-        # One pass builds the per-process tuples and the park order; the
-        # payload is byte-identical to building each component separately.
-        procs = []
-        parked = []
-        for p in self._processes:
-            state = p.state
-            procs.append((p.pid, state._value_, p.steps, p.blocked_on or "",
-                          str(p.wait_obj or ""), p.daemon))
-            if state is _BLOCKED:
-                parked.append((p.park_seq, p.pid))
-        parked.sort()
-        ready = tuple(p.pid for p in self._ready)
-        park_order = tuple(pid for __, pid in parked)
-        holds = tuple(sorted(
-            (resource, tuple(sorted(p.pid for p in holders)))
-            for resource, holders in self._holds.items()
-            if holders
-        )) if self._holds else ()
-        timers = tuple(sorted(
-            (deadline - self._time, entry.proc.pid, entry.kind)
-            for deadline, __, entry in self._timers
-            if not entry.cancelled
-            and entry.proc.state is _BLOCKED
-        )) if self._timers else ()
-        extra = tuple(repr(fn()) for fn in self._fp_providers)
+        ids = _STRING_IDS
+        ready = self._ready
+        processes = self._processes
+        now = self._time
         # Absolute virtual time is state for timed problems (alarm clock
         # deadlines are clock-relative); untimed problems stay at t=0, so
         # including it never costs them a merge.
-        payload = repr((self._time, ready, tuple(procs), park_order, holds,
-                        timers, self._fp_digest, extra)).encode()
+        flat = [now, len(ready)]
+        for p in ready:
+            flat.append(p.pid)
+        flat.append(len(processes))
+        parked = []
+        for p in processes:
+            state = p.state
+            flat += (p.pid, ids[state._value_], p.steps,
+                     ids[p.blocked_on or ""], ids[str(p.wait_obj or "")],
+                     p.daemon)
+            if state is _BLOCKED:
+                parked.append((p.park_seq, p.pid))
+        flat.append(len(parked))
+        parked.sort()
+        for __, pid in parked:
+            flat.append(pid)
+        holds = self._holds
+        held = [resource for resource, holders in holds.items() if holders]
+        flat.append(len(held))
+        held.sort()
+        for resource in held:
+            holders = sorted([p.pid for p in holds[resource]])
+            flat += (ids[resource], len(holders))
+            flat += holders
+        timers = sorted([
+            (deadline - now, entry.proc.pid, entry.kind)
+            for deadline, __, entry in self._timers
+            if not entry.cancelled and entry.proc.state is _BLOCKED
+        ]) if self._timers else ()
+        flat.append(len(timers))
+        for delta, pid, kind in timers:
+            flat += (delta, pid, ids[kind])
+        flat.append(self._fp_digest)
+        providers = self._fp_providers
+        flat.append(len(providers))
+        for fn in providers:
+            flat.append(ids[repr(fn())])
         return int.from_bytes(
-            hashlib.blake2b(payload, digest_size=8).digest(), "big"
+            hashlib.blake2b(array("Q", flat).tobytes(),
+                            digest_size=8).digest(),
+            "big",
         )
 
     # ------------------------------------------------------------------

@@ -39,6 +39,7 @@ from ..dist import NetPlan
 from ..explore.campaign import (Builder, Cell, ScenarioResult, explore_cells,
                                 fold_net_run)
 from ..explore.engine import ExplorationEngine
+from ..obs.recovery import lease_intervals
 # The scenario builders are read off the module at call time, so a
 # rebinding of ``distributed.build_*`` (verdictbench's traced pass)
 # reaches every scenario.
@@ -70,9 +71,6 @@ def check_lease_exclusion(run: RunResult) -> List[str]:
     before ``i`` ends.  It cannot be the same holder's, because
     :func:`~repro.obs.recovery.lease_intervals` keeps one holder's
     intervals disjoint.  So the pair ``(i, i + 1)`` is itself flagged."""
-    # Deferred: repro.obs loads 11 modules and cProfile; few callers get here.
-    from ..obs.recovery import lease_intervals
-
     intervals = lease_intervals(run.trace)
     messages: List[str] = []
     for (s1, e1, h1), (s2, e2, h2) in zip(intervals, intervals[1:]):

@@ -40,6 +40,7 @@ from ..core import ascii_table
 from ..explore.campaign import FaultSetSearch, ScenarioResult, compile_faults
 from ..explore.engine import ExplorationEngine
 from ..mechanisms.channels import Channel
+from ..obs.recovery import compute_recovery_metrics
 from ..recover import (FixedBackoff, LeaseManager, RestartPolicy, Supervisor,
                        retry_with_backoff)
 from ..recover.search import search_fault_plans
@@ -233,9 +234,6 @@ def mttr_fingerprints() -> Dict[str, dict]:
     is virtual, every number (including MTTR) is exactly reproducible and
     safe to assert in benchmarks.
     """
-    # Deferred: repro.obs loads 11 modules and cProfile; few callers get here.
-    from ..obs.recovery import compute_recovery_metrics
-
     out: Dict[str, dict] = {}
     for name, factory, victim, obj, __ in RECOVERY_SCENARIOS:
         build = factory()

@@ -394,7 +394,7 @@ DDMIN_CASES = [
 @pytest.mark.parametrize("size,culprits,expected", DDMIN_CASES)
 def test_ddmin_is_one_minimal_and_never_tests_the_empty_set(
         size, culprits, expected):
-    from repro.explore.minimize import ddmin
+    from repro.explore.ddmin import ddmin
 
     tested = []
 

@@ -139,8 +139,8 @@ class RecordKeeper(ExplorationEngine):
         super().__init__(*args, **kwargs)
         self.records = []
 
-    def run_one(self, prefix, check):
-        record = super().run_one(prefix, check)
+    def run_one(self, prefix, digest, check):
+        record = super().run_one(prefix, digest, check)
         self.records.append(record)
         return record
 

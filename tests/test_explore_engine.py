@@ -3,7 +3,8 @@ exhausted fix, detectors, and witness minimization."""
 
 import pytest
 
-from repro.explore import ExplorationEngine, RecordingPolicy, minimize_witness
+from repro.explore import ExplorationEngine, RecordingPolicy
+from repro.explore.minimize import minimize_witness
 from repro.explore.targets import get_target
 from repro.problems.registry import EXPLORE, get_solution
 from repro.verify import (

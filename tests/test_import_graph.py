@@ -6,8 +6,8 @@ it runs; ``repro.runtime`` — the bottom layer, home of the trace record
 and of ``OpFold`` — must import nothing from ``repro`` outside itself, and
 ``repro.obs`` may import only ``repro.runtime`` and ``repro.core``.  The
 problem suite drives ``obs`` from above, through ``repro.suite``.  An
-import inside a function is not an edge, so the only ones allowed are the
-three deferrals of ``repro.obs`` pinned below (DESIGN.md §5).
+import inside a function is not an edge, so none is allowed (DESIGN.md
+§5).
 """
 
 import ast
@@ -217,22 +217,17 @@ def _function_local_imports(tree: ast.Module, package: str) -> List[str]:
     return found
 
 
-def test_only_the_obs_deferrals_are_function_local():
-    """Every ``repro`` import outside ``__main__`` runs at module level
-    except four deferrals of ``repro.obs``, whose import cost the
-    setup of most runs would otherwise pay."""
+def test_no_repro_import_is_function_local():
+    """Every ``repro`` import outside ``__main__`` runs at module level:
+    ``repro.obs`` loads its modules on first access, so no importer
+    defers it."""
     local = []
     for name, path in module_files().items():
         if name == "repro.__main__":
             continue
         local += [(name, target) for target in _function_local_imports(
             ast.parse(path.read_text()), _package_of(name, path))]
-    assert sorted(local) == [
-        ("repro.explore.campaign", "repro.obs.recovery"),
-        ("repro.explore.minimize", "repro.obs"),
-        ("repro.verify.partition", "repro.obs.recovery"),
-        ("repro.verify.recovery", "repro.obs.recovery"),
-    ]
+    assert sorted(local) == []
 
 
 def test_function_local_import_finder_resolves_relative_imports():

@@ -7,7 +7,8 @@ folding the event digest) at the first decision whose default key is
 claimed, which is where the expansion breaks.  These tests check that
 every record holds exactly the snapshots its expansion reads, that a
 search recording to the horizon reaches the same results and children,
-and that nothing is hashed after the cut.
+that nothing is hashed after the cut, and that a child run hashes nothing
+before its branch decision.
 """
 
 import dataclasses
@@ -21,14 +22,11 @@ from repro.obs import HarnessTelemetry
 from repro.runtime import scheduler as scheduler_module
 
 from .test_fingerprint_equivalence import (
-    ADDRESS_DEPENDENT,
+    ADDRESS_FREE,
     BUDGET,
     engine_with,
     outcome,
 )
-
-ADDRESS_FREE = [pair for pair in available_targets()
-                if pair not in ADDRESS_DEPENDENT]
 
 
 class _CountingReads(tuple):
@@ -135,19 +133,34 @@ def test_telemetry_search_cuts_like_the_plain_search(
 class _DigestWatch(RecordingPolicy):
     """Records the scheduler's event digest at every decision."""
 
-    def __init__(self, decisions=None, horizon=None, claimed=None):
-        super().__init__(decisions, horizon, claimed)
-        self.digests = []
+    def __init__(self, decisions=None, horizon=None, claimed=None,
+                 digest=None):
+        super().__init__(decisions, horizon, claimed, digest)
+        self.watched = []
 
     def observe_state(self, sched) -> None:
         super().observe_state(sched)
-        self.digests.append(sched._fp_digest)
+        self.watched.append(sched._fp_digest)
 
 
 def _root_snapshots(target):
     full = _DigestWatch([], 60)
     target.build_and_run(full)
     return full
+
+
+def _count_event_terms(monkeypatch):
+    """Start from an empty term memo and record every term computed."""
+    terms = []
+    event_term = scheduler_module._event_term
+
+    def counting(*args):
+        terms.append(args)
+        return event_term(*args)
+
+    monkeypatch.setattr(scheduler_module, "_event_term", counting)
+    monkeypatch.setattr(scheduler_module, "_EVENT_TERMS", {})
+    return terms
 
 
 def test_digest_stops_moving_after_the_cut():
@@ -158,24 +171,16 @@ def test_digest_stops_moving_after_the_cut():
     cut = _DigestWatch([], 60, claimed)
     target.build_and_run(cut)
     assert cut.fingerprints == full.fingerprints[:cut_at + 1]
-    assert cut.digests[:cut_at] == full.digests[:cut_at]
-    assert len(cut.digests) > cut_at + 1, "the run goes on past the cut"
-    assert all(d is None for d in cut.digests[cut_at:])
-    assert all(d is not None for d in full.digests)
+    assert cut.watched[:cut_at] == full.watched[:cut_at]
+    assert len(cut.watched) > cut_at + 1, "the run goes on past the cut"
+    assert all(d is None for d in cut.watched[cut_at:])
+    assert all(d is not None for d in full.watched)
 
 
 def test_no_event_term_is_computed_after_a_cut_at_the_root(monkeypatch):
     target = get_target("footnote3", "monitor")
     full = _root_snapshots(target)
-    terms = []
-    event_term = scheduler_module._event_term
-
-    def counting(*args):
-        terms.append(args)
-        return event_term(*args)
-
-    monkeypatch.setattr(scheduler_module, "_event_term", counting)
-    monkeypatch.setattr(scheduler_module, "_EVENT_TERMS", {})
+    terms = _count_event_terms(monkeypatch)
     claimed = {(full.fingerprints[0], full.ready_pids[0][0])}
     cut = RecordingPolicy([], 60, claimed)
     target.build_and_run(cut)
@@ -185,10 +190,50 @@ def test_no_event_term_is_computed_after_a_cut_at_the_root(monkeypatch):
     assert terms, "an uncut run folds its events into the digest"
 
 
+class _TermWatch(_DigestWatch):
+    """Also records how many event terms were computed before each
+    decision."""
+
+    def __init__(self, terms, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.terms = terms
+        self.terms_before = []
+
+    def observe_state(self, sched) -> None:
+        self.terms_before.append(len(self.terms))
+        super().observe_state(sched)
+
+
+def test_no_event_term_is_computed_before_a_childs_branch(monkeypatch):
+    target = get_target("footnote3", "monitor")
+    parent = _root_snapshots(target)
+    branch = next(i for i, n in enumerate(parent.branch_log)
+                  if i >= 2 and n > 1)
+    prefix = parent.taken[:branch] + [1]
+    inherited = parent.digests[branch]
+    # The child's first snapshot, with the digest folded from decision 0.
+    refolded = RecordingPolicy(prefix)
+    target.build_and_run(refolded)
+    terms = _count_event_terms(monkeypatch)
+    child = _TermWatch(terms, prefix, 60, digest=inherited)
+    target.build_and_run(child)
+    assert child.terms_before[branch] == 0
+    assert child.watched[:branch] == [None] * branch
+    assert child.watched[branch] == inherited
+    assert terms, "the child folds its own events from the branch on"
+    assert child.fingerprints[0] == refolded.fingerprints[len(prefix)]
+
+
 def test_claimed_keys_need_a_horizon():
     with pytest.raises(ValueError):
         RecordingPolicy([], claimed=set())
     RecordingPolicy([], 60, set())  # with a horizon it is accepted
+
+
+def test_an_inherited_digest_needs_a_horizon():
+    with pytest.raises(ValueError):
+        RecordingPolicy([1], digest=0)
+    RecordingPolicy([1], 60, digest=0)  # with a horizon it is accepted
 
 
 def test_reset_clears_the_cut():

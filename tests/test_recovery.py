@@ -26,7 +26,7 @@ from repro.recover import (
 )
 from repro.explore import ExplorationEngine
 from repro.explore.campaign import KillSpec, compile_faults
-from repro.explore.minimize import ddmin
+from repro.explore.ddmin import ddmin
 from repro.mechanisms.channels import Channel
 from repro.runtime import (
     FaultPlan,

@@ -21,7 +21,7 @@ from repro.explore.campaign import (
     describe_faults,
     search_fault_sets,
 )
-from repro.explore.minimize import ddmin
+from repro.explore.ddmin import ddmin
 from repro.resilience import (
     QUARANTINE,
     REPLAY,

@@ -10,7 +10,8 @@ import os
 
 import pytest
 
-from repro.explore import ExplorationEngine, minimize_witness
+from repro.explore import ExplorationEngine
+from repro.explore.minimize import minimize_witness
 from repro.runtime.policies import ScriptedPolicy
 from repro.synth import (
     Candidate,
