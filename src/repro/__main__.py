@@ -58,6 +58,7 @@ everywhere prints machine-readable output instead of tables.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -506,6 +507,10 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             telemetry=telemetry,
         ).explore(target.checker, stop_at_first=args.stop_at_first)
 
+    if telemetry is not None:
+        # Count only the search's own cyclic garbage, not what parsing the
+        # command line left behind.
+        gc.collect()
     hotspots = None
     if args.self_profile:
         from .obs import self_profile
@@ -557,6 +562,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         }
         if telemetry is not None:
             payload["telemetry"] = telemetry.to_dict()
+            payload["gc"] = telemetry.gc_counts()
         if hotspots is not None:
             payload["self_profile"] = hotspots.to_dict()
         if minimized is not None:

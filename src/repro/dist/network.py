@@ -34,6 +34,7 @@ on.
 from __future__ import annotations
 
 import heapq
+import weakref
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..mechanisms.channels import Channel
@@ -56,7 +57,9 @@ class NetChannel(Channel):
     def __init__(self, network: "Network", node: str) -> None:
         super().__init__(network.sched, name="inbox.{}".format(node),
                          capacity=_UNBOUNDED, peer_fault="ignore")
-        self._network = network
+        # The network keeps its inboxes: a strong reference back would
+        # close a cycle that only the collector frees.
+        self._network = weakref.proxy(network)
         self.node = node
 
     def send(self, value: Any) -> Generator:

@@ -411,33 +411,41 @@ class ExplorationEngine:
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.begin(max_runs=self.max_runs)
-        while frontier:
-            if result.runs >= self.max_runs:
-                result.exhausted = False
-                break
-            prefix, digest = frontier.pop()
-            record = self.run_one(prefix, digest, check)
-            result.runs += 1
-            result.count_decisions(record, self.max_depth, self.prune)
-            if record.messages:
-                result.violations.append((record.taken, list(record.messages)))
-                if stop_at_first:
-                    # Covered iff neither the frontier nor this record's own
-                    # children are left; expanding against a copy of seen
-                    # counts them without moving `states`.
-                    children, __ = expand_record(
-                        record, self.max_depth,
-                        set(seen) if seen is not None else None)
-                    result.exhausted = not (frontier or children)
+        try:
+            while frontier:
+                if result.runs >= self.max_runs:
+                    result.exhausted = False
                     break
-            mark = perf_counter() if telemetry is not None else 0.0
-            children, pruned = expand_record(record, self.max_depth, seen)
-            result.pruned += pruned
-            frontier.extend(children)
+                prefix, digest = frontier.pop()
+                record = self.run_one(prefix, digest, check)
+                result.runs += 1
+                result.count_decisions(record, self.max_depth, self.prune)
+                if record.messages:
+                    result.violations.append(
+                        (record.taken, list(record.messages)))
+                    if stop_at_first:
+                        # Covered iff neither the frontier nor this
+                        # record's own children are left; expanding against
+                        # a copy of seen counts them without moving
+                        # `states`.
+                        children, __ = expand_record(
+                            record, self.max_depth,
+                            set(seen) if seen is not None else None)
+                        result.exhausted = not (frontier or children)
+                        break
+                mark = perf_counter() if telemetry is not None else 0.0
+                children, pruned = expand_record(record, self.max_depth,
+                                                 seen)
+                result.pruned += pruned
+                frontier.extend(children)
+                if telemetry is not None:
+                    telemetry.note_progress(result.runs, len(frontier),
+                                            result.pruned)
+                    telemetry.add("collect", perf_counter() - mark)
+        except BaseException:
             if telemetry is not None:
-                telemetry.note_progress(result.runs, len(frontier),
-                                        result.pruned)
-                telemetry.add("collect", perf_counter() - mark)
+                telemetry.release()
+            raise
         result.states = len(seen) if seen is not None else 0
         self._seen = None
         if telemetry is not None:

@@ -117,6 +117,11 @@ class SharedRegion:
                 "region({})".format(self.name), self.name,
                 resource=self._label,
             )
+        except BaseException:
+            # Closed while waiting (the run ended): leave no waiter behind,
+            # since its guard may close over the solution.
+            self._on_waiter_death(me)
+            raise
         finally:
             self._sched.unregister_cleanup(self._wait_key, me)
         # Woken as the region's occupant: the guard held at dispatch time,

@@ -74,7 +74,6 @@ class GuardedPathResource(PathResource):
         # Parked guarded requests: (neg_priority, arrival, proc, op, args).
         self._gate: List[Tuple[int, int, SimProcess, str, Tuple[Any, ...]]] = []
         self._arrivals = 0
-        self.add_listener(self._on_event)
 
     # ------------------------------------------------------------------
     def set_guard(self, op: str, predicate: GuardPredicate) -> None:
@@ -118,12 +117,14 @@ class GuardedPathResource(PathResource):
         return result
 
     # ------------------------------------------------------------------
-    def _on_event(self, phase: str, op: str, detail: Any) -> None:
+    def _notify(self, phase: str, op: str, detail: Any = None) -> None:
         """Automatic signalling: after any state change, admit every parked
-        request (best priority first) whose predicate now holds."""
-        if phase not in ("op_start", "op_end"):
-            return
-        self.recheck_guards()
+        request (best priority first) whose predicate now holds, before
+        the listeners hear of it.  An override, not a listener: a bound
+        method in :attr:`listeners` would make the resource a cycle."""
+        if phase in ("op_start", "op_end"):
+            self.recheck_guards()
+        super()._notify(phase, op, detail)
 
     def recheck_guards(self) -> None:
         """Re-evaluate all parked guards; wake the newly-eligible ones.

@@ -43,22 +43,23 @@ Guarantee = Optional[Callable[[], bool]]
 
 
 class SerializerQueue:
-    """A FIFO queue inside a serializer; each waiter carries a guarantee."""
+    """A FIFO queue inside a serializer; each waiter carries a guarantee.
+
+    A queue keeps its serializer's scheduler and name, not the serializer:
+    the serializer lists its queues, and a back-reference would make every
+    serializer a cycle that only the collector frees."""
 
     def __init__(self, serializer: "Serializer", name: str) -> None:
-        self._serializer = serializer
+        self._sched = serializer._sched
         self.name = name
+        self._label = "queue {}.{}".format(serializer.name, name)
         self._waiters: List[Tuple[SimProcess, Guarantee]] = []
 
     def __len__(self) -> int:
         return len(self._waiters)
 
     def _probe(self) -> None:
-        self._serializer._sched.probe(
-            "queue",
-            "queue {}.{}".format(self._serializer.name, self.name),
-            len(self._waiters),
-        )
+        self._sched.probe("queue", self._label, len(self._waiters))
 
     @property
     def empty(self) -> bool:
@@ -177,7 +178,6 @@ class Crowd:
     """
 
     def __init__(self, serializer: "Serializer", name: str) -> None:
-        self._serializer = serializer
         self.name = name
         self._label = "crowd {}.{}".format(serializer.name, name)
         self._members: List[SimProcess] = []
@@ -418,8 +418,13 @@ class Serializer:
         try:
             yield from self._sched.park(
                 "enqueue({}.{})".format(self.name, q.name), q.name,
-                resource="queue {}.{}".format(self.name, q.name),
+                resource=q._label,
             )
+        except BaseException:
+            # Closed while waiting (the run ended): leave no waiter behind,
+            # since its guarantee usually closes over the solution.
+            q._discard(me)
+            raise
         finally:
             self._sched.unregister_cleanup(queue_key, me)
         self._sched.log("proceed", q.name, "handoff")

@@ -10,6 +10,13 @@ Two layers:
   (``benchmarks/bench_harness.py``) asserts the phase sum covers >= 90%
   of measured elapsed time, the same conservation standard the critical
   path meets against the makespan.
+* **Collector accounting** — while a search is observed, the cyclic
+  garbage collector's collections, collected objects and seconds are
+  counted through ``gc.callbacks``.  A collection runs inside whatever
+  phase allocated past the threshold, so its seconds overlap that phase
+  and are not a phase of their own.  A finished run frees itself by
+  reference counting (DESIGN.md, "Run lifetime"), so a search that
+  collects objects is leaking cycles.
 * **Live progress + hotspots** — counter samples (schedules/sec,
   frontier depth, pruning ratio) feed ``repro explore --watch`` progress
   lines, the chrome-trace "harness" track
@@ -35,6 +42,7 @@ results without (asserted by ``tests/test_harness_obs.py``).
 from __future__ import annotations
 
 import cProfile
+import gc
 import io
 import os
 import pstats
@@ -87,16 +95,38 @@ class HarnessTelemetry:
         self._last_sample_runs = 0
         self._last_sample_t = 0.0
         self._last_watch_t = 0.0
+        #: Cyclic-collector passes, objects they freed, and their seconds
+        #: (overlapping the phases they interrupted).
+        self.gc_collections = 0
+        self.gc_collected = 0
+        self.gc_seconds = 0.0
+        self._gc_start = 0.0
 
     # ------------------------------------------------------------------
     # Accumulation (called from the explore hot loop, guarded by the
     # caller's single `telemetry is not None` test)
     # ------------------------------------------------------------------
     def begin(self, max_runs: Optional[int] = None) -> None:
-        """Start (or restart) the epoch."""
+        """Start (or restart) the epoch, and start counting the cyclic
+        collector until :meth:`finish` or :meth:`release`."""
         self._epoch = perf_counter()
         self._finished = None
         self.max_runs = max_runs
+        if self._on_gc not in gc.callbacks:
+            gc.callbacks.append(self._on_gc)
+
+    def _on_gc(self, phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            self._gc_start = perf_counter()
+        else:
+            self.gc_seconds += perf_counter() - self._gc_start
+            self.gc_collections += 1
+            self.gc_collected += info["collected"]
+
+    def release(self) -> None:
+        """Stop counting the collector (a search that raised); idempotent."""
+        if self._on_gc in gc.callbacks:
+            gc.callbacks.remove(self._on_gc)
 
     def add(self, phase: str, seconds: float) -> None:
         """Attribute ``seconds`` of wall clock to ``phase``."""
@@ -123,8 +153,10 @@ class HarnessTelemetry:
             self.watch.flush()
 
     def finish(self) -> None:
-        """Freeze the elapsed clock and emit a final sample."""
+        """Freeze the elapsed clock, stop counting the collector and emit a
+        final sample."""
         self._finished = perf_counter()
+        self.release()
         self.samples.append(
             (self.elapsed(), self.runs, self.frontier, self.pruned))
         if self.watch is not None:
@@ -202,6 +234,13 @@ class HarnessTelemetry:
                 for t, runs, frontier, pruned in self.samples
             ],
         }
+
+    def gc_counts(self) -> Dict[str, Any]:
+        """The collector's ``collections``, ``collected`` objects and
+        ``seconds`` while the search was observed."""
+        return {"collections": self.gc_collections,
+                "collected": self.gc_collected,
+                "seconds": round(self.gc_seconds, 6)}
 
     def render(self) -> str:
         """ASCII phase report: per-phase seconds with share bars."""

@@ -301,18 +301,6 @@ class StreamingSink(InstrumentationSink):
         self._open: Dict[str, int] = {}
         #: obj -> label, memoized (a run touches a handful of objects).
         self._labels: Dict[str, str] = {}
-        #: event kind -> fold; every other kind is only counted.
-        self._folds: Dict[str, Callable[[Any], None]] = {
-            "request": self._on_request,
-            "op_start": self._on_op_start,
-            "op_end": self._on_op_end,
-            "op_abort": self._on_op_abort,
-            "blocked": self._on_blocked,
-            "unblocked": self._on_unblocked,
-            "killed": self._on_killed,
-            "failed": self._on_killed,
-            "exit": self._on_exit,
-        }
 
     # ------------------------------------------------------------------
     def _label(self, obj: str) -> str:
@@ -362,9 +350,9 @@ class StreamingSink(InstrumentationSink):
 
     def on_event(self, event) -> None:
         self.events += 1
-        fold = self._folds.get(event.kind)
+        fold = _FOLDS.get(event.kind)
         if fold is not None:
-            fold(event)
+            fold(self, event)
 
     # ------------------------------------------------------------------
     # Per-kind folds
@@ -512,3 +500,19 @@ class StreamingSink(InstrumentationSink):
             "windows": self.windows.series(),
             "evicted_windows": self.windows.evicted_windows,
         }
+
+
+#: Event kind -> :class:`StreamingSink` fold; every other kind is only
+#: counted.  Plain functions, not bound methods: a table of bound methods
+#: on the sink would make every sink a cycle.
+_FOLDS: Dict[str, Callable[[StreamingSink, Any], None]] = {
+    "request": StreamingSink._on_request,
+    "op_start": StreamingSink._on_op_start,
+    "op_end": StreamingSink._on_op_end,
+    "op_abort": StreamingSink._on_op_abort,
+    "blocked": StreamingSink._on_blocked,
+    "unblocked": StreamingSink._on_unblocked,
+    "killed": StreamingSink._on_killed,
+    "failed": StreamingSink._on_killed,
+    "exit": StreamingSink._on_exit,
+}

@@ -116,7 +116,6 @@ class OpenPathAlarmClock(SolutionBase):
 
     def __init__(self, sched: Scheduler, name: str = "alarm") -> None:
         super().__init__(sched, name)
-        solution = self
 
         def tick_body(res) -> Generator:
             res.state["now"] = res.state.get("now", 0) + 1

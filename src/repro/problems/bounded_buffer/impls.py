@@ -9,6 +9,7 @@ counters — mechanism tag ``pathexpr_open``.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Generator
 
 from ...core import (
@@ -196,7 +197,9 @@ class OpenPathBoundedBuffer(SolutionBase):
         super().__init__(sched, name)
         self.buffer = BoundedBuffer(capacity)
         self.capacity = capacity
-        solution = self
+        # The resource stores these bodies: a strong ``self`` would
+        # close a cycle that only the collector frees.
+        solution = weakref.proxy(self)
 
         def put_body(res, item: Any, work: int) -> Generator:
             solution._start("put")

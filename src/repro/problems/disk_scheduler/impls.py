@@ -25,6 +25,7 @@ specification grey zone the oracle does not arbitrate.
 
 from __future__ import annotations
 
+import weakref
 from typing import Generator, List, Optional
 
 from ...core import (
@@ -182,7 +183,9 @@ class OpenPathDiskScheduler(SolutionBase):
         self._pending: List[int] = []
         self._head = start_track
         self._up = True
-        solution = self
+        # The resource stores these bodies: a strong ``self`` would
+        # close a cycle that only the collector frees.
+        solution = weakref.proxy(self)
 
         def transfer_body(res, track: int, work: int) -> Generator:
             solution._pending.remove(track)

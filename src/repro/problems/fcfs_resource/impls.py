@@ -12,6 +12,7 @@ this by switching the wake policy.
 
 from __future__ import annotations
 
+import weakref
 from typing import Generator
 
 from ...core import (
@@ -118,7 +119,9 @@ class PathFcfsResource(SolutionBase):
     def __init__(self, sched: Scheduler, name: str = "res",
                  wake_policy: str = "fifo", seed: int = 0) -> None:
         super().__init__(sched, name)
-        solution = self
+        # The resource stores these bodies: a strong ``self`` would
+        # close a cycle that only the collector frees.
+        solution = weakref.proxy(self)
 
         def use_body(res, work: int) -> Generator:
             solution._start("use")

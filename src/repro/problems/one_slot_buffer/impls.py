@@ -9,6 +9,7 @@ completed operation a put?") from state they maintain themselves.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Generator
 
 from ...core import (
@@ -41,7 +42,9 @@ class PathOneSlotBuffer(SolutionBase):
     def __init__(self, sched: Scheduler, name: str = "slot") -> None:
         super().__init__(sched, name)
         self.slot = SlotBuffer()
-        solution = self
+        # The resource stores these bodies: a strong ``self`` would
+        # close a cycle that only the collector frees.
+        solution = weakref.proxy(self)
 
         def put_body(res, item: Any) -> Generator:
             solution._start("put")

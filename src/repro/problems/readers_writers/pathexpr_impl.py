@@ -15,6 +15,7 @@ implementation — it is the artifact under study.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Generator
 
 from ...core import (
@@ -84,7 +85,9 @@ class PathReadersPriority(SolutionBase):
             wake_policy=wake_policy,
             seed=seed,
         )
-        solution = self
+        # The resource stores these bodies: a strong ``self`` would
+        # close a cycle that only the collector frees.
+        solution = weakref.proxy(self)
 
         def read_body(res, work: int) -> Generator:
             solution._start("read")
@@ -166,7 +169,9 @@ class PathWritersPriority(SolutionBase):
             wake_policy=wake_policy,
             seed=seed,
         )
-        solution = self
+        # The resource stores these bodies: a strong ``self`` would
+        # close a cycle that only the collector frees.
+        solution = weakref.proxy(self)
 
         def read_body(res, work: int) -> Generator:
             solution._start("read")
@@ -244,7 +249,9 @@ class PathRWFcfs(SolutionBase):
             wake_policy=wake_policy,
             seed=seed,
         )
-        solution = self
+        # The resource stores these bodies: a strong ``self`` would
+        # close a cycle that only the collector frees.
+        solution = weakref.proxy(self)
 
         def read_body(res, work: int) -> Generator:
             solution._start("read")

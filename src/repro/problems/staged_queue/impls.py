@@ -21,6 +21,7 @@ Variants:
 
 from __future__ import annotations
 
+import weakref
 from typing import Generator
 
 from ...core import (
@@ -161,7 +162,9 @@ class OpenPathStagedQueue(SolutionBase):
 
     def __init__(self, sched: Scheduler, name: str = "res") -> None:
         super().__init__(sched, name)
-        solution = self
+        # The resource stores these bodies: a strong ``self`` would
+        # close a cycle that only the collector frees.
+        solution = weakref.proxy(self)
 
         def body(op: str):
             def run(res, work: int) -> Generator:

@@ -112,15 +112,14 @@ def retry_with_backoff(
     """
     if attempts < 1:
         raise ValueError("attempts must be >= 1")
-    last: Optional[WaitTimeout] = None
     for i in range(attempts):
         try:
             result = yield from attempt(i)
             return result
-        except WaitTimeout as exc:
-            last = exc
-            if i + 1 < attempts:
-                ticks = _delay_of(backoff, i)
-                if ticks > 0 and sched is not None:
-                    yield from sched.sleep(ticks)
-    raise last
+        except WaitTimeout:
+            # No local keeps the timeout: its traceback holds this frame.
+            if i + 1 == attempts:
+                raise
+        ticks = _delay_of(backoff, i)
+        if ticks > 0 and sched is not None:
+            yield from sched.sleep(ticks)

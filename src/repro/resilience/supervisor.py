@@ -35,6 +35,7 @@ detail = ``{"incarnation": n}``) and ``inbox_quarantine`` (detail =
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Dict, Generator, Optional
 
 from ..dist.network import Network
@@ -96,12 +97,15 @@ class NodeSupervisor:
         return a fresh generator each call.  The process name is the node
         name, so the network keeps routing across incarnations."""
         ns = self.store.namespace(node_id)
+        # The restart supervisor keeps this body: a strong ``self`` would
+        # close a cycle that only the collector frees.
+        supervisor = weakref.proxy(self)
 
         def wrapped() -> Generator:
-            spec = self._specs[node_id]
+            spec = supervisor._specs[node_id]
             incarnation = spec.incarnations
             if incarnation > 1:
-                self._on_rejoin(node_id, incarnation)
+                supervisor._on_rejoin(node_id, incarnation)
             result = yield from factory(incarnation, ns)
             return result
 

@@ -92,10 +92,15 @@ class _StringIds(dict):
 _STRING_IDS = _StringIds()
 
 
+#: A finished scheduler's ``trace``: the events belong to the RunResult.
+_RELEASED = UnkeptTrace("the run is over: its trace belongs to the "
+                        "RunResult that run() returned")
+
+
 def _discard(event: Event) -> None:
-    """The event append of a finished run.  A body left suspended when
-    :meth:`Scheduler.run` returns can still log when the collector
-    finalizes it; those events must not reach the returned trace."""
+    """The event append of a finished run.  :meth:`Scheduler.run` closes
+    the bodies still suspended when it ends, and their ``finally`` blocks
+    may log; those events must not reach the returned trace."""
 
 
 def _event_term(pid: int, kind: str, obj: Any, detail: Any) -> int:
@@ -211,7 +216,9 @@ class Scheduler:
             self.trace = Trace()
             self._append_event = self.trace._events.append
         else:
-            self.trace = UnkeptTrace()
+            self.trace = UnkeptTrace(
+                "this run kept no trace (Scheduler(keep_trace=False)); "
+                "attach a sink to observe its events")
             self._tail = deque(maxlen=DIAGNOSTIC_TAIL)
             self._append_event = self._tail.append
         self._ready: List[SimProcess] = []
@@ -414,6 +421,8 @@ class Scheduler:
         recorded in the trace, never raised: a crash must not crash the
         scheduler.
         """
+        if self._finished:
+            raise SchedulerStateError("cannot kill after the run completed")
         if proc is self._current:
             raise SchedulerStateError(
                 "a process cannot kill itself mid-step; raise instead"
@@ -573,7 +582,12 @@ class Scheduler:
         if entry is not None:
             entry.cancelled = True  # normal wakeup: the timer is now stale
         if isinstance(value, _Failure):
-            raise value.exc
+            # The traceback will hold this frame: keep no local that leads
+            # back to the exception, or every delivered failure is a cycle.
+            try:
+                raise value.exc
+            finally:
+                value = None
         return value
 
     def unpark(self, proc: SimProcess, value: Any = None) -> None:
@@ -733,9 +747,23 @@ class Scheduler:
 
         Returns:
             A :class:`RunResult` with the trace and per-process results.
+
+        A scheduler runs once.  When ``run()`` ends, by returning or by
+        raising, the run is over: the bodies still suspended are closed
+        (their ``finally`` blocks run now, log nowhere and change nothing
+        in the result), cleanup stacks, pending timers and fingerprint
+        providers are dropped, and ``trace`` refuses reads: the events
+        belong to the returned :class:`RunResult`.  ``run``, ``spawn`` and
+        ``kill`` then raise :class:`SchedulerStateError`.  The process
+        registry stays readable (``processes``, their states and results,
+        :meth:`wait_graph`, the holds), so a lease sweep can still reclaim
+        from the dead.  What a run allocated is then freed by reference
+        counting alone (DESIGN.md, "Run lifetime").
         """
         if self._running:
             raise SchedulerStateError("run() is not reentrant")
+        if self._finished:
+            raise SchedulerStateError("the run is over; a scheduler runs once")
         self._running = True
         # Loop invariants, read once: none of these is rebound mid-run.
         fault_plan = self.fault_plan
@@ -816,6 +844,10 @@ class Scheduler:
                     self._run_cleanups(proc)
                     if on_error == "raise":
                         raise ProcessFailed(proc, exc) from exc
+                    # A recorded failure is data: the event above holds
+                    # its repr.  Its traceback would hold the body's
+                    # frames, which lead back to this scheduler.
+                    exc.__traceback__ = None
                     alive = False
                 finally:
                     self._current = None
@@ -828,11 +860,11 @@ class Scheduler:
                         self._live_nondaemons -= 1
                     self.log("exit", proc.name, proc=proc)
                 steps += 1
-        finally:
-            self._running = False
-            self._finished = True
-            self._append_event = _discard
-            self._sink = None
+        except BaseException:
+            self._stop_logging()
+            self._end_run()
+            raise
+        self._stop_logging()
         results = {
             p.name: p.result for p in self._processes if p.state is DONE
         }
@@ -853,9 +885,44 @@ class Scheduler:
             step_limited=step_limited,
             ready=ready_names,
         )
+        self._end_run()
         if sink is not None:
             sink.on_run_end(result)
         return result
+
+    def _stop_logging(self) -> None:
+        """Mark the run finished: later events reach neither the trace nor
+        the sink."""
+        self._running = False
+        self._finished = True
+        self._append_event = _discard
+        self._sink = None
+
+    def _end_run(self) -> None:
+        """End the life of a finished run, so reference counting frees it.
+
+        Each step cuts a reference cycle through the scheduler: a suspended
+        body's frame holds its mechanisms, a cleanup or timer callback is a
+        mechanism's bound method, a provider closes over user state, and
+        an event may carry a mechanism (a channel sent as a reply address).
+        Bodies close in spawn order; a ``finally`` that fails is ignored,
+        as its log would be."""
+        processes = self._processes
+        for proc in processes:
+            if proc.alive:
+                try:
+                    proc.close_body()
+                except Exception:  # noqa: BLE001 - body finally bug
+                    pass
+        # After every close: a ``finally`` can register a cleanup on, or
+        # deliver a wake value to, a process already closed.
+        for proc in processes:
+            proc.cleanups.clear()
+            proc.set_wake_value(None)
+        self._timers.clear()
+        self._fp_providers.clear()
+        self._tail = None
+        self.trace = _RELEASED
 
     def _advance_clock(self) -> None:
         """Jump virtual time to the earliest *live* timer and fire

@@ -261,19 +261,21 @@ class Trace:
 
 
 class UnkeptTrace:
-    """The trace of a run made with ``Scheduler(keep_trace=False)``.
+    """A trace that is not there to read: that of a run made with
+    ``Scheduler(keep_trace=False)``, and a finished scheduler's ``trace``
+    (the events belong to the :class:`RunResult` ``run()`` returned).
 
-    Such a run kept no events, so every read raises
-    :class:`~repro.runtime.errors.SchedulerStateError`.  An empty trace
-    would read as a run in which nothing happened, and an oracle handed
-    one would pass."""
+    Every read raises :class:`~repro.runtime.errors.SchedulerStateError`
+    with ``why``.  An empty trace would read as a run in which nothing
+    happened, and an oracle handed one would pass."""
 
-    __slots__ = ()
+    __slots__ = ("_why",)
+
+    def __init__(self, why: str) -> None:
+        self._why = why
 
     def _refuse(self, *args: Any, **kwargs: Any):
-        raise SchedulerStateError(
-            "this run kept no trace (Scheduler(keep_trace=False)); attach "
-            "a sink to observe its events")
+        raise SchedulerStateError(self._why)
 
     __len__ = __iter__ = __getitem__ = __contains__ = __bool__ = _refuse
 

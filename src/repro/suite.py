@@ -24,6 +24,7 @@ measured; ``repro regress`` dispatches through that one table.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
@@ -255,8 +256,10 @@ def explore_record(problem: str, mechanism: str, result: Any,
     """A gateable record from one explored target: the schedule count,
     the pruned work items, wall-clock throughput from the
     :class:`~repro.obs.harness.HarnessTelemetry`, plus the decision split,
-    the cut runs and the phase breakdown (persisted for post-hoc diffing,
-    not gated)."""
+    the cut runs, the phase breakdown and the cyclic collector's
+    ``gc.collections``/``gc.collected``/``gc.seconds`` (persisted for
+    post-hoc diffing, not gated; the collector's seconds overlap the phases
+    it interrupted)."""
     values: Dict[str, Number] = {
         "runs": result.runs,
         "pruned": result.pruned,
@@ -267,6 +270,7 @@ def explore_record(problem: str, mechanism: str, result: Any,
     values.update(_dotted("phase_seconds", {
         phase: round(seconds, 6)
         for phase, seconds in telemetry.phase_seconds.items()}))
+    values.update(_dotted("gc", telemetry.gc_counts()))
     return GateRecord("explore", "{}/{}".format(problem, mechanism), seed,
                       values, dict(EXPLORE_GATES))
 
@@ -303,6 +307,7 @@ def _measure_explore(target: str, seed: Optional[int], *, explore_runs,
                      explore_depth, **_options) -> GateRecord:
     problem, __, mechanism = target.partition("/")
     explored = get_target(problem, mechanism)
+    gc.collect()  # the record counts only the search's own cyclic garbage
     telemetry = HarnessTelemetry()
     result = ExplorationEngine(
         explored.runner(), max_runs=explore_runs, max_depth=explore_depth,

@@ -31,6 +31,7 @@ Workloads:
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Dict, List, Tuple
 
 from ..mechanisms.pathexpr.extended import GuardedPathResource
@@ -79,7 +80,9 @@ class SynthGuardedRW(SolutionBase):
         self.db = Database()
         #: Requests announced per op (bumped before any blocking point).
         self.req: Dict[str, int] = {"read": 0, "write": 0}
-        solution = self
+        # The resource stores these bodies: a strong ``self`` would
+        # close a cycle that only the collector frees.
+        solution = weakref.proxy(self)
 
         def conjunction(atoms: Tuple[str, ...]):
             evals = tuple(ATOM_EVALS[a] for a in atoms)

@@ -7,6 +7,7 @@ wall time, survives the exporters, and feeds the ``repro regress
 --explore`` gate.
 """
 
+import gc
 import io
 import json
 import os
@@ -181,6 +182,50 @@ def test_explore_record_round_trip_and_gate_direction():
     assert any(r.metric == "runs" for r in hits)
 
 
+def test_collector_is_counted_only_while_a_search_is_observed():
+    telemetry = HarnessTelemetry()
+    hooks = len(gc.callbacks)
+    telemetry.begin()
+    assert len(gc.callbacks) == hooks + 1
+    cycle = []
+    cycle.append(cycle)
+    del cycle
+    gc.collect()
+    telemetry.finish()
+    assert len(gc.callbacks) == hooks
+    counts = telemetry.gc_counts()
+    assert counts["collections"] >= 1 and counts["collected"] >= 1
+    assert counts["seconds"] >= 0.0
+    gc.collect()
+    assert telemetry.gc_counts() == counts  # finished: no longer counted
+
+
+def test_collector_hook_is_removed_when_the_search_raises():
+    telemetry = HarnessTelemetry()
+    hooks = len(gc.callbacks)
+
+    def broken(policy):
+        raise RuntimeError("runner bug")
+
+    with pytest.raises(RuntimeError):
+        ExplorationEngine(broken, telemetry=telemetry).explore(lambda r: [])
+    assert len(gc.callbacks) == hooks
+
+
+def test_a_search_leaves_the_collector_nothing():
+    # Every run frees itself by reference counting (DESIGN.md, "Run
+    # lifetime"), so an observed search collects no object.
+    gc.collect()
+    telemetry = HarnessTelemetry()
+    target = get_target("footnote3", "csp")
+    result = ExplorationEngine(target.runner(), max_runs=300, prune=True,
+                               telemetry=telemetry).explore(target.checker)
+    record = explore_record("footnote3", "csp", result, telemetry)
+    assert record.metrics["gc.collected"] == 0
+    assert record.metrics["gc.collections"] == telemetry.gc_collections
+    assert "gc.collections" not in record.directions
+
+
 def test_regress_explore_cli_round_trip(tmp_path, capsys):
     baseline = tmp_path / "explore_baseline.json"
     common = ["--explore", "--explore-runs", "300", "--explore-depth", "40"]
@@ -245,10 +290,20 @@ def test_explore_cli_watch_record_export(tmp_path, capsys):
     [record] = RunStore(str(store)).load_all()
     assert record.key == "explore:" + "/".join(TARGET)
     assert record.metrics["schedules_per_sec"] > 0
+    assert record.metrics["gc.collected"] == 0
     assert os.listdir(str(store)) == [
         "explore__fcfs_resource__monitor__fifo.json"]
     __, __, counters = parse_jsonl(out.read_text().splitlines())
     assert counters
+
+
+def test_explore_cli_json_reports_the_collector(capsys):
+    code = main(["explore", TARGET[0], TARGET[1], "--fast", "--watch",
+                 "--json"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["gc"]["collected"] == 0
+    assert set(payload["gc"]) == {"collections", "collected", "seconds"}
 
 
 def test_explore_cli_chrome_export(tmp_path, capsys):

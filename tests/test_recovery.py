@@ -163,12 +163,12 @@ class TestSupervisor:
 
     def test_backoff_spaces_restart(self):
         plan = FaultPlan().kill("P0", at_step=0)
-        sched, sup, __ = _run_supervised(
+        __, __, result = _run_supervised(
             fault_plan=plan,
             policy=RestartPolicy(backoff=FixedBackoff(7)),
         )
-        restart = sched.trace.filter(kind="restart", obj="P0")[0]
-        killed = sched.trace.filter(kind="killed", obj="P0")[0]
+        restart = result.trace.filter(kind="restart", obj="P0")[0]
+        killed = result.trace.filter(kind="killed", obj="P0")[0]
         assert restart.time - killed.time == 7
 
     def test_backoff_composes_with_injected_wakeup_delay(self):

@@ -1,7 +1,7 @@
 """What a run keeps of its events.
 
-* A finished run's trace is closed: a process body left suspended when
-  ``run()`` returns may still log when the collector finalizes it, and
+* A finished run's trace is closed: ``run()`` closes the process bodies
+  still suspended when it ends, their ``finally`` blocks may log, and
   none of those events may reach the returned trace.
 * ``Scheduler(keep_trace=False)`` keeps no trace: everything but the
   event list is unchanged, and reading the trace raises rather than
@@ -28,8 +28,9 @@ TARGET_IDS = ["{}/{}".format(p, m) for p, m in available_targets()]
                          ids=TARGET_IDS)
 def test_collector_adds_nothing_to_a_finished_trace(problem, mechanism):
     # Every single kill (each process, each step up to its step count)
-    # under three schedules.  A kill can leave a waiter suspended with a
-    # live generator whose ``finally`` logs once the collector runs.
+    # under three schedules.  A kill can leave a waiter suspended; run()
+    # closes its body on the way out, and the ``finally`` blocks that
+    # log then must not reach the returned trace, nor may a collection.
     target = get_target(problem, mechanism)
     kept = []
     for seed in range(3):
